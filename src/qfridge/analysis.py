@@ -20,16 +20,15 @@ edge. Both are implemented; see cooling_threshold.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .linalg import TOL
-from .liouvillian import FridgeConfig, build_liouvillian
+from .liouvillian import FridgeConfig
 from .reservoirs import ReservoirSpec, Role, Statistics
-from .steady_state import SteadyStateError, solve_direct
+from .steady_state import SteadyStateError, solve_sector
 from .thermometry import (
     TemperatureSentinel,
     insulated_limit_temperature,
@@ -153,7 +152,7 @@ class CalibrationResult:
 
 def solve_for_readout(config: FridgeConfig):
     """Steady state plus the cooled-qubit readout, the unit of every sweep."""
-    result = solve_direct(build_liouvillian(config))
+    result = solve_sector(config)
     readout = read_qubit(result.state, 1, config.gaps[0])
     return result, readout
 
@@ -189,10 +188,9 @@ def _record_for(config, th):
     )
 
 
-def sweep_hot_temperature(config: FridgeConfig, th_values, max_workers=1):
+def sweep_hot_temperature(config: FridgeConfig, th_values):
     """One steady-state solve per hot-bath temperature, ordered as given.
 
-    Points are independent; max_workers > 1 fans them out over threads.
     Per-point solver failures are recorded in the row status, not raised.
     """
     th_values = [float(v) for v in th_values]
@@ -204,9 +202,6 @@ def sweep_hot_temperature(config: FridgeConfig, th_values, max_workers=1):
             raise AnalysisError(
                 f"T_h = {v} invalid for a {hot.statistics.value} hot reservoir"
             )
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda th: _record_for(config, th), th_values))
     return [_record_for(config, th) for th in th_values]
 
 
@@ -346,6 +341,15 @@ def _window_edge_t1(config: FridgeConfig, direction: Direction) -> float:
     return _t1_value(config.with_hot_reservoir(hot))
 
 
+def best_case_t1(config: FridgeConfig, direction: Direction,
+                 mode: ThresholdMode = ThresholdMode.PLATEAU) -> float:
+    """The T1 a threshold bisection compares with T_c: the plateau value in
+    PLATEAU mode, T1 at the reference window edge in GRID_EDGE mode."""
+    if ThresholdMode(mode) is ThresholdMode.PLATEAU:
+        return find_plateau(config, direction).plateau_t1
+    return _window_edge_t1(config, Direction(direction))
+
+
 def cooling_threshold(config_template: FridgeConfig, direction: Direction,
                       mode: ThresholdMode = ThresholdMode.PLATEAU,
                       resolution: float = TOL.threshold_resolution,
@@ -360,12 +364,8 @@ def cooling_threshold(config_template: FridgeConfig, direction: Direction,
     mode = ThresholdMode(mode)
 
     def objective(tc):
-        config = config_template.with_cold_temperature(tc)
-        if mode is ThresholdMode.PLATEAU:
-            value = find_plateau(config, direction).plateau_t1
-        else:
-            value = _window_edge_t1(config, direction)
-        return value - tc
+        return best_case_t1(config_template.with_cold_temperature(tc),
+                            direction, mode) - tc
 
     lo, hi = bracket
     f_lo, f_hi = objective(lo), objective(hi)

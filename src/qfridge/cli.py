@@ -33,6 +33,7 @@ from .analysis import (
     Direction,
     REFERENCE_THRESHOLDS,
     ThresholdMode,
+    best_case_t1,
     calibrate_coupling,
     cooling_threshold,
     find_plateau,
@@ -125,7 +126,9 @@ def _load_config(path):
     with open(path) as handle:
         document = json.load(handle)
     if "config" in document and "command" in document:
-        return FridgeConfig.from_dict(document["config"]), dict(document.get("options", {}))
+        options = dict(document.get("options", {}))
+        options.pop("parallel", None)    # older sidecars record the ignored flag
+        return FridgeConfig.from_dict(document["config"]), options
     return FridgeConfig.from_dict(document), {}
 
 
@@ -188,8 +191,7 @@ def _cmd_solve(config, options, out_path, manifest):
 
 def _cmd_sweep(config, options, out_path, manifest):
     values = _sweep_values(options)
-    workers = int(options.get("parallel") or 1)
-    records = sweep_hot_temperature(config, values, max_workers=workers)
+    records = sweep_hot_temperature(config, values)
     _write_csv(out_path, CSV_COLUMNS, [_record_to_row(r) for r in records])
     _write_sidecar(out_path, manifest)
     failed = sum(1 for r in records if r.status != "ok")
@@ -218,10 +220,8 @@ def _cmd_threshold(config, options, out_path, manifest):
     direction = Direction(options.get("direction", "positive"))
     mode = ThresholdMode(options.get("threshold_mode", "plateau"))
     threshold = cooling_threshold(config, direction, mode)
-    at_threshold = config.with_cold_temperature(threshold)
-    plateau = find_plateau(at_threshold, direction)
-    row = (threshold, plateau.plateau_t1, plateau.plateau_t1 - threshold,
-           None, None, "ok")
+    t1 = best_case_t1(config.with_cold_temperature(threshold), direction, mode)
+    row = (threshold, t1, t1 - threshold, None, None, "ok")
     _write_csv(out_path, CSV_COLUMNS, [row])
     _write_sidecar(out_path, manifest, result_summary={
         "threshold": threshold,
@@ -266,18 +266,17 @@ def _cmd_calibrate(config, options, out_path, manifest):
     return EXIT_OK if result.within_tolerance else EXIT_NONCONVERGENCE
 
 
-def _reproduce_sweep_figure(name, th_grid, hot_statistics, out_dir, workers):
+def _reproduce_sweep_figure(name, th_grid, hot_statistics, out_dir):
     paths = []
     for tc in REPRODUCE_TCS:
         config = default_config(tc=tc, coupling=CALIBRATED_COUPLING,
                                 hot_statistics=hot_statistics)
-        records = sweep_hot_temperature(config, th_grid, max_workers=workers)
+        records = sweep_hot_temperature(config, th_grid)
         out_path = os.path.join(out_dir, f"{name}_tc{tc:g}.csv")
         _write_csv(out_path, CSV_COLUMNS, [_record_to_row(r) for r in records])
         manifest = RunManifest(
             command="sweep-th", config=config,
-            options={"th_values": ",".join(repr(v) for v in th_grid),
-                     "parallel": workers},
+            options={"th_values": ",".join(repr(v) for v in th_grid)},
             output_path=out_path,
         )
         _write_sidecar(out_path, manifest)
@@ -285,15 +284,13 @@ def _reproduce_sweep_figure(name, th_grid, hot_statistics, out_dir, workers):
     return paths
 
 
-def _cmd_reproduce(scenario, out_dir, workers):
+def _cmd_reproduce(scenario, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     produced = []
     if scenario in ("fig2", "all"):
-        produced += _reproduce_sweep_figure("fig2", FIG2_TH_GRID, "bosonic",
-                                            out_dir, workers)
+        produced += _reproduce_sweep_figure("fig2", FIG2_TH_GRID, "bosonic", out_dir)
     if scenario in ("fig3", "all"):
-        produced += _reproduce_sweep_figure("fig3", FIG3_TH_GRID, "fermionic",
-                                            out_dir, workers)
+        produced += _reproduce_sweep_figure("fig3", FIG3_TH_GRID, "fermionic", out_dir)
     if scenario in ("fig4", "all"):
         table_a, table_b = [], []
         for tc in REPRODUCE_TCS:
@@ -341,12 +338,16 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"qfridge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def parallel_option(p):
+        # Sweeps run serially; the flag stays so old command lines still parse.
+        p.add_argument("--parallel", type=int,
+                       help="accepted and ignored, kept for compatibility")
+
     def common(p, needs_config=True):
         p.add_argument("--config", required=needs_config,
                        help="JSON config (or a sidecar from a previous run)")
         p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--parallel", type=int, default=os.cpu_count() or 1,
-                       help="sweep worker threads (default: available parallelism)")
+        parallel_option(p)
 
     common(sub.add_parser("solve", help="single steady state at the configured point"))
 
@@ -380,7 +381,7 @@ def build_parser():
     p = sub.add_parser("reproduce", help="run the bundled scenarios")
     p.add_argument("scenario", choices=("fig2", "fig3", "fig4", "all"))
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--parallel", type=int, default=os.cpu_count() or 1)
+    parallel_option(p)
 
     return parser
 
@@ -394,7 +395,7 @@ _COMMANDS = {
     "calibrate": _cmd_calibrate,
 }
 
-_OPTION_KEYS = ("parallel", "th_values", "th_start", "th_stop", "th_points",
+_OPTION_KEYS = ("th_values", "th_start", "th_stop", "th_points",
                 "th_spacing", "direction", "threshold_mode", "gamma1", "g_grid")
 
 
@@ -411,7 +412,7 @@ def main(argv=None):
 
     try:
         if args.command == "reproduce":
-            return _cmd_reproduce(args.scenario, args.out, args.parallel)
+            return _cmd_reproduce(args.scenario, args.out)
 
         config, sidecar_options = _load_config(args.config)
         options = dict(sidecar_options)

@@ -13,6 +13,12 @@ drives the cycle. The three-body interaction g(s-_1 s+_2 s-_3 + h.c.) couples
 |e1 g2 e3> with |g1 e2 g3>, which is resonant when E3 = E2 - E1. Each qubit
 carries one decay and one excitation dissipator with rates induced by its
 reservoir.
+
+The generator maps the populations plus the single coherence H_int creates,
+rho[2, 5] between |g1 e2 g3> and |e1 g2 e3>, onto themselves, and every other
+coherence decays to zero. So the steady state lives in this 10-dimensional
+sector: sector_generator builds it directly and is the production path, while
+build_liouvillian assembles the full 64x64 generator as the oracle.
 """
 
 import hashlib
@@ -32,6 +38,10 @@ SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)    # |e><g|
 
 NUM_QUBITS = 3
 DIM = 2 ** NUM_QUBITS
+# The coherent pair |g1 e2 g3>, |e1 g2 e3>: the only states H_int connects.
+SECTOR_PAIR = (2, 5)
+# Sector coordinates: the DIM populations, then Re and Im of rho[SECTOR_PAIR].
+SECTOR_DIM = DIM + 2
 
 
 class ConfigError(ValueError):
@@ -223,6 +233,59 @@ def build_liouvillian(config: FridgeConfig) -> Liouvillian:
         generator += _dissipator(embed(SIGMA_MINUS, k), rates.gamma_down)
         generator += _dissipator(embed(SIGMA_PLUS, k), rates.gamma_up)
     return Liouvillian(matrix=generator, dim=DIM, config_hash=config.config_hash())
+
+
+def _sector_terms():
+    """Sector generator per unit coefficient, one row per coefficient:
+    (down_k, up_k) for k = 1..3, then g, then the detuning E1 - E2 + E3.
+
+    Populations follow the Pauli rate equation: each qubit flips on its own,
+    down when excited and up when ground. The coherence c = rho[2, 5] obeys
+    dc/dt = -i(-delta c + g (p5 - p2)) - (Gamma_2 + Gamma_5) c / 2, with
+    Gamma_i the total out-rate of state i, and feeds back through
+    dp2/dt = -dp5/dt = -2 g Im c.
+    """
+    terms = np.zeros((2 * NUM_QUBITS + 2, SECTOR_DIM, SECTOR_DIM))
+    low, high = SECTOR_PAIR
+    re, im = DIM, DIM + 1
+    for k in range(NUM_QUBITS):
+        bit = 1 << (NUM_QUBITS - 1 - k)       # qubit 1 is the most significant
+        for state in range(DIM):
+            term = terms[2 * k] if state & bit else terms[2 * k + 1]
+            term[state ^ bit, state] += 1.0
+            term[state, state] -= 1.0
+            if state in SECTOR_PAIR:
+                term[re, re] -= 0.5
+                term[im, im] -= 0.5
+    coupling, detuning = terms[2 * NUM_QUBITS], terms[2 * NUM_QUBITS + 1]
+    coupling[im, high] -= 1.0
+    coupling[im, low] += 1.0
+    coupling[low, im] -= 2.0
+    coupling[high, im] += 2.0
+    detuning[re, im] -= 1.0
+    detuning[im, re] += 1.0
+    return terms.reshape(len(terms), -1)
+
+
+_SECTOR_TERMS = _sector_terms()
+
+
+def sector_generator(config: FridgeConfig) -> np.ndarray:
+    """Real SECTOR_DIM x SECTOR_DIM generator, linear in the six rates, g and
+    the detuning: d x/dt = sector_generator(config) @ x on the coordinates
+    (p_0 .. p_7, Re rho[2, 5], Im rho[2, 5])."""
+    coefficients = np.zeros(len(_SECTOR_TERMS))
+    for k, (spec, gap, gamma) in enumerate(
+            zip(config.reservoirs, config.gaps, config.gammas)):
+        if gamma == 0.0:
+            continue
+        rates = lindblad_rates(spec, gap, gamma)
+        coefficients[2 * k] = rates.gamma_down
+        coefficients[2 * k + 1] = rates.gamma_up
+    e1, e2, e3 = config.gaps
+    coefficients[-2] = config.coupling
+    coefficients[-1] = e1 - e2 + e3
+    return (coefficients @ _SECTOR_TERMS).reshape(SECTOR_DIM, SECTOR_DIM)
 
 
 def qubit_liouvillian(gap, gamma_down, gamma_up):

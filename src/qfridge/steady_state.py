@@ -1,14 +1,17 @@
-"""Steady states of the vectorized generator.
+"""Steady states of the refrigerator.
 
-Two independent routes to the same object:
+Three routes to the same object:
 
-  * solve_direct replaces one row of L with the trace functional and solves
-    the resulting nonsingular linear system L~ x = e_r exactly;
+  * solve_sector, the production path, solves the 10-dimensional invariant
+    sector (populations plus the coherent pair, see sector_generator);
+  * solve_direct solves the full 64x64 vectorized generator;
   * propagate integrates d vec(rho)/dt = L vec(rho) with classic fixed-step
     RK4 until the state stops moving.
 
-The second exists purely as a cross-check oracle for the first, so it shares
-nothing with it beyond the generator matrix itself.
+Both solves replace one population row of their generator with the trace
+functional and solve the resulting nonsingular system exactly. The 64x64
+solve and the propagation are oracles for the sector solve; propagation
+shares nothing with the solves beyond the 64x64 generator itself.
 """
 
 import math
@@ -18,7 +21,16 @@ from enum import Enum
 import numpy as np
 
 from .linalg import TOL, SingularMatrixError, dagger, eig_hermitian, max_abs, solve_linear
-from .liouvillian import DensityMatrix, DensityMatrixError, Liouvillian, _trace_row
+from .liouvillian import (
+    DIM,
+    SECTOR_PAIR,
+    DensityMatrix,
+    DensityMatrixError,
+    FridgeConfig,
+    Liouvillian,
+    _trace_row,
+    sector_generator,
+)
 
 
 class SteadyStateError(RuntimeError):
@@ -65,24 +77,18 @@ def _unvec(x, dim):
     return x.reshape((dim, dim), order="F")
 
 
-def solve_direct(liouvillian: Liouvillian,
-                 constraint_row: int | None = None) -> SteadyStateResult:
-    """Steady state by constrained linear solve.
+def _solve_constrained(generator, population_rows, trace_row, constraint_row=None):
+    """Stationary x of generator with trace_row @ x = 1.
 
-    The null-space equation L x = 0 with tr(rho) = 1 is made square by
-    overwriting one population row of L (the one with the smallest diagonal
-    magnitude, i.e. the least informative equation) with vec(I)^T and setting
+    The null-space equation L x = 0 is made square by overwriting one
+    population row of L (the one with the smallest diagonal magnitude, i.e.
+    the least informative equation) with the trace functional and setting
     that entry of the right-hand side to 1. Only population rows qualify:
     they are the support of the trace functional, and sacrificing a coherence
     equation instead would leave that coherence undetermined. At generic
-    parameters the result is independent of which population row is replaced;
-    constraint_row exists to test exactly that.
+    parameters the result is independent of which population row is replaced.
     """
-    dim = liouvillian.dim
-    generator = liouvillian.matrix
-    scale = max(1.0, max_abs(generator))
-    constrained = np.array(generator / scale)
-    population_rows = np.arange(0, dim * dim, dim + 1)
+    constrained = generator / max(1.0, max_abs(generator))
     if constraint_row is None:
         diagonal = np.abs(np.diagonal(generator)[population_rows])
         row = int(population_rows[np.argmin(diagonal)])
@@ -92,17 +98,58 @@ def solve_direct(liouvillian: Liouvillian,
             raise SteadyStateError(
                 f"constraint row {row} is not a population position"
             )
-    constrained[row, :] = _trace_row(dim)
-    rhs = np.zeros(dim * dim, dtype=complex)
+    constrained[row, :] = trace_row
+    rhs = np.zeros(len(trace_row))
     rhs[row] = 1.0
     try:
-        x = solve_linear(constrained, rhs)
+        return solve_linear(constrained, rhs)
     except SingularMatrixError as exc:
         raise MultiplicityError(
             "constrained steady-state system is singular; the generator has a "
-            f"degenerate stationary manifold (pivot {exc.pivot:.3e})"
+            f"degenerate stationary manifold (smallest singular value "
+            f"{exc.sigma_min:.3e})"
         ) from exc
 
+
+def _validated(rho, residual):
+    try:
+        state = DensityMatrix(rho)
+    except DensityMatrixError as exc:
+        raise SteadyStateError(f"direct solve produced an invalid state: {exc}") from exc
+    return SteadyStateResult(state=state, residual=residual, solver=Solver.DIRECT)
+
+
+_SECTOR_POPULATIONS = np.arange(DIM)
+_SECTOR_TRACE_ROW = np.concatenate([np.ones(DIM), np.zeros(2)])
+
+
+def solve_sector(config: FridgeConfig) -> SteadyStateResult:
+    """Steady state by constrained solve of the 10-dimensional sector, embedded
+    back into the full 8x8 density matrix. The production path."""
+    generator = sector_generator(config)
+    x = _solve_constrained(generator, _SECTOR_POPULATIONS, _SECTOR_TRACE_ROW)
+    drift = generator @ x
+    # |d rho[2, 5]/dt| counts as one entry, as in the 64x64 residual
+    residual = max(max_abs(drift[:DIM]), abs(complex(drift[DIM], drift[DIM + 1])))
+    rho = np.diag(x[:DIM].astype(complex))
+    low, high = SECTOR_PAIR
+    rho[low, high] = complex(x[DIM], x[DIM + 1])
+    rho[high, low] = rho[low, high].conjugate()
+    return _validated(rho, residual)
+
+
+def solve_direct(liouvillian: Liouvillian,
+                 constraint_row: int | None = None) -> SteadyStateResult:
+    """Steady state by constrained solve of the full vectorized generator.
+
+    The oracle for solve_sector. The trace functional replaces a population
+    row (see _solve_constrained); constraint_row picks it explicitly, to test
+    that the choice is immaterial.
+    """
+    dim = liouvillian.dim
+    generator = liouvillian.matrix
+    x = _solve_constrained(generator, np.arange(0, dim * dim, dim + 1),
+                           _trace_row(dim), constraint_row)
     rho_raw = _unvec(x, dim)
     asymmetry = max_abs(rho_raw - dagger(rho_raw))
     if asymmetry > 1e-9:
@@ -110,12 +157,7 @@ def solve_direct(liouvillian: Liouvillian,
             f"solution asymmetry {asymmetry:.3e} before symmetrization"
         )
     rho = (rho_raw + dagger(rho_raw)) / 2.0
-    residual = max_abs(generator @ _vec(rho))
-    try:
-        state = DensityMatrix(rho)
-    except DensityMatrixError as exc:
-        raise SteadyStateError(f"direct solve produced an invalid state: {exc}") from exc
-    return SteadyStateResult(state=state, residual=residual, solver=Solver.DIRECT)
+    return _validated(rho, max_abs(generator @ _vec(rho)))
 
 
 def _norm_inf_rows(matrix):

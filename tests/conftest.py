@@ -39,3 +39,61 @@ def rng():
 def reference_config():
     """Gaps (1, 5, 4), unit rates, baths at (1, 2, 10), unit coupling."""
     return default_config(tc=1.0, tr=2.0, th=10.0, coupling=1.0)
+
+
+def exact_qubit1_populations(config, dps=60):
+    """(p_ground, p_excited) of qubit 1 in the steady state, solved in mpmath
+    at `dps` digits from the same float rates the solvers use.
+
+    Independent of qfridge's generators: it applies the Lindblad equation
+    term by term to each population and to rho[2, 5] and rho[5, 2], checks
+    that the images stay in that sector, and solves the sector with the
+    trace constraint. Skips the calling test when mpmath is missing.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    from qfridge.reservoirs import lindblad_rates
+
+    with mpmath.workdps(dps):
+        zero, one = mpmath.mpf(0), mpmath.mpf(1)
+
+        def lift(single, k):
+            out = np.array([[one]], dtype=object)
+            for j in range(3):
+                out = np.kron(out, np.array(single if j == k else np.eye(2, dtype=int),
+                                            dtype=object))
+            return out
+
+        lower = np.array([[0, 1], [0, 0]])
+        hamiltonian = sum(lift(np.diag([-1, 1]), k) * (mpmath.mpf(gap) / 2)
+                          for k, gap in enumerate(config.gaps))
+        exchange = lift(lower, 0).dot(lift(lower.T, 1)).dot(lift(lower, 2))
+        hamiltonian = hamiltonian + mpmath.mpf(config.coupling) * (exchange + exchange.T)
+        jumps = []
+        for k, (spec, gap, gamma) in enumerate(
+                zip(config.reservoirs, config.gaps, config.gammas)):
+            rates = lindblad_rates(spec, gap, gamma)
+            jumps += [(mpmath.mpf(rates.gamma_down), lift(lower, k)),
+                      (mpmath.mpf(rates.gamma_up), lift(lower.T, k))]
+
+        def lindblad(rho):
+            out = -1j * (hamiltonian.dot(rho) - rho.dot(hamiltonian))
+            for rate, c in jumps:
+                cdc = c.T.dot(c)
+                out = out + rate * (c.dot(rho).dot(c.T) - (cdc.dot(rho) + rho.dot(cdc)) / 2)
+            return out
+
+        coordinates = [(i, i) for i in range(8)] + [(2, 5), (5, 2)]
+        system = mpmath.matrix(10, 10)
+        for column, (a, b) in enumerate(coordinates):
+            basis = np.full((8, 8), zero, dtype=object)
+            basis[a, b] = one
+            image = lindblad(basis)
+            for row, (i, j) in enumerate(coordinates):
+                system[row, column] = image[i, j]
+                image[i, j] = zero
+            assert all(v == 0 for v in image.flat), "the sector is not invariant"
+        for column in range(10):
+            system[0, column] = one if column < 8 else zero
+        x = mpmath.lu_solve(system, mpmath.matrix([one] + [zero] * 9))
+        return (mpmath.re(sum(x[i] for i in range(4))),
+                mpmath.re(sum(x[i] for i in range(4, 8))))

@@ -35,6 +35,7 @@ from qfridge import (
 from qfridge.analysis import REFERENCE_THRESHOLDS
 from qfridge.liouvillian import _trace_row
 from qfridge.reservoirs import Statistics
+from qfridge.steady_state import solve_sector
 from tests.conftest import random_valid_config
 
 TC_SET = (1.0, 1.5, 2.0)
@@ -66,14 +67,15 @@ def test_criterion_02_steady_state_validity():
     start = time.time()
     worst_res, worst_herm, worst_eig = 0.0, 0.0, 0.0
     for config in _configs(101, 100):
-        result = solve_direct(build_liouvillian(config))
-        rho = result.state.matrix
-        worst_res = max(worst_res, result.residual)
-        worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
-        worst_eig = min(worst_eig, float(np.min(np.linalg.eigvalsh(rho))))
+        for result in (solve_direct(build_liouvillian(config)), solve_sector(config)):
+            rho = result.state.matrix
+            worst_res = max(worst_res, result.residual)
+            worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
+            worst_eig = min(worst_eig, float(np.min(np.linalg.eigvalsh(rho))))
     ok = worst_res <= 1e-10 and worst_herm <= 1e-10 and worst_eig >= -1e-9
     assert _verdict(2, ok,
-                    f"steady-state validity on the same 100 configs: residual "
+                    f"steady-state validity on the same 100 configs, 64x64 and "
+                    f"sector solves: residual "
                     f"{worst_res:.2e}, hermiticity {worst_herm:.2e}, min eig "
                     f"{worst_eig:.2e} ({time.time() - start:.1f} s)")
 
@@ -83,12 +85,12 @@ def test_criterion_03_oracle_equivalence():
     worst = 0.0
     for config in _configs(303, 20):
         liouvillian = build_liouvillian(config)
-        direct = solve_direct(liouvillian)
         oracle = steady_state_by_propagation(liouvillian)
-        worst = max(worst, trace_distance(direct.state, oracle.state))
+        for direct in (solve_direct(liouvillian), solve_sector(config)):
+            worst = max(worst, trace_distance(direct.state, oracle.state))
     ok = worst <= 1e-6
     assert _verdict(3, ok,
-                    f"direct solve vs propagation on 20 random configs, worst "
+                    f"64x64 and sector solves vs propagation on 20 random configs, worst "
                     f"trace distance {worst:.2e} <= 1e-6 ({time.time() - start:.1f} s)")
 
 

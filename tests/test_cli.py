@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qfridge.analysis import Direction, _window_edge_t1, find_plateau
 from qfridge.cli import CSV_COLUMNS, RunManifest, main
 from qfridge.liouvillian import default_config
 
@@ -58,6 +59,23 @@ def test_sweep_parallel_flag_gives_identical_bytes(config_path, tmp_path):
     assert main(base + ["--out", out1, "--parallel", "1"]) == 0
     assert main(base + ["--out", out2, "--parallel", "4"]) == 0
     assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
+    # the flag is ignored, so it is not part of the manifest either
+    assert "parallel" not in json.loads((tmp_path / "p2.json").read_text())["options"]
+
+
+def test_sidecar_recording_parallel_still_reproduces(config_path, tmp_path):
+    # Sidecars written while --parallel selected a thread count carry it in
+    # their options; they still run, and the rewritten sidecar drops it.
+    out1 = str(tmp_path / "a.csv")
+    assert main(["sweep-th", "--config", config_path, "--out", out1,
+                 "--th-values", "2,6"]) == 0
+    sidecar = json.loads((tmp_path / "a.json").read_text())
+    sidecar["options"]["parallel"] = 4
+    (tmp_path / "old.json").write_text(json.dumps(sidecar))
+    out2 = str(tmp_path / "b.csv")
+    assert main(["sweep-th", "--config", str(tmp_path / "old.json"), "--out", out2]) == 0
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    assert "parallel" not in json.loads((tmp_path / "b.json").read_text())["options"]
 
 
 def test_config_error_exit_code_and_stderr(tmp_path, capsys):
@@ -122,9 +140,26 @@ def test_threshold_command_grid_edge(config_path, tmp_path):
     assert main(["threshold", "--config", config_path, "--out", out,
                  "--direction", "positive", "--threshold-mode", "grid-edge"]) == 0
     rows = read_rows(out)
-    assert float(rows[1][0]) == pytest.approx(0.476, abs=5e-3)
+    threshold, t1, t1_minus_tc = (float(v) for v in rows[1][:3])
+    assert threshold == pytest.approx(0.476, abs=5e-3)
+    # the row carries the window-edge T1 the bisection compared, not the plateau
+    at_threshold = default_config().with_cold_temperature(threshold)
+    assert t1 == _window_edge_t1(at_threshold, Direction.POSITIVE)
+    assert t1 == pytest.approx(0.476213, abs=1e-6)
+    assert t1_minus_tc == t1 - threshold
     sidecar = json.loads((tmp_path / "thr.json").read_text())
     assert sidecar["result"]["mode"] == "grid-edge"
+
+
+def test_threshold_command_plateau_mode_row_carries_the_plateau(config_path, tmp_path):
+    out = str(tmp_path / "thr.csv")
+    assert main(["threshold", "--config", config_path, "--out", out,
+                 "--direction", "negative", "--threshold-mode", "plateau"]) == 0
+    rows = read_rows(out)
+    threshold, t1 = float(rows[1][0]), float(rows[1][1])
+    assert threshold == pytest.approx(0.0270, abs=5e-4)
+    at_threshold = default_config().with_cold_temperature(threshold)
+    assert t1 == find_plateau(at_threshold, Direction.NEGATIVE).plateau_t1
 
 
 def test_threshold_exits_nonconvergent_without_bracket(tmp_path, capsys):

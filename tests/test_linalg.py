@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qfridge.linalg import (
+    TOL,
     LinalgError,
-    MatrixSizeError,
     NonHermitianError,
     SingularMatrixError,
     dagger,
@@ -63,12 +63,6 @@ def test_kron_associative_exact_on_integer_entries(rng):
     np.testing.assert_array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
 
 
-def test_kron_rejects_oversized_result():
-    big = np.ones((3000, 3000))
-    with pytest.raises(MatrixSizeError):
-        kron(big, big)
-
-
 def test_kron_rejects_nonfinite():
     with pytest.raises(LinalgError):
         kron(np.array([[np.nan, 0], [0, 1]]), I2)
@@ -103,11 +97,30 @@ def test_solve_residual_contract(rng):
         assert max_abs(a @ x - b) <= 1e-10 * (1.0 + max_abs(b))
 
 
-def test_solve_singular_carries_pivot():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)   # rank 1
-    with pytest.raises(SingularMatrixError) as excinfo:
-        solve_linear(a, np.array([1.0, 2.0]))
-    assert excinfo.value.pivot < 1e-14 * excinfo.value.scale
+def test_solve_singular_carries_smallest_singular_value():
+    for a in (np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex),   # rank 1
+              np.array([[1.0, 2.0], [2.0, 4.0]]),                  # real, rank 1
+              np.zeros((3, 3))):
+        with pytest.raises(SingularMatrixError) as excinfo:
+            solve_linear(a, np.ones(len(a)))
+        assert excinfo.value.sigma_min <= TOL.singular_value * excinfo.value.scale
+
+
+def test_solve_real_system_stays_real(rng):
+    a = np.eye(10) + 0.3 * rng.normal(size=(10, 10))
+    x_star = rng.normal(size=10)
+    x = solve_linear(a, a @ x_star)
+    assert x.dtype == np.float64
+    assert max_abs(x - x_star) <= 1e-12
+
+
+def test_solve_rejects_nonfinite_and_mismatched_shapes():
+    with pytest.raises(LinalgError):
+        solve_linear(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
+    with pytest.raises(LinalgError):
+        solve_linear(np.eye(2), np.ones(3))
+    with pytest.raises(LinalgError):
+        solve_linear(np.ones((2, 3)), np.ones(2))
 
 
 def test_eig_diagonal_sorted():
