@@ -28,11 +28,11 @@ import numpy as np
 from .linalg import TOL
 from .liouvillian import FridgeConfig
 from .reservoirs import ReservoirSpec, Role, Statistics
-from .steady_state import SteadyStateError, solve_sector
+from .steady_state import SteadyStateError, solve_sector, solve_sectors
 from .thermometry import (
     TemperatureSentinel,
     insulated_limit_temperature,
-    read_qubit,
+    read_qubit1_stack,
     temperature_as_float,
 )
 
@@ -131,13 +131,14 @@ class CalibrationResult:
     max_relative_error: float
     achieved: dict
     landscape: tuple          # ((g, max relative error), ...) over the search
-    within_tolerance: bool    # best error <= 5%
+    within_tolerance: bool    # best error <= TOL.calibration_relative
 
     def report_lines(self):
         lines = [
             f"calibrated coupling g = {self.coupling:.6g} "
             f"(max relative error {self.max_relative_error:.3e}, "
-            f"{'within' if self.within_tolerance else 'EXCEEDS'} 5% tolerance)"
+            f"{'within' if self.within_tolerance else 'EXCEEDS'} "
+            f"{TOL.calibration_relative:.0%} tolerance)"
         ]
         for (tc, direction), (value, target, err) in sorted(
                 self.achieved.items(), key=lambda kv: (kv[0][1].value, kv[0][0])):
@@ -151,9 +152,13 @@ class CalibrationResult:
 
 
 def solve_for_readout(config: FridgeConfig):
-    """Steady state plus the cooled-qubit readout, the unit of every sweep."""
+    """Steady state plus the cooled-qubit readout, the unit of every search:
+    the one-machine case of the stacked solve behind _solve_hot_grid."""
     result = solve_sector(config)
-    readout = read_qubit(result.state, 1, config.gaps[0])
+    readout = read_qubit1_stack(np.diagonal(result.state.matrix).real,
+                                config.gaps[0])[0]
+    if isinstance(readout, Exception):
+        raise readout
     return result, readout
 
 
@@ -163,35 +168,67 @@ def _t1_value(config: FridgeConfig) -> float:
     return temperature_as_float(readout.effective_temperature)
 
 
-def _record_for(config, th):
-    tc = config.cold_temperature
-    try:
-        result, readout = solve_for_readout(config.with_hot_temperature(th))
-    except (SteadyStateError, ValueError) as exc:
+def _solve_hot_grid(config: FridgeConfig, th_values):
+    """Per hot-bath temperature, (residual, cooled-qubit readout), or the
+    exception solve_for_readout raises at that point: every point is solved
+    in one stack and checked on its own."""
+    hot = config.reservoirs[2]
+    outcomes, specs, rows = [], [], []
+    for th in th_values:
+        try:
+            specs.append(replace(hot, temperature=th, occupation_override=None))
+            rows.append(len(outcomes))
+            outcomes.append(None)
+        except ValueError as exc:
+            outcomes.append(exc)
+    solved = solve_sectors(config, specs)
+    good = [k for k, error in enumerate(solved.errors) if error is None]
+    populations = np.diagonal(solved.states[good], axis1=1, axis2=2).real
+    readouts = iter(read_qubit1_stack(populations, config.gaps[0]))
+    for row, error, residual in zip(rows, solved.errors, solved.residuals.tolist()):
+        if error is None:
+            readout = next(readouts)
+            outcomes[row] = readout if isinstance(readout, Exception) else (residual, readout)
+        else:
+            outcomes[row] = error
+    return outcomes
+
+
+def _t1_values(config: FridgeConfig, th_values):
+    """_t1_value at each hot-bath temperature, from one stacked solve; raises
+    the first point's failure, as the point-by-point loop would."""
+    values = []
+    for outcome in _solve_hot_grid(config, th_values):
+        if isinstance(outcome, Exception):
+            raise outcome
+        values.append(temperature_as_float(outcome[1].effective_temperature))
+    return values
+
+
+def _record(th, tc, outcome):
+    if isinstance(outcome, Exception):
         return SweepRecord(
-            swept_value=float(th), t1=math.nan, t1_minus_tc=math.nan,
+            swept_value=th, t1=math.nan, t1_minus_tc=math.nan,
             residual=math.nan, coherence_magnitude=math.nan,
-            status=f"{type(exc).__name__}: {exc}",
+            status=f"{type(outcome).__name__}: {outcome}",
         )
+    residual, readout = outcome
     t1 = readout.effective_temperature
-    if isinstance(t1, TemperatureSentinel):
-        t1_minus_tc = t1
-    else:
-        t1_minus_tc = t1 - tc
     return SweepRecord(
-        swept_value=float(th),
+        swept_value=th,
         t1=t1,
-        t1_minus_tc=t1_minus_tc,
-        residual=result.residual,
+        t1_minus_tc=t1 if isinstance(t1, TemperatureSentinel) else t1 - tc,
+        residual=residual,
         coherence_magnitude=readout.coherence_magnitude,
         status="ok",
     )
 
 
 def sweep_hot_temperature(config: FridgeConfig, th_values):
-    """One steady-state solve per hot-bath temperature, ordered as given.
+    """One steady state per hot-bath temperature, ordered as given, all solved
+    as one stack.
 
-    Per-point solver failures are recorded in the row status, not raised.
+    Per-point failures are recorded in the row status, not raised.
     """
     th_values = [float(v) for v in th_values]
     if not th_values:
@@ -202,7 +239,9 @@ def sweep_hot_temperature(config: FridgeConfig, th_values):
             raise AnalysisError(
                 f"T_h = {v} invalid for a {hot.statistics.value} hot reservoir"
             )
-    return [_record_for(config, th) for th in th_values]
+    tc = config.cold_temperature
+    return [_record(th, tc, outcome)
+            for th, outcome in zip(th_values, _solve_hot_grid(config, th_values))]
 
 
 def _saturated_hot_config(config: FridgeConfig, direction: Direction) -> FridgeConfig:
@@ -274,7 +313,7 @@ def _find_plateau_positive(config, tolerance):
     grid = np.geomspace(PLATEAU_GRID_START, PLATEAU_GRID_CAP,
                         int(math.log(PLATEAU_GRID_CAP / PLATEAU_GRID_START)
                             / math.log(PLATEAU_GRID_RATIO)) + 1)
-    values = [t1_at(th) for th in grid]
+    values = _t1_values(config, grid.tolist())
     k = int(np.argmin(values))
     saturation = _t1_value(_saturated_hot_config(config, Direction.POSITIVE))
     if k == len(grid) - 1 and values[-2] - values[-1] >= tolerance:
@@ -443,7 +482,8 @@ def calibrate_coupling(base_config: FridgeConfig,
     Grid search minimizing the maximum relative error over all targets,
     followed by a golden-section refinement around the best grid point.
     Always returns a result; within_tolerance reports whether the best error
-    clears 5%, so a failed calibration still carries its error landscape.
+    clears TOL.calibration_relative, so a failed calibration still carries
+    its error landscape. Each coupling's plateaus are searched once.
     """
     targets = dict(targets) if targets is not None else dict(REFERENCE_PLATEAUS)
     if not targets:
@@ -451,10 +491,14 @@ def calibrate_coupling(base_config: FridgeConfig,
     grid = sorted(float(g) for g in search_grid)
     if not grid or any(g <= 0.0 for g in grid):
         raise AnalysisError("search grid must be positive")
-    landscape = []
-    for g in grid:
-        err, _ = _plateau_errors(base_config, g, targets)
-        landscape.append((g, err))
+    evaluated = {}     # coupling -> (max relative error, achieved)
+
+    def err_at(g):
+        if g not in evaluated:
+            evaluated[g] = _plateau_errors(base_config, g, targets)
+        return evaluated[g][0]
+
+    landscape = [(g, err_at(g)) for g in grid]
     best_g, best_err = min(landscape, key=lambda p: p[1])
 
     if refine and len(grid) > 1:
@@ -463,13 +507,6 @@ def calibrate_coupling(base_config: FridgeConfig,
         hi = grid[min(k + 1, len(grid) - 1)] if k < len(grid) - 1 else best_g * 2.0
         inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = math.log(lo), math.log(hi)
-        cache = {}
-
-        def err_at(g):
-            if g not in cache:
-                cache[g] = _plateau_errors(base_config, g, targets)[0]
-            return cache[g]
-
         c = b - inv_phi * (b - a)
         d = a + inv_phi * (b - a)
         for _ in range(12):
@@ -482,15 +519,16 @@ def calibrate_coupling(base_config: FridgeConfig,
                 d = a + inv_phi * (b - a)
             landscape.append((gc, err_at(gc)))
             landscape.append((gd, err_at(gd)))
-        refined = min(cache.items(), key=lambda kv: kv[1])
+        refined = min(((g, err) for g, (err, _) in evaluated.items()),
+                      key=lambda p: p[1])
         if refined[1] < best_err:
             best_g, best_err = refined
 
-    final_err, achieved = _plateau_errors(base_config, best_g, targets)
+    final_err, achieved = evaluated[best_g]
     return CalibrationResult(
         coupling=best_g,
         max_relative_error=final_err,
         achieved=achieved,
         landscape=tuple(sorted(set(landscape))),
-        within_tolerance=final_err <= 0.05,
+        within_tolerance=final_err <= TOL.calibration_relative,
     )

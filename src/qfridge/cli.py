@@ -111,10 +111,14 @@ def _write_csv(path, columns, rows):
 
 
 def _write_sidecar(path, manifest, result_summary=None):
+    sidecar = os.path.splitext(path)[0] + ".json"
     payload = manifest.to_dict()
+    # Relative to the sidecar, so identical runs into different directories
+    # write identical sidecars.
+    payload["output_path"] = os.path.relpath(
+        manifest.output_path, os.path.dirname(os.path.abspath(sidecar)))
     if result_summary is not None:
         payload["result"] = result_summary
-    sidecar = os.path.splitext(path)[0] + ".json"
     with open(sidecar, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -195,7 +199,7 @@ def _cmd_sweep(config, options, out_path, manifest):
     _write_csv(out_path, CSV_COLUMNS, [_record_to_row(r) for r in records])
     _write_sidecar(out_path, manifest)
     failed = sum(1 for r in records if r.status != "ok")
-    if failed > 0.1 * len(records):
+    if failed > TOL.sweep_failed_fraction * len(records):
         return EXIT_SOLVER
     return EXIT_OK
 

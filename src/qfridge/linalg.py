@@ -24,6 +24,8 @@ class Tolerances:
     density_hermiticity: float = 1e-10
     density_trace: float = 1e-10
     density_min_eigenvalue: float = -1e-9
+    population_sum: float = 1e-10        # |p_ground + p_excited - 1| of a qubit readout
+    direct_asymmetry: float = 1e-9       # max |rho - rho^dag| of the 64x64 solution
     steady_residual_direct: float = 1e-10
     steady_residual_propagation: float = 1e-8
     propagation_trace_drift: float = 1e-8
@@ -33,6 +35,8 @@ class Tolerances:
     threshold_resolution: float = 1e-4   # bisection width on T_c
     infinite_temperature_band: float = 1e-12   # |p_ground - 1/2| treated as T = inf
     resonance: float = 1e-12             # |E3 - (E2 - E1)| treated as resonant
+    calibration_relative: float = 0.05   # worst plateau error a calibration accepts
+    sweep_failed_fraction: float = 0.1   # share of failed sweep points that fails sweep-th
     golden_relative: float = 1e-12       # reproduce outputs vs the committed goldens
     golden_absolute: float = 1e-12       # the same, for differences and near-zero columns
 
@@ -95,29 +99,65 @@ def kron(a, b):
 def solve_linear(a, b):
     """Solve a x = b (real or complex) by LAPACK plus one refinement pass.
 
-    Raises SingularMatrixError when the smallest singular value of a falls
-    below TOL.singular_value times the largest. Guarantees
-    ||a x - b||_inf <= TOL.solve_residual * (1 + ||b||_inf) or raises.
+    a is one system (n, n) with b (n,), or a stack (N, n, n) with b (N, n).
+    Each system is checked on its own: it fails with LinalgError when it has
+    non-finite entries, with SingularMatrixError when its smallest singular
+    value falls below TOL.singular_value times its largest, and with
+    LinalgError unless ||a x - b||_inf <= TOL.solve_residual * (1 + ||b||_inf).
+    A single system returns x or raises its failure. A stack returns
+    (x, errors): errors[i] is None or the exception system i failed with,
+    and its row of x is NaN; the failure of one system leaves the others
+    solved.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    n = a.shape[0] if a.ndim == 2 else 0
-    if n == 0 or a.shape != (n, n) or b.shape != (n,):
+    single = a.ndim == 2
+    if single:
+        a, b = a[None], b[None]
+    n = a.shape[-1] if a.ndim == 3 else 0
+    if n == 0 or a.shape[1:] != (n, n) or b.shape != a.shape[:2]:
         raise LinalgError(f"cannot solve a {a.shape} system for a {b.shape} rhs")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise LinalgError("system has non-finite entries")
+    errors = [None] * len(a)
+    excluded = ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
+    if excluded.any():
+        for i in np.flatnonzero(excluded):
+            errors[i] = LinalgError("system has non-finite entries")
+        a, b = _excluding(a, b, excluded)
     sigma = np.linalg.svd(a, compute_uv=False)
-    if sigma[0] == 0.0 or sigma[-1] < TOL.singular_value * sigma[0]:
-        raise SingularMatrixError(float(sigma[-1]), float(sigma[0]))
+    singular = (sigma[:, 0] == 0.0) | (sigma[:, -1] < TOL.singular_value * sigma[:, 0])
+    if singular.any():
+        for i in np.flatnonzero(singular & ~excluded):
+            errors[i] = SingularMatrixError(float(sigma[i, -1]), float(sigma[i, 0]))
+        excluded |= singular
+        a, b = _excluding(a, b, excluded)
+    b = b[..., None]
     x = np.linalg.solve(a, b)
     # One step of iterative refinement keeps the residual near machine level
     # even when the generator carries very large rates, and recovers the
     # relative accuracy of populations far below the largest ones.
     x += np.linalg.solve(a, b - a @ x)
-    residual = max_abs(a @ x - b)
-    if residual > TOL.solve_residual * (1.0 + max_abs(b)):
-        raise LinalgError(f"solve residual {residual:.3e} exceeds tolerance")
-    return x
+    residual = np.abs(a @ x - b).max(axis=(1, 2))
+    excluded |= residual > TOL.solve_residual * (1.0 + np.abs(b).max(axis=(1, 2)))
+    x = x[..., 0]
+    if excluded.any():
+        for i in np.flatnonzero(excluded):
+            if errors[i] is None:
+                errors[i] = LinalgError(f"solve residual {residual[i]:.3e} exceeds tolerance")
+        x[excluded] = np.nan
+    if single:
+        if errors[0] is not None:
+            raise errors[0]
+        return x[0]
+    return x, errors
+
+
+def _excluding(a, b, excluded):
+    """Copies of a stack with the excluded systems replaced by x = 0 under
+    the identity, so that they cannot fail the stacked LAPACK calls."""
+    a, b = a.copy(), b.copy()
+    a[excluded] = np.eye(a.shape[-1])
+    b[excluded] = 0.0
+    return a, b
 
 
 def eig_hermitian(a):

@@ -17,7 +17,8 @@ reservoir.
 The generator maps the populations plus the single coherence H_int creates,
 rho[2, 5] between |g1 e2 g3> and |e1 g2 e3>, onto themselves, and every other
 coherence decays to zero. So the steady state lives in this 10-dimensional
-sector: sector_generator builds it directly and is the production path, while
+sector: sector_coefficients and sector_generators build it directly, for a
+stack of machines at once, and are the production path, while
 build_liouvillian assembles the full 64x64 generator as the oracle.
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import TOL, as_matrix, dagger, eig_hermitian, kron, max_abs
+from .linalg import TOL, LinalgError, as_matrix, dagger, kron, max_abs
 from .reservoirs import ReservoirSpec, Role, Statistics, lindblad_rates, occupation
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -270,22 +271,60 @@ def _sector_terms():
 _SECTOR_TERMS = _sector_terms()
 
 
+def sector_coefficients(config: FridgeConfig, hot_reservoirs=None):
+    """Coefficient rows (N, 8) of the sector generator, one per hot reservoir
+    in hot_reservoirs (default: the config's own), the config supplying
+    everything else: (down_k, up_k) for k = 1..3, g, the detuning.
+
+    Only the hot pair of columns differs between rows, so the cold and room
+    rates are evaluated once. Returns (coefficients, errors): errors[i] is
+    None or the ValueError row i's rates raised, and that row is NaN.
+    """
+    if hot_reservoirs is None:
+        hot_reservoirs = (config.reservoirs[2],)
+    rows = len(hot_reservoirs)
+    base = np.zeros(len(_SECTOR_TERMS))
+    e1, e2, e3 = config.gaps
+    base[-2] = config.coupling
+    base[-1] = e1 - e2 + e3
+    try:
+        for k in range(NUM_QUBITS - 1):
+            if config.gammas[k] != 0.0:
+                rates = lindblad_rates(config.reservoirs[k], config.gaps[k], config.gammas[k])
+                base[2 * k:2 * k + 2] = rates.gamma_down, rates.gamma_up
+    except ValueError as exc:
+        return np.full((rows, len(base)), np.nan), [exc] * rows
+    coefficients = np.empty((rows, len(base)))
+    coefficients[:] = base
+    errors = [None] * rows
+    gamma = config.gammas[2]
+    if gamma != 0.0:
+        hot = 2 * (NUM_QUBITS - 1)
+        for i, spec in enumerate(hot_reservoirs):
+            try:
+                rates = lindblad_rates(spec, e3, gamma)
+            except ValueError as exc:
+                errors[i] = exc
+                coefficients[i] = np.nan
+                continue
+            coefficients[i, hot:hot + 2] = rates.gamma_down, rates.gamma_up
+    return coefficients, errors
+
+
+def sector_generators(coefficients) -> np.ndarray:
+    """Stack (N, SECTOR_DIM, SECTOR_DIM) of sector generators, one per row of
+    sector_coefficients: each is linear in its row."""
+    return (coefficients @ _SECTOR_TERMS).reshape(-1, SECTOR_DIM, SECTOR_DIM)
+
+
 def sector_generator(config: FridgeConfig) -> np.ndarray:
     """Real SECTOR_DIM x SECTOR_DIM generator, linear in the six rates, g and
     the detuning: d x/dt = sector_generator(config) @ x on the coordinates
     (p_0 .. p_7, Re rho[2, 5], Im rho[2, 5])."""
-    coefficients = np.zeros(len(_SECTOR_TERMS))
-    for k, (spec, gap, gamma) in enumerate(
-            zip(config.reservoirs, config.gaps, config.gammas)):
-        if gamma == 0.0:
-            continue
-        rates = lindblad_rates(spec, gap, gamma)
-        coefficients[2 * k] = rates.gamma_down
-        coefficients[2 * k + 1] = rates.gamma_up
-    e1, e2, e3 = config.gaps
-    coefficients[-2] = config.coupling
-    coefficients[-1] = e1 - e2 + e3
-    return (coefficients @ _SECTOR_TERMS).reshape(SECTOR_DIM, SECTOR_DIM)
+    coefficients, errors = sector_coefficients(config)
+    if errors[0] is not None:
+        raise errors[0]
+    return sector_generators(coefficients)[0]
 
 
 def qubit_liouvillian(gap, gamma_down, gamma_up):
@@ -295,6 +334,42 @@ def qubit_liouvillian(gap, gamma_down, gamma_up):
     generator += _dissipator(SIGMA_MINUS, gamma_down)
     generator += _dissipator(SIGMA_PLUS, gamma_up)
     return Liouvillian(matrix=generator, dim=2, config_hash="single-qubit")
+
+
+def density_matrix_errors(matrices):
+    """Per matrix of a stack (N, d, d), None or the error DensityMatrix raises
+    for it: LinalgError for non-finite entries, else DensityMatrixError for
+    the first of Hermiticity, unit trace and the smallest eigenvalue that
+    misses its TOL bound."""
+    m = np.asarray(matrices, dtype=complex)
+    errors = [None] * len(m)
+    adjoint = m.conj().transpose(0, 2, 1)
+    # An entry that is not finite makes its row's Hermiticity defect inf or NaN.
+    hermiticity = np.abs(m - adjoint).max(axis=(1, 2))
+    finite = np.isfinite(hermiticity)
+    symmetric = (m + adjoint) / 2.0
+    if not finite.all():
+        symmetric[~finite] = np.eye(m.shape[-1])
+    smallest = np.linalg.eigvalsh(symmetric)[:, 0]
+    trace_error = np.abs(m.trace(axis1=1, axis2=2) - 1.0)
+    failed = ~(finite & (hermiticity <= TOL.density_hermiticity)
+               & (trace_error <= TOL.density_trace)
+               & (smallest >= TOL.density_min_eigenvalue))
+    if not failed.any():
+        return errors
+    for i in np.flatnonzero(failed):
+        if not finite[i]:
+            errors[i] = LinalgError("matrix has non-finite entries")
+        elif hermiticity[i] > TOL.density_hermiticity:
+            errors[i] = DensityMatrixError(
+                f"state deviates from Hermiticity by {hermiticity[i]:.3e}")
+        elif trace_error[i] > TOL.density_trace:
+            errors[i] = DensityMatrixError(
+                f"trace deviates from 1 by {trace_error[i]:.3e}")
+        else:
+            errors[i] = DensityMatrixError(
+                f"state is not positive semidefinite: min eigenvalue {smallest[i]:.3e}")
+    return errors
 
 
 @dataclass(frozen=True)
@@ -307,19 +382,9 @@ class DensityMatrix:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise DensityMatrixError(f"state must be square, got {m.shape}")
-        hermiticity = max_abs(m - dagger(m))
-        if hermiticity > TOL.density_hermiticity:
-            raise DensityMatrixError(
-                f"state deviates from Hermiticity by {hermiticity:.3e}"
-            )
-        trace_error = abs(np.trace(m) - 1.0)
-        if trace_error > TOL.density_trace:
-            raise DensityMatrixError(f"trace deviates from 1 by {trace_error:.3e}")
-        eigenvalues, _ = eig_hermitian(m)
-        if eigenvalues[0] < TOL.density_min_eigenvalue:
-            raise DensityMatrixError(
-                f"state is not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e}"
-            )
+        error = density_matrix_errors(m[None])[0]
+        if error is not None:
+            raise error
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -2,8 +2,9 @@
 
 Three routes to the same object:
 
-  * solve_sector, the production path, solves the 10-dimensional invariant
-    sector (populations plus the coherent pair, see sector_generator);
+  * solve_sectors, the production path, solves the 10-dimensional invariant
+    sector (populations plus the coherent pair, see sector_generator) for a
+    stack of machines at once; solve_sector is its one-machine case;
   * solve_direct solves the full 64x64 vectorized generator;
   * propagate integrates d vec(rho)/dt = L vec(rho) with classic fixed-step
     RK4 until the state stops moving.
@@ -23,13 +24,16 @@ import numpy as np
 from .linalg import TOL, SingularMatrixError, dagger, eig_hermitian, max_abs, solve_linear
 from .liouvillian import (
     DIM,
+    SECTOR_DIM,
     SECTOR_PAIR,
     DensityMatrix,
     DensityMatrixError,
     FridgeConfig,
     Liouvillian,
     _trace_row,
-    sector_generator,
+    density_matrix_errors,
+    sector_coefficients,
+    sector_generators,
 )
 
 
@@ -53,6 +57,18 @@ class Solver(Enum):
     PROPAGATION = "propagation"
 
 
+def _residual_error(residual, solver):
+    """None, or the SteadyStateError of a residual beyond the solver's bound."""
+    limit = (TOL.steady_residual_direct if solver is Solver.DIRECT
+             else TOL.steady_residual_propagation)
+    if residual > limit:
+        return SteadyStateError(
+            f"steady-state residual {residual:.3e} exceeds {limit:.0e} "
+            f"for solver {solver.value}"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class SteadyStateResult:
     state: DensityMatrix
@@ -60,13 +76,18 @@ class SteadyStateResult:
     solver: Solver
 
     def __post_init__(self):
-        limit = (TOL.steady_residual_direct if self.solver is Solver.DIRECT
-                 else TOL.steady_residual_propagation)
-        if self.residual > limit:
-            raise SteadyStateError(
-                f"steady-state residual {self.residual:.3e} exceeds {limit:.0e} "
-                f"for solver {self.solver.value}"
-            )
+        error = _residual_error(self.residual, self.solver)
+        if error is not None:
+            raise error
+
+
+@dataclass(frozen=True)
+class SectorSolutions:
+    """Steady states of a stack of machines, row by row (see solve_sectors)."""
+
+    states: np.ndarray      # (N, DIM, DIM), validated where errors[i] is None
+    residuals: np.ndarray   # (N,) drift residuals, NaN where the solve failed
+    errors: list            # per row, None or the exception solve_sector raises
 
 
 def _vec(rho):
@@ -77,8 +98,10 @@ def _unvec(x, dim):
     return x.reshape((dim, dim), order="F")
 
 
-def _solve_constrained(generator, population_rows, trace_row, constraint_row=None):
-    """Stationary x of generator with trace_row @ x = 1.
+def _solve_constrained(generators, population_rows, trace_row, constraint_row=None):
+    """Stationary x of each generator in a stack (N, n, n), with
+    trace_row @ x = 1. Returns (x, errors) as solve_linear does, a singular
+    system reported as MultiplicityError.
 
     The null-space equation L x = 0 is made square by overwriting one
     population row of L (the one with the smallest diagonal magnitude, i.e.
@@ -87,55 +110,125 @@ def _solve_constrained(generator, population_rows, trace_row, constraint_row=Non
     they are the support of the trace functional, and sacrificing a coherence
     equation instead would leave that coherence undetermined. At generic
     parameters the result is independent of which population row is replaced.
+    Each system is scaled by max(1, max |L|) first.
     """
-    constrained = generator / max(1.0, max_abs(generator))
+    systems = np.arange(len(generators))
+    scale = np.maximum(np.abs(generators).max(axis=(1, 2)), 1.0)
+    constrained = generators / scale[:, None, None]
     if constraint_row is None:
-        diagonal = np.abs(np.diagonal(generator)[population_rows])
-        row = int(population_rows[np.argmin(diagonal)])
+        diagonal = generators.diagonal(axis1=1, axis2=2)[:, population_rows]
+        rows = population_rows[np.abs(diagonal).argmin(axis=1)]
     else:
         row = int(constraint_row)
         if row not in population_rows:
             raise SteadyStateError(
                 f"constraint row {row} is not a population position"
             )
-    constrained[row, :] = trace_row
-    rhs = np.zeros(len(trace_row))
-    rhs[row] = 1.0
-    try:
-        return solve_linear(constrained, rhs)
-    except SingularMatrixError as exc:
-        raise MultiplicityError(
-            "constrained steady-state system is singular; the generator has a "
-            f"degenerate stationary manifold (smallest singular value "
-            f"{exc.sigma_min:.3e})"
-        ) from exc
+        rows = np.full(len(systems), row)
+    constrained[systems, rows, :] = trace_row
+    rhs = np.zeros((len(systems), len(trace_row)))
+    rhs[systems, rows] = 1.0
+    x, errors = solve_linear(constrained, rhs)
+    return x, [_multiplicity(exc) if isinstance(exc, SingularMatrixError) else exc
+               for exc in errors]
 
 
-def _validated(rho, residual):
-    try:
-        state = DensityMatrix(rho)
-    except DensityMatrixError as exc:
-        raise SteadyStateError(f"direct solve produced an invalid state: {exc}") from exc
-    return SteadyStateResult(state=state, residual=residual, solver=Solver.DIRECT)
+def _multiplicity(exc):
+    error = MultiplicityError(
+        "constrained steady-state system is singular; the generator has a "
+        f"degenerate stationary manifold (smallest singular value "
+        f"{exc.sigma_min:.3e})"
+    )
+    error.__cause__ = exc
+    return error
+
+
+def _invalid_state(exc):
+    """A DensityMatrixError of a solved state as the solve's SteadyStateError."""
+    if not isinstance(exc, DensityMatrixError):
+        return exc
+    error = SteadyStateError(f"direct solve produced an invalid state: {exc}")
+    error.__cause__ = exc
+    return error
 
 
 _SECTOR_POPULATIONS = np.arange(DIM)
 _SECTOR_TRACE_ROW = np.concatenate([np.ones(DIM), np.zeros(2)])
 
 
+def _sector_embedding():
+    """(SECTOR_DIM, DIM * DIM) map from sector coordinates to the row-major
+    entries of the density matrix; every entry it produces is one coordinate
+    (or i times one), so the product is exact."""
+    embedding = np.zeros((SECTOR_DIM, DIM, DIM), dtype=complex)
+    embedding[np.arange(DIM), np.arange(DIM), np.arange(DIM)] = 1.0
+    low, high = SECTOR_PAIR
+    embedding[DIM, low, high] = embedding[DIM, high, low] = 1.0
+    embedding[DIM + 1, low, high], embedding[DIM + 1, high, low] = 1j, -1j
+    return embedding.reshape(SECTOR_DIM, DIM * DIM)
+
+
+_SECTOR_EMBEDDING = _sector_embedding()
+
+
+def _sector_states(x):
+    """Density matrices (N, DIM, DIM) of sector coordinates x (N, SECTOR_DIM)."""
+    return (x @ _SECTOR_EMBEDDING).reshape(-1, DIM, DIM)
+
+
+def _solve_sector_stack(config, hot_reservoirs=None):
+    """Sector states (N, DIM, DIM), drift residuals (N,) and, per row, None
+    or the exception its rates or its constrained solve raised; the states
+    are not yet checked."""
+    coefficients, errors = sector_coefficients(config, hot_reservoirs)
+    generators = sector_generators(coefficients)
+    x, solve_errors = _solve_constrained(generators, _SECTOR_POPULATIONS,
+                                         _SECTOR_TRACE_ROW)
+    drift = (generators @ x[..., None])[..., 0]
+    # |d rho[2, 5]/dt| counts as one entry, as in the 64x64 residual
+    residuals = np.maximum(np.abs(drift[:, :DIM]).max(axis=1),
+                           np.hypot(drift[:, DIM], drift[:, DIM + 1]))
+    return (_sector_states(x), residuals,
+            [rates or solve for rates, solve in zip(errors, solve_errors)])
+
+
+def _validated(rho, residual):
+    """The checks of every direct solve: the state invariants, then the
+    residual bound, raised as the solve's errors."""
+    try:
+        state = DensityMatrix(rho)
+    except DensityMatrixError as exc:
+        raise _invalid_state(exc) from exc
+    return SteadyStateResult(state=state, residual=residual, solver=Solver.DIRECT)
+
+
+def solve_sectors(config: FridgeConfig, hot_reservoirs=None) -> SectorSolutions:
+    """Steady states of config with its hot reservoir replaced by each of
+    hot_reservoirs in turn (default: its own), as one stacked sector solve.
+
+    Every row passes the checks solve_sector makes, on its own and in the
+    same order: its rates, the constrained solve, the state invariants and
+    the drift residual. A row that fails one carries that exception in
+    errors and leaves the other rows solved.
+    """
+    states, residuals, errors = _solve_sector_stack(config, hot_reservoirs)
+    errors = [
+        error or _invalid_state(state) or _residual_error(residual, Solver.DIRECT)
+        for error, state, residual in zip(errors, density_matrix_errors(states),
+                                          residuals.tolist())
+    ]
+    return SectorSolutions(states=states, residuals=residuals, errors=errors)
+
+
 def solve_sector(config: FridgeConfig) -> SteadyStateResult:
     """Steady state by constrained solve of the 10-dimensional sector, embedded
-    back into the full 8x8 density matrix. The production path."""
-    generator = sector_generator(config)
-    x = _solve_constrained(generator, _SECTOR_POPULATIONS, _SECTOR_TRACE_ROW)
-    drift = generator @ x
-    # |d rho[2, 5]/dt| counts as one entry, as in the 64x64 residual
-    residual = max(max_abs(drift[:DIM]), abs(complex(drift[DIM], drift[DIM + 1])))
-    rho = np.diag(x[:DIM].astype(complex))
-    low, high = SECTOR_PAIR
-    rho[low, high] = complex(x[DIM], x[DIM + 1])
-    rho[high, low] = rho[low, high].conjugate()
-    return _validated(rho, residual)
+    back into the full 8x8 density matrix: the production path, as a stack of
+    one whose state and residual are checked by DensityMatrix and
+    SteadyStateResult themselves (the checks solve_sectors runs per row)."""
+    states, residuals, errors = _solve_sector_stack(config)
+    if errors[0] is not None:
+        raise errors[0]
+    return _validated(states[0], float(residuals[0]))
 
 
 def solve_direct(liouvillian: Liouvillian,
@@ -148,11 +241,13 @@ def solve_direct(liouvillian: Liouvillian,
     """
     dim = liouvillian.dim
     generator = liouvillian.matrix
-    x = _solve_constrained(generator, np.arange(0, dim * dim, dim + 1),
-                           _trace_row(dim), constraint_row)
-    rho_raw = _unvec(x, dim)
+    x, errors = _solve_constrained(generator[None], np.arange(0, dim * dim, dim + 1),
+                                   _trace_row(dim), constraint_row)
+    if errors[0] is not None:
+        raise errors[0]
+    rho_raw = _unvec(x[0], dim)
     asymmetry = max_abs(rho_raw - dagger(rho_raw))
-    if asymmetry > 1e-9:
+    if asymmetry > TOL.direct_asymmetry:
         raise SteadyStateError(
             f"solution asymmetry {asymmetry:.3e} before symmetrization"
         )

@@ -73,7 +73,11 @@ def temperature_from_population_ratio(p_ground: float, p_excited: float, gap: fl
         return TemperatureSentinel.ZERO_FROM_BELOW
     if abs(p_ground / (p_ground + p_excited) - 0.5) < TOL.infinite_temperature_band:
         return TemperatureSentinel.INFINITE
-    return gap / math.log(p_ground / p_excited)
+    ratio = p_ground / p_excited
+    if ratio == math.inf:
+        # p_excited is subnormal: T is 0+ to double precision, not E / inf
+        return TemperatureSentinel.ZERO_FROM_ABOVE
+    return gap / math.log(ratio)
 
 
 def temperature_as_float(temperature):
@@ -100,7 +104,7 @@ class QubitReadout:
     effective_temperature: object   # float or TemperatureSentinel
 
     def __post_init__(self):
-        if abs(self.p_ground + self.p_excited - 1.0) > 1e-10:
+        if abs(self.p_ground + self.p_excited - 1.0) > TOL.population_sum:
             raise ThermometryError(
                 f"populations do not sum to 1: {self.p_ground} + {self.p_excited}"
             )
@@ -117,6 +121,30 @@ def read_qubit(state: DensityMatrix, qubit_index: int, gap: float) -> QubitReado
         coherence_magnitude=float(abs(reduced[0, 1])),
         effective_temperature=temperature_from_population_ratio(p_ground, p_excited, gap),
     )
+
+
+def read_qubit1_stack(populations, gap: float):
+    """Readouts of qubit 1 from a stack (N, 8) of steady-state populations of
+    the sector: per row, its QubitReadout or the ThermometryError raised.
+
+    Qubit 1's reduced coherence sums rho[j, 4 + j], which the sector holds at
+    exactly 0. Its populations are summed in the order reduced_qubit_state
+    traces them, so a row reads the same as read_qubit on its state.
+    """
+    halves = np.asarray(populations).reshape(-1, 2, 2, 2).sum(axis=3).sum(axis=2)
+    readouts = []
+    for p_ground, p_excited in halves.tolist():
+        p_ground, p_excited = max(p_ground, 0.0), max(p_excited, 0.0)
+        try:
+            readouts.append(QubitReadout(
+                qubit_index=1, p_ground=p_ground, p_excited=p_excited,
+                coherence_magnitude=0.0,
+                effective_temperature=temperature_from_population_ratio(
+                    p_ground, p_excited, gap),
+            ))
+        except ThermometryError as exc:
+            readouts.append(exc)
+    return readouts
 
 
 def coherence_is_negligible(state: DensityMatrix, qubit_index: int) -> bool:

@@ -212,6 +212,33 @@ def test_calibration_reports_failure_landscape(reference_config):
     assert [g for g, _ in result.landscape] == [0.01, 0.02]
 
 
+def test_calibration_reuses_the_plateaus_of_the_chosen_coupling(
+        reference_config, monkeypatch):
+    from qfridge import analysis
+    from qfridge.analysis import REFERENCE_PLATEAUS, _plateau_errors
+
+    calls = []
+    original = analysis.find_plateau
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "find_plateau", counted)
+    result = calibrate_coupling(reference_config, search_grid=(0.5, 1.0, 2.0))
+    couplings = {g for g, _ in result.landscape}
+    # one search per target and coupling evaluated, none repeated at the end
+    assert len(calls) == len(couplings) * len(REFERENCE_PLATEAUS)
+    monkeypatch.setattr(analysis, "find_plateau", original)
+    worst, achieved = _plateau_errors(reference_config, result.coupling,
+                                      REFERENCE_PLATEAUS)
+    assert result.max_relative_error == worst
+    assert result.achieved == achieved
+    assert result.coupling in couplings
+    assert result.max_relative_error == min(err for _, err in result.landscape)
+    assert result.within_tolerance
+
+
 def test_solve_for_readout_consistency(reference_config):
     result, readout = solve_for_readout(reference_config)
     assert result.residual <= 1e-10

@@ -51,6 +51,20 @@ def test_sweep_deterministic_and_closed_under_sidecar(config_path, tmp_path):
     assert (tmp_path / "s3.csv").read_bytes() == (tmp_path / "s1.csv").read_bytes()
 
 
+def test_sidecars_do_not_depend_on_the_output_directory(config_path, tmp_path):
+    args = ["sweep-th", "--config", config_path, "--th-values", "2,6"]
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        assert main(args + ["--out", str(tmp_path / name / "sweep.csv")]) == 0
+    sidecar = (tmp_path / "a" / "sweep.json").read_bytes()
+    assert sidecar == (tmp_path / "b" / "sweep.json").read_bytes()
+    manifest = json.loads(sidecar)
+    assert manifest["output_path"] == "sweep.csv"
+    for name in ("population_sum", "direct_asymmetry", "calibration_relative",
+                 "sweep_failed_fraction"):
+        assert name in manifest["tolerances"]
+
+
 def test_sweep_parallel_flag_gives_identical_bytes(config_path, tmp_path):
     out1 = str(tmp_path / "p1.csv")
     out2 = str(tmp_path / "p2.csv")

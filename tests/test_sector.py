@@ -1,4 +1,5 @@
-"""The 10-dimensional sector solve against the 64x64 oracle.
+"""The 10-dimensional sector solve against the 64x64 oracle, and the stacked
+sector solve against one-at-a-time solves.
 
 Property tests over resonant and detuned machines, including the decoupled
 machine (g = 0), a bath switched off (gamma_k = 0), saturated hot baths and
@@ -22,8 +23,26 @@ from qfridge import (
     read_qubit,
     solve_direct,
 )
-from qfridge.liouvillian import DIM, SECTOR_DIM, SECTOR_PAIR, sector_generator
-from qfridge.steady_state import MultiplicityError, solve_sector
+from qfridge.analysis import solve_for_readout, sweep_hot_temperature
+from qfridge.linalg import TOL
+from qfridge.liouvillian import (
+    DIM,
+    SECTOR_DIM,
+    SECTOR_PAIR,
+    sector_coefficients,
+    sector_generator,
+    sector_generators,
+)
+from qfridge.steady_state import (
+    _SECTOR_POPULATIONS,
+    _SECTOR_TRACE_ROW,
+    MultiplicityError,
+    SteadyStateError,
+    _solve_constrained,
+    solve_sector,
+    solve_sectors,
+)
+from qfridge.thermometry import read_qubit1_stack
 from tests.conftest import exact_qubit1_populations
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -170,3 +189,106 @@ def test_deep_cooled_population_is_resolved():
     _, exact = exact_qubit1_populations(config)
     assert readout.p_excited == pytest.approx(float(exact), rel=1e-9, abs=0.0)
     assert math.isclose(readout.p_ground, 1.0)
+
+
+def _status(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def hot_stacks(draw):
+    """A machine and the hot reservoirs to stack under it: any mix of
+    bosonic, fermionic, inverted, near-cutoff and saturated baths."""
+    config = draw(machines())
+    saturated = ReservoirSpec.saturated(Statistics.FERMIONIC, 1.0 - 1e-15)
+    hots = draw(st.lists(st.one_of(reservoirs(Role.HOT, config.gaps[2]), st.just(saturated)),
+                         min_size=1, max_size=6))
+    return config, hots
+
+
+@PROPERTY_SETTINGS
+@given(hot_stacks())
+def test_stacked_solve_matches_one_at_a_time(case):
+    config, hots = case
+    solved = solve_sectors(config, hots)
+    good = [k for k, error in enumerate(solved.errors) if error is None]
+    readouts = iter(read_qubit1_stack(
+        np.diagonal(solved.states[good], axis1=1, axis2=2).real, config.gaps[0]))
+    for hot, residual, error in zip(hots, solved.residuals, solved.errors):
+        try:
+            single, readout = solve_for_readout(config.with_hot_reservoir(hot))
+        except (SteadyStateError, ValueError) as exc:
+            assert error is not None and _status(error) == _status(exc)
+            continue
+        assert error is None
+        assert residual <= TOL.steady_residual_direct
+        assert single.residual <= TOL.steady_residual_direct
+        stacked = next(readouts).effective_temperature
+        single_t1 = readout.effective_temperature
+        if isinstance(single_t1, float) and isinstance(stacked, float):
+            assert stacked == pytest.approx(single_t1, rel=1e-12, abs=0.0)
+        else:
+            assert stacked == single_t1
+
+
+@PROPERTY_SETTINGS
+@given(hot_stacks())
+def test_one_row_stack_is_the_single_solve(case):
+    config, hots = case
+    hot = hots[0]
+    solved = solve_sectors(config, [hot])
+    try:
+        single = solve_sector(config.with_hot_reservoir(hot))
+    except (SteadyStateError, ValueError) as exc:
+        assert _status(solved.errors[0]) == _status(exc)
+        return
+    assert solved.errors == [None]
+    np.testing.assert_array_equal(solved.states[0], single.state.matrix)
+    assert float(solved.residuals[0]) == single.residual
+    # the sector readout sums the populations as the partial trace does
+    stacked = read_qubit1_stack(np.diagonal(single.state.matrix).real, config.gaps[0])
+    assert stacked == [read_qubit(single.state, 1, config.gaps[0])]
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_multiplicity_rows_leave_their_neighbours_solved(data):
+    # Rows of different machines in one stack: the free-qubit-1 machines
+    # (g = 0, gamma_1 = 0) fail alone, the others solve as on their own.
+    configs = data.draw(st.lists(machines(), min_size=1, max_size=4))
+    free = [k for k in range(len(configs)) if data.draw(st.booleans())] or [0]
+    for k in free:
+        gammas = (0.0,) + configs[k].gammas[1:]
+        configs[k] = FridgeConfig(gaps=configs[k].gaps, gammas=gammas,
+                                  reservoirs=configs[k].reservoirs, coupling=0.0)
+    coefficients = np.concatenate([sector_coefficients(c)[0] for c in configs])
+    x, errors = _solve_constrained(sector_generators(coefficients),
+                                   _SECTOR_POPULATIONS, _SECTOR_TRACE_ROW)
+    for k, config in enumerate(configs):
+        if k in free:
+            assert isinstance(errors[k], MultiplicityError)
+            assert np.all(np.isnan(x[k]))
+            continue
+        try:
+            single = solve_sector(config)
+        except MultiplicityError as exc:
+            assert _status(errors[k]) == _status(exc)
+            continue
+        assert errors[k] is None
+        populations = np.diagonal(single.state.matrix).real
+        np.testing.assert_allclose(x[k, :DIM], populations, rtol=0, atol=1e-15)
+
+
+def test_sweep_row_failure_keeps_the_one_at_a_time_status(reference_config):
+    # T_h = 1e308 drives the hot rates to ~1e308: that row is singular to
+    # working precision, while its neighbours solve.
+    grid = [2.0, 1e308, 5.0]
+    records = sweep_hot_temperature(reference_config, grid)
+    with pytest.raises(MultiplicityError) as excinfo:
+        solve_for_readout(reference_config.with_hot_temperature(1e308))
+    assert records[1].status == _status(excinfo.value)
+    assert math.isnan(records[1].t1) and math.isnan(records[1].residual)
+    for record, th in zip(records[::2], grid[::2]):
+        _, readout = solve_for_readout(reference_config.with_hot_temperature(th))
+        assert record.status == "ok"
+        assert record.t1 == pytest.approx(readout.effective_temperature, rel=1e-12, abs=0.0)

@@ -89,6 +89,16 @@ def test_ratio_form_keeps_precision_when_p_ground_rounds_to_one():
     assert t == pytest.approx(1.0 / math.log(1e20), rel=1e-12)
 
 
+def test_ratio_overflow_is_zero_from_above():
+    # p_ground / p_excited overflows when p_excited is subnormal: T is 0+,
+    # not the float E / ln(inf) = 0.0.
+    assert (temperature_from_population_ratio(1.0, 1e-320, 1.0)
+            is TemperatureSentinel.ZERO_FROM_ABOVE)
+    # the last ratio that still fits keeps its finite temperature
+    t = temperature_from_population_ratio(1.0, 1e-308, 1.0)
+    assert t == pytest.approx(1.0 / math.log(1e308), rel=1e-12)
+
+
 def test_temperature_as_float_collapses_sentinels():
     assert temperature_as_float(TemperatureSentinel.ZERO_FROM_ABOVE) == 0.0
     assert temperature_as_float(TemperatureSentinel.INFINITE) == math.inf
