@@ -40,7 +40,6 @@ from .steady_state import (
     SteadyStateResult,
     propagate,
     solve_direct,
-    solve_sector,
     steady_state_by_propagation,
     trace_distance,
 )

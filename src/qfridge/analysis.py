@@ -22,13 +22,14 @@ edge. Both are implemented; see cooling_threshold.
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import TOL
 from .liouvillian import FridgeConfig
 from .reservoirs import ReservoirSpec, Role, Statistics
-from .steady_state import SteadyStateError, solve_sector, solve_sectors
+from .steady_state import SteadyStateError, solve_sectors
 from .thermometry import (
     TemperatureSentinel,
     insulated_limit_temperature,
@@ -73,6 +74,23 @@ NEGATIVE_WALK_START = -5.0
 NEGATIVE_WALK_SHRINK = 0.75
 
 THRESHOLD_BRACKET = (1e-3, 5.0)
+
+
+class HotBaths(NamedTuple):
+    window_edge: ReservoirSpec    # T_h at the edge of the reference sweep window
+    saturated: ReservoirSpec      # the representable "infinitely hot" limit
+
+
+HOT_BATHS = {
+    Direction.POSITIVE: HotBaths(
+        window_edge=ReservoirSpec(Statistics.BOSONIC, POSITIVE_WINDOW_EDGE, Role.HOT),
+        saturated=ReservoirSpec(Statistics.BOSONIC, BOSONIC_SATURATION_TEMPERATURE,
+                                Role.HOT)),
+    Direction.NEGATIVE: HotBaths(
+        window_edge=ReservoirSpec(Statistics.FERMIONIC, NEGATIVE_WINDOW_EDGE, Role.HOT),
+        saturated=ReservoirSpec.saturated(
+            Statistics.FERMIONIC, 1.0 - FERMIONIC_SATURATION_DEFICIT, Role.HOT)),
+}
 
 # Targets for the bundled reproduction scenarios: lowest cooled-qubit
 # temperatures at the reference operating point (gaps (1, 5, 4), unit rates,
@@ -151,58 +169,55 @@ class CalibrationResult:
         return lines
 
 
-def solve_for_readout(config: FridgeConfig):
-    """Steady state plus the cooled-qubit readout, the unit of every search:
-    the one-machine case of the stacked solve behind _solve_hot_grid."""
-    result = solve_sector(config)
-    readout = read_qubit1_stack(np.diagonal(result.state.matrix).real,
-                                config.gaps[0])[0]
-    if isinstance(readout, Exception):
-        raise readout
-    return result, readout
-
-
-def _t1_value(config: FridgeConfig) -> float:
-    """Cooled-qubit temperature as a float (sentinels collapsed to limits)."""
-    _, readout = solve_for_readout(config)
-    return temperature_as_float(readout.effective_temperature)
-
-
-def _solve_hot_grid(config: FridgeConfig, th_values):
-    """Per hot-bath temperature, (residual, cooled-qubit readout), or the
-    exception solve_for_readout raises at that point: every point is solved
-    in one stack and checked on its own."""
-    hot = config.reservoirs[2]
-    outcomes, specs, rows = [], [], []
-    for th in th_values:
-        try:
-            specs.append(replace(hot, temperature=th, occupation_override=None))
-            rows.append(len(outcomes))
-            outcomes.append(None)
-        except ValueError as exc:
-            outcomes.append(exc)
-    solved = solve_sectors(config, specs)
+def _solve_hot_grid(config: FridgeConfig, hot_reservoirs):
+    """Per hot reservoir, (residual, cooled-qubit readout) of config with that
+    hot bath, or the exception its solve raised: every point is solved in one
+    stack and checked on its own. An entry of hot_reservoirs that is already
+    an exception (a spec that could not be built) is passed through."""
+    solved = solve_sectors(config, [h for h in hot_reservoirs
+                                    if not isinstance(h, Exception)])
     good = [k for k, error in enumerate(solved.errors) if error is None]
     populations = np.diagonal(solved.states[good], axis1=1, axis2=2).real
     readouts = iter(read_qubit1_stack(populations, config.gaps[0]))
-    for row, error, residual in zip(rows, solved.errors, solved.residuals.tolist()):
-        if error is None:
-            readout = next(readouts)
-            outcomes[row] = readout if isinstance(readout, Exception) else (residual, readout)
-        else:
-            outcomes[row] = error
+    rows = iter(zip(solved.errors, solved.residuals.tolist()))
+    outcomes = []
+    for hot in hot_reservoirs:
+        if isinstance(hot, Exception):
+            outcomes.append(hot)
+            continue
+        error, residual = next(rows)
+        outcome = error or next(readouts)
+        outcomes.append(outcome if isinstance(outcome, Exception) else (residual, outcome))
     return outcomes
 
 
-def _t1_values(config: FridgeConfig, th_values):
-    """_t1_value at each hot-bath temperature, from one stacked solve; raises
-    the first point's failure, as the point-by-point loop would."""
-    values = []
-    for outcome in _solve_hot_grid(config, th_values):
-        if isinstance(outcome, Exception):
-            raise outcome
-        values.append(temperature_as_float(outcome[1].effective_temperature))
-    return values
+def _t1_of(outcome) -> float:
+    """Cooled-qubit temperature of a solve's outcome as a float (sentinels
+    collapsed to limits); a failed outcome is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return temperature_as_float(outcome[1].effective_temperature)
+
+
+def solve_for_readout(config: FridgeConfig):
+    """(residual, cooled-qubit readout) of config's steady state, the unit of
+    every search: the one-row case of _solve_hot_grid. Raises the failure."""
+    outcome, = _solve_hot_grid(config, config.reservoirs[2:])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _t1_value(config: FridgeConfig) -> float:
+    return _t1_of(solve_for_readout(config))
+
+
+def _hot_at(hot: ReservoirSpec, th):
+    """hot at temperature th, or the ValueError that spec raises."""
+    try:
+        return replace(hot, temperature=th, occupation_override=None)
+    except ValueError as exc:
+        return exc
 
 
 def _record(th, tc, outcome):
@@ -239,18 +254,9 @@ def sweep_hot_temperature(config: FridgeConfig, th_values):
             raise AnalysisError(
                 f"T_h = {v} invalid for a {hot.statistics.value} hot reservoir"
             )
-    tc = config.cold_temperature
-    return [_record(th, tc, outcome)
-            for th, outcome in zip(th_values, _solve_hot_grid(config, th_values))]
-
-
-def _saturated_hot_config(config: FridgeConfig, direction: Direction) -> FridgeConfig:
-    if direction is Direction.POSITIVE:
-        hot = ReservoirSpec(Statistics.BOSONIC, BOSONIC_SATURATION_TEMPERATURE, Role.HOT)
-    else:
-        hot = ReservoirSpec.saturated(
-            Statistics.FERMIONIC, 1.0 - FERMIONIC_SATURATION_DEFICIT, Role.HOT)
-    return config.with_hot_reservoir(hot)
+    outcomes = _solve_hot_grid(config, [_hot_at(hot, th) for th in th_values])
+    return [_record(th, config.cold_temperature, outcome)
+            for th, outcome in zip(th_values, outcomes)]
 
 
 def _negative_walk_floor(config: FridgeConfig) -> float:
@@ -260,52 +266,52 @@ def _negative_walk_floor(config: FridgeConfig) -> float:
                          / FERMIONIC_SATURATION_DEFICIT)
 
 
-def _polish_minimum(t1_at, bracket_lo, bracket_hi, tolerance, budget=40):
-    """Golden-section minimization of T1 over T_h until samples stop moving."""
+def _polish_minimum(f, bracket_lo, bracket_hi, tolerance, budget=40):
+    """Golden-section minimization of f over a log-spaced bracket, until two
+    samples differ by less than tolerance or budget steps are spent; returns
+    the better of the last two samples as (x, f(x))."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(bracket_lo), math.log(bracket_hi)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = t1_at(math.exp(c)), t1_at(math.exp(d))
+    fc, fd = f(math.exp(c)), f(math.exp(d))
     for _ in range(budget):
         if abs(fc - fd) < tolerance:
             break
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = t1_at(math.exp(c))
+            fc = f(math.exp(c))
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = t1_at(math.exp(d))
+            fd = f(math.exp(d))
     if fc <= fd:
         return math.exp(c), fc
     return math.exp(d), fd
 
 
-def find_plateau(config: FridgeConfig, direction: Direction,
-                 tolerance: float = TOL.plateau_step) -> PlateauResult:
+def find_plateau(config: FridgeConfig, direction: Direction) -> PlateauResult:
     """Lowest cooled-qubit temperature as the hot bath saturates its limit.
 
     Negative side: geometric walk of T_h toward 0- until successive samples
-    differ by less than the tolerance, cross-checked against the exactly
+    differ by less than TOL.plateau_step, cross-checked against the exactly
     saturated occupation (which is returned as the plateau, being the limit).
 
     Positive side: scan of a geometric T_h grid followed by a golden-section
     polish of the minimum, so the reported value is the lowest temperature
     the machine actually reaches before the bosonic rate growth quenches it.
     """
-    direction = Direction(direction)
-    if direction is Direction.POSITIVE:
-        return _find_plateau_positive(config, tolerance)
-    return _find_plateau_negative(config, tolerance)
+    if Direction(direction) is Direction.POSITIVE:
+        return _find_plateau_positive(config)
+    return _find_plateau_negative(config)
 
 
-def _find_plateau_positive(config, tolerance):
+def _find_plateau_positive(config):
     hot = config.reservoirs[2]
     if hot.statistics is not Statistics.BOSONIC:
-        config = config.with_hot_reservoir(
-            ReservoirSpec(Statistics.BOSONIC, POSITIVE_WINDOW_EDGE, Role.HOT))
+        hot = HOT_BATHS[Direction.POSITIVE].window_edge
+        config = config.with_hot_reservoir(hot)
 
     def t1_at(th):
         return _t1_value(config.with_hot_temperature(th))
@@ -313,34 +319,35 @@ def _find_plateau_positive(config, tolerance):
     grid = np.geomspace(PLATEAU_GRID_START, PLATEAU_GRID_CAP,
                         int(math.log(PLATEAU_GRID_CAP / PLATEAU_GRID_START)
                             / math.log(PLATEAU_GRID_RATIO)) + 1)
-    values = _t1_values(config, grid.tolist())
+    values = [_t1_of(outcome) for outcome in
+              _solve_hot_grid(config, [_hot_at(hot, th) for th in grid.tolist()])]
     k = int(np.argmin(values))
-    saturation = _t1_value(_saturated_hot_config(config, Direction.POSITIVE))
-    if k == len(grid) - 1 and values[-2] - values[-1] >= tolerance:
+    saturation = _saturation_t1(config, Direction.POSITIVE)
+    if k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step:
         # Still descending at the cap: no interior minimum; T1 creeps down
         # toward an infimum it only attains in the hot limit, so the pinned
         # saturation point is the best representable value.
         return PlateauResult(
             plateau_t1=min(values[-1], saturation),
             plateau_detected_at=float(BOSONIC_SATURATION_TEMPERATURE),
-            tolerance_used=tolerance,
+            tolerance_used=TOL.plateau_step,
             saturation_t1=saturation,
             walk_flattened=False,
         )
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    th_best, t1_best = _polish_minimum(t1_at, lo, hi, tolerance)
+    th_best, t1_best = _polish_minimum(t1_at, lo, hi, TOL.plateau_step)
     if values[k] < t1_best:
         th_best, t1_best = float(grid[k]), values[k]
     return PlateauResult(
         plateau_t1=t1_best,
         plateau_detected_at=float(th_best),
-        tolerance_used=tolerance,
+        tolerance_used=TOL.plateau_step,
         saturation_t1=saturation,
     )
 
 
-def _find_plateau_negative(config, tolerance):
+def _find_plateau_negative(config):
     def t1_at(th):
         hot = ReservoirSpec(Statistics.FERMIONIC, th, Role.HOT)
         return _t1_value(config.with_hot_reservoir(hot))
@@ -353,7 +360,7 @@ def _find_plateau_negative(config, tolerance):
     while abs(th) * NEGATIVE_WALK_SHRINK >= floor:
         th = -abs(th) * NEGATIVE_WALK_SHRINK
         current = t1_at(th)
-        if abs(current - previous) < tolerance:
+        if abs(current - previous) < TOL.plateau_step:
             detected_at = th
             flattened = True
             break
@@ -362,40 +369,36 @@ def _find_plateau_negative(config, tolerance):
     # The saturated occupation is the representable limit of T_h -> 0-, so it
     # is the plateau value whether or not the walk flattened before the floor
     # (in the deep-cooling regime T1 keeps tracking n3 all the way down).
-    saturation = _t1_value(_saturated_hot_config(config, Direction.NEGATIVE))
+    saturation = _saturation_t1(config, Direction.NEGATIVE)
     return PlateauResult(
         plateau_t1=saturation,
         plateau_detected_at=float(detected_at),
-        tolerance_used=tolerance,
+        tolerance_used=TOL.plateau_step,
         saturation_t1=saturation,
         walk_flattened=flattened,
     )
 
 
-def _window_edge_t1(config: FridgeConfig, direction: Direction) -> float:
-    if direction is Direction.POSITIVE:
-        hot = ReservoirSpec(Statistics.BOSONIC, POSITIVE_WINDOW_EDGE, Role.HOT)
-    else:
-        hot = ReservoirSpec(Statistics.FERMIONIC, NEGATIVE_WINDOW_EDGE, Role.HOT)
-    return _t1_value(config.with_hot_reservoir(hot))
+def _saturation_t1(config: FridgeConfig, direction: Direction) -> float:
+    return _t1_value(config.with_hot_reservoir(HOT_BATHS[direction].saturated))
 
 
 def best_case_t1(config: FridgeConfig, direction: Direction,
                  mode: ThresholdMode = ThresholdMode.PLATEAU) -> float:
     """The T1 a threshold bisection compares with T_c: the plateau value in
     PLATEAU mode, T1 at the reference window edge in GRID_EDGE mode."""
+    direction = Direction(direction)
     if ThresholdMode(mode) is ThresholdMode.PLATEAU:
         return find_plateau(config, direction).plateau_t1
-    return _window_edge_t1(config, Direction(direction))
+    return _t1_value(config.with_hot_reservoir(HOT_BATHS[direction].window_edge))
 
 
 def cooling_threshold(config_template: FridgeConfig, direction: Direction,
-                      mode: ThresholdMode = ThresholdMode.PLATEAU,
-                      resolution: float = TOL.threshold_resolution,
-                      bracket=THRESHOLD_BRACKET) -> float:
+                      mode: ThresholdMode = ThresholdMode.PLATEAU) -> float:
     """Smallest cold-bath temperature at which the machine still cools.
 
-    Bisection on the sign of (best-case T1) - T_c. In PLATEAU mode the best
+    Bisection on the sign of (best-case T1) - T_c over THRESHOLD_BRACKET,
+    down to a width of TOL.threshold_resolution. In PLATEAU mode the best
     case is the plateau value (hot bath saturated); in GRID_EDGE mode it is
     T1 at the reference window edge (T_h = 10, or -0.1 on the negative side).
     """
@@ -406,14 +409,14 @@ def cooling_threshold(config_template: FridgeConfig, direction: Direction,
         return best_case_t1(config_template.with_cold_temperature(tc),
                             direction, mode) - tc
 
-    lo, hi = bracket
+    lo, hi = THRESHOLD_BRACKET
     f_lo, f_hi = objective(lo), objective(hi)
     if not (f_lo > 0.0 and f_hi < 0.0):
         raise BracketError(
-            f"no sign change on T_c bracket {bracket}: "
+            f"no sign change on T_c bracket {THRESHOLD_BRACKET}: "
             f"objective({lo}) = {f_lo:.3e}, objective({hi}) = {f_hi:.3e}"
         )
-    while hi - lo > resolution:
+    while hi - lo > TOL.threshold_resolution:
         mid = 0.5 * (lo + hi)
         if objective(mid) < 0.0:
             hi = mid
@@ -480,10 +483,12 @@ def calibrate_coupling(base_config: FridgeConfig,
     """Search the coupling that best reproduces the reference plateaus.
 
     Grid search minimizing the maximum relative error over all targets,
-    followed by a golden-section refinement around the best grid point.
-    Always returns a result; within_tolerance reports whether the best error
-    clears TOL.calibration_relative, so a failed calibration still carries
-    its error landscape. Each coupling's plateaus are searched once.
+    followed by a golden-section refinement between the best grid point's
+    neighbours (13 evaluations). The best coupling and the landscape are
+    read from the evaluations made. Always returns a result;
+    within_tolerance reports whether the best error clears
+    TOL.calibration_relative, so a failed calibration still carries its
+    error landscape. Each coupling's plateaus are searched once.
     """
     targets = dict(targets) if targets is not None else dict(REFERENCE_PLATEAUS)
     if not targets:
@@ -498,37 +503,20 @@ def calibrate_coupling(base_config: FridgeConfig,
             evaluated[g] = _plateau_errors(base_config, g, targets)
         return evaluated[g][0]
 
-    landscape = [(g, err_at(g)) for g in grid]
-    best_g, best_err = min(landscape, key=lambda p: p[1])
-
+    for g in grid:
+        err_at(g)
     if refine and len(grid) > 1:
-        k = grid.index(best_g)
-        lo = grid[max(k - 1, 0)] if k > 0 else best_g / 2.0
-        hi = grid[min(k + 1, len(grid) - 1)] if k < len(grid) - 1 else best_g * 2.0
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        a, b = math.log(lo), math.log(hi)
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        for _ in range(12):
-            gc, gd = math.exp(c), math.exp(d)
-            if err_at(gc) < err_at(gd):
-                b, d = d, c
-                c = b - inv_phi * (b - a)
-            else:
-                a, c = c, d
-                d = a + inv_phi * (b - a)
-            landscape.append((gc, err_at(gc)))
-            landscape.append((gd, err_at(gd)))
-        refined = min(((g, err) for g, (err, _) in evaluated.items()),
-                      key=lambda p: p[1])
-        if refined[1] < best_err:
-            best_g, best_err = refined
-
+        k = min(range(len(grid)), key=lambda i: evaluated[grid[i]][0])
+        lo = grid[k - 1] if k > 0 else grid[k] / 2.0
+        hi = grid[k + 1] if k < len(grid) - 1 else grid[k] * 2.0
+        _polish_minimum(err_at, lo, hi, tolerance=0.0, budget=11)
+    # the first minimum in evaluation order: grid points win ties
+    best_g = min(evaluated, key=lambda g: evaluated[g][0])
     final_err, achieved = evaluated[best_g]
     return CalibrationResult(
         coupling=best_g,
         max_relative_error=final_err,
         achieved=achieved,
-        landscape=tuple(sorted(set(landscape))),
+        landscape=tuple(sorted((g, err) for g, (err, _) in evaluated.items())),
         within_tolerance=final_err <= TOL.calibration_relative,
     )

@@ -33,6 +33,7 @@ from .analysis import (
     Direction,
     REFERENCE_THRESHOLDS,
     ThresholdMode,
+    _record,
     best_case_t1,
     calibrate_coupling,
     cooling_threshold,
@@ -130,23 +131,15 @@ def _load_config(path):
     with open(path) as handle:
         document = json.load(handle)
     if "config" in document and "command" in document:
-        options = dict(document.get("options", {}))
-        options.pop("parallel", None)    # older sidecars record the ignored flag
-        return FridgeConfig.from_dict(document["config"]), options
+        manifest = RunManifest.from_dict(document)
+        manifest.options.pop("parallel", None)    # older sidecars record the ignored flag
+        return manifest.config, manifest.options
     return FridgeConfig.from_dict(document), {}
 
 
 def _record_to_row(record):
     return (record.swept_value, record.t1, record.t1_minus_tc,
             record.residual, record.coherence_magnitude, record.status)
-
-
-def _readout_row(config, swept_value, result, readout):
-    tc = config.cold_temperature
-    t1 = readout.effective_temperature
-    t1_minus_tc = t1 if isinstance(t1, TemperatureSentinel) else t1 - tc
-    return (swept_value, t1, t1_minus_tc, result.residual,
-            readout.coherence_magnitude, "ok")
 
 
 def _parse_float_list(text):
@@ -185,10 +178,9 @@ def _sweep_values(options):
 
 
 def _cmd_solve(config, options, out_path, manifest):
-    result, readout = solve_for_readout(config)
-    hot_temperature = config.reservoirs[2].temperature
-    _write_csv(out_path, CSV_COLUMNS,
-               [_readout_row(config, hot_temperature, result, readout)])
+    record = _record(config.reservoirs[2].temperature, config.cold_temperature,
+                     solve_for_readout(config))
+    _write_csv(out_path, CSV_COLUMNS, [_record_to_row(record)])
     _write_sidecar(out_path, manifest)
     return EXIT_OK
 
@@ -324,9 +316,10 @@ def _cmd_reproduce(scenario, out_dir):
         ]
         path_t = os.path.join(out_dir, "fig4_thresholds.csv")
         _write_csv(path_t, ("direction", "mode", "threshold", "reference"), thresholds)
-        manifest = RunManifest(command="reproduce", config=config,
-                               options={"scenario": "fig4"}, output_path=path_a)
-        _write_sidecar(path_a, manifest)
+        for path in (path_a, path_b, path_t):
+            _write_sidecar(path, RunManifest(command="reproduce", config=config,
+                                             options={"scenario": "fig4"},
+                                             output_path=path))
         produced += [path_a, path_b, path_t]
     for path in produced:
         print(path)

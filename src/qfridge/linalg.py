@@ -18,8 +18,6 @@ class Tolerances:
 
     singular_value: float = 1e-14        # smallest / largest singular value
     solve_residual: float = 1e-10        # relative, for ||a x - b||_inf
-    hermitian_input: float = 1e-10       # max |a - a^dag| accepted by eig_hermitian
-    eig_residual: float = 1e-9           # ||a v - lambda v||_inf
     trace_preservation: float = 1e-12    # |vec(I)^dag L|
     density_hermiticity: float = 1e-10
     density_trace: float = 1e-10
@@ -64,10 +62,6 @@ class SingularMatrixError(LinalgError):
         )
 
 
-class NonHermitianError(LinalgError):
-    """Input promised to be Hermitian is not, beyond tolerance."""
-
-
 def as_matrix(a, shape=None):
     """Coerce to a 2-D complex array and reject non-finite entries."""
     m = np.asarray(a, dtype=complex)
@@ -97,23 +91,19 @@ def kron(a, b):
 
 
 def solve_linear(a, b):
-    """Solve a x = b (real or complex) by LAPACK plus one refinement pass.
+    """Solve a stack of systems a x = b (real or complex), a (N, n, n) and
+    b (N, n), by LAPACK plus one refinement pass.
 
-    a is one system (n, n) with b (n,), or a stack (N, n, n) with b (N, n).
     Each system is checked on its own: it fails with LinalgError when it has
     non-finite entries, with SingularMatrixError when its smallest singular
     value falls below TOL.singular_value times its largest, and with
     LinalgError unless ||a x - b||_inf <= TOL.solve_residual * (1 + ||b||_inf).
-    A single system returns x or raises its failure. A stack returns
-    (x, errors): errors[i] is None or the exception system i failed with,
-    and its row of x is NaN; the failure of one system leaves the others
-    solved.
+    Returns (x, errors): errors[i] is None or the exception system i failed
+    with, and its row of x is NaN; the failure of one system leaves the
+    others solved.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    single = a.ndim == 2
-    if single:
-        a, b = a[None], b[None]
     n = a.shape[-1] if a.ndim == 3 else 0
     if n == 0 or a.shape[1:] != (n, n) or b.shape != a.shape[:2]:
         raise LinalgError(f"cannot solve a {a.shape} system for a {b.shape} rhs")
@@ -144,10 +134,6 @@ def solve_linear(a, b):
             if errors[i] is None:
                 errors[i] = LinalgError(f"solve residual {residual[i]:.3e} exceeds tolerance")
         x[excluded] = np.nan
-    if single:
-        if errors[0] is not None:
-            raise errors[0]
-        return x[0]
     return x, errors
 
 
@@ -158,15 +144,3 @@ def _excluding(a, b, excluded):
     a[excluded] = np.eye(a.shape[-1])
     b[excluded] = 0.0
     return a, b
-
-
-def eig_hermitian(a):
-    """Eigendecomposition of a Hermitian matrix (eigenvalues ascending)."""
-    a = as_matrix(a)
-    deviation = max_abs(a - dagger(a))
-    if deviation > TOL.hermitian_input:
-        raise NonHermitianError(
-            f"input deviates from Hermiticity by {deviation:.3e}"
-        )
-    eigenvalues, eigenvectors = np.linalg.eigh((a + dagger(a)) / 2.0)
-    return eigenvalues, eigenvectors

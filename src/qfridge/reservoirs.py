@@ -137,6 +137,11 @@ def occupation(spec: ReservoirSpec, gap: float) -> float:
     if spec.statistics is Statistics.BOSONIC:
         if x > _EXP_ARG_LIMIT:
             return math.exp(-x)               # n -> exp(-E/T) as T -> 0+
+        if x == 0.0:
+            raise ReservoirError(
+                f"E/T = {gap}/{spec.temperature} underflows to 0: the bosonic "
+                "occupation is unbounded"
+            )
         return 1.0 / math.expm1(x)
     # Fermionic: logistic evaluated through the decaying exponential on both
     # signs of T; underflow lands exactly on the physical limit (0 or 1).

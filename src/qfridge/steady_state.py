@@ -4,7 +4,7 @@ Three routes to the same object:
 
   * solve_sectors, the production path, solves the 10-dimensional invariant
     sector (populations plus the coherent pair, see sector_generator) for a
-    stack of machines at once; solve_sector is its one-machine case;
+    stack of hot baths under one machine at once;
   * solve_direct solves the full 64x64 vectorized generator;
   * propagate integrates d vec(rho)/dt = L vec(rho) with classic fixed-step
     RK4 until the state stops moving.
@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import TOL, SingularMatrixError, dagger, eig_hermitian, max_abs, solve_linear
+from .linalg import TOL, SingularMatrixError, dagger, max_abs, solve_linear
 from .liouvillian import (
     DIM,
     SECTOR_DIM,
@@ -87,7 +87,7 @@ class SectorSolutions:
 
     states: np.ndarray      # (N, DIM, DIM), validated where errors[i] is None
     residuals: np.ndarray   # (N,) drift residuals, NaN where the solve failed
-    errors: list            # per row, None or the exception solve_sector raises
+    errors: list            # per row, None or the exception its solve raised
 
 
 def _vec(rho):
@@ -176,10 +176,15 @@ def _sector_states(x):
     return (x @ _SECTOR_EMBEDDING).reshape(-1, DIM, DIM)
 
 
-def _solve_sector_stack(config, hot_reservoirs=None):
-    """Sector states (N, DIM, DIM), drift residuals (N,) and, per row, None
-    or the exception its rates or its constrained solve raised; the states
-    are not yet checked."""
+def solve_sectors(config: FridgeConfig, hot_reservoirs=None) -> SectorSolutions:
+    """Steady states of config with its hot reservoir replaced by each of
+    hot_reservoirs in turn (default: its own), as one stacked sector solve.
+
+    Every row is checked on its own, in this order: its rates, the
+    constrained solve, the state invariants (those DensityMatrix checks) and
+    the drift residual. A row that fails one carries that exception in
+    errors and leaves the other rows solved.
+    """
     coefficients, errors = sector_coefficients(config, hot_reservoirs)
     generators = sector_generators(coefficients)
     x, solve_errors = _solve_constrained(generators, _SECTOR_POPULATIONS,
@@ -188,54 +193,21 @@ def _solve_sector_stack(config, hot_reservoirs=None):
     # |d rho[2, 5]/dt| counts as one entry, as in the 64x64 residual
     residuals = np.maximum(np.abs(drift[:, :DIM]).max(axis=1),
                            np.hypot(drift[:, DIM], drift[:, DIM + 1]))
-    return (_sector_states(x), residuals,
-            [rates or solve for rates, solve in zip(errors, solve_errors)])
-
-
-def _validated(rho, residual):
-    """The checks of every direct solve: the state invariants, then the
-    residual bound, raised as the solve's errors."""
-    try:
-        state = DensityMatrix(rho)
-    except DensityMatrixError as exc:
-        raise _invalid_state(exc) from exc
-    return SteadyStateResult(state=state, residual=residual, solver=Solver.DIRECT)
-
-
-def solve_sectors(config: FridgeConfig, hot_reservoirs=None) -> SectorSolutions:
-    """Steady states of config with its hot reservoir replaced by each of
-    hot_reservoirs in turn (default: its own), as one stacked sector solve.
-
-    Every row passes the checks solve_sector makes, on its own and in the
-    same order: its rates, the constrained solve, the state invariants and
-    the drift residual. A row that fails one carries that exception in
-    errors and leaves the other rows solved.
-    """
-    states, residuals, errors = _solve_sector_stack(config, hot_reservoirs)
+    states = _sector_states(x)
     errors = [
-        error or _invalid_state(state) or _residual_error(residual, Solver.DIRECT)
-        for error, state, residual in zip(errors, density_matrix_errors(states),
-                                          residuals.tolist())
+        rates or solve or _invalid_state(invalid)
+        or _residual_error(residual, Solver.DIRECT)
+        for rates, solve, invalid, residual in zip(
+            errors, solve_errors, density_matrix_errors(states), residuals.tolist())
     ]
     return SectorSolutions(states=states, residuals=residuals, errors=errors)
-
-
-def solve_sector(config: FridgeConfig) -> SteadyStateResult:
-    """Steady state by constrained solve of the 10-dimensional sector, embedded
-    back into the full 8x8 density matrix: the production path, as a stack of
-    one whose state and residual are checked by DensityMatrix and
-    SteadyStateResult themselves (the checks solve_sectors runs per row)."""
-    states, residuals, errors = _solve_sector_stack(config)
-    if errors[0] is not None:
-        raise errors[0]
-    return _validated(states[0], float(residuals[0]))
 
 
 def solve_direct(liouvillian: Liouvillian,
                  constraint_row: int | None = None) -> SteadyStateResult:
     """Steady state by constrained solve of the full vectorized generator.
 
-    The oracle for solve_sector. The trace functional replaces a population
+    The oracle for solve_sectors. The trace functional replaces a population
     row (see _solve_constrained); constraint_row picks it explicitly, to test
     that the choice is immaterial.
     """
@@ -252,7 +224,12 @@ def solve_direct(liouvillian: Liouvillian,
             f"solution asymmetry {asymmetry:.3e} before symmetrization"
         )
     rho = (rho_raw + dagger(rho_raw)) / 2.0
-    return _validated(rho, max_abs(generator @ _vec(rho)))
+    try:
+        state = DensityMatrix(rho)
+    except DensityMatrixError as exc:
+        raise _invalid_state(exc) from exc
+    return SteadyStateResult(state=state, residual=max_abs(generator @ _vec(rho)),
+                             solver=Solver.DIRECT)
 
 
 def _norm_inf_rows(matrix):
@@ -331,5 +308,6 @@ def steady_state_by_propagation(liouvillian: Liouvillian,
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """(1/2) sum |eigenvalues| of a - b."""
-    eigenvalues, _ = eig_hermitian(a.matrix - b.matrix)
+    difference = a.matrix - b.matrix
+    eigenvalues = np.linalg.eigvalsh((difference + dagger(difference)) / 2.0)
     return 0.5 * float(np.sum(np.abs(eigenvalues)))

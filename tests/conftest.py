@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qfridge import FridgeConfig, ReservoirSpec, Role, Statistics, default_config
+from qfridge import (
+    DensityMatrix,
+    FridgeConfig,
+    ReservoirSpec,
+    Role,
+    Statistics,
+    default_config,
+)
+from qfridge.steady_state import solve_sectors
 
 
 def random_valid_config(rng, resonant=False):
@@ -28,6 +36,15 @@ def random_valid_config(rng, resonant=False):
         reservoirs=(reservoir(Role.COLD), reservoir(Role.ROOM), reservoir(Role.HOT)),
         coupling=coupling,
     )
+
+
+def sector_solution(config):
+    """The one-row sector solve of config as (DensityMatrix, residual), or
+    the row's failure raised; DensityMatrix re-checks the state."""
+    solved = solve_sectors(config)
+    if solved.errors[0] is not None:
+        raise solved.errors[0]
+    return DensityMatrix(solved.states[0]), float(solved.residuals[0])
 
 
 @pytest.fixture

@@ -35,8 +35,7 @@ from qfridge import (
 from qfridge.analysis import REFERENCE_THRESHOLDS
 from qfridge.liouvillian import _trace_row
 from qfridge.reservoirs import Statistics
-from qfridge.steady_state import solve_sector
-from tests.conftest import random_valid_config
+from tests.conftest import random_valid_config, sector_solution
 
 TC_SET = (1.0, 1.5, 2.0)
 
@@ -67,9 +66,10 @@ def test_criterion_02_steady_state_validity():
     start = time.time()
     worst_res, worst_herm, worst_eig = 0.0, 0.0, 0.0
     for config in _configs(101, 100):
-        for result in (solve_direct(build_liouvillian(config)), solve_sector(config)):
-            rho = result.state.matrix
-            worst_res = max(worst_res, result.residual)
+        direct = solve_direct(build_liouvillian(config))
+        for state, residual in ((direct.state, direct.residual), sector_solution(config)):
+            rho = state.matrix
+            worst_res = max(worst_res, residual)
             worst_herm = max(worst_herm, float(np.max(np.abs(rho - rho.conj().T))))
             worst_eig = min(worst_eig, float(np.min(np.linalg.eigvalsh(rho))))
     ok = worst_res <= 1e-10 and worst_herm <= 1e-10 and worst_eig >= -1e-9
@@ -86,8 +86,8 @@ def test_criterion_03_oracle_equivalence():
     for config in _configs(303, 20):
         liouvillian = build_liouvillian(config)
         oracle = steady_state_by_propagation(liouvillian)
-        for direct in (solve_direct(liouvillian), solve_sector(config)):
-            worst = max(worst, trace_distance(direct.state, oracle.state))
+        for state in (solve_direct(liouvillian).state, sector_solution(config)[0]):
+            worst = max(worst, trace_distance(state, oracle.state))
     ok = worst <= 1e-6
     assert _verdict(3, ok,
                     f"64x64 and sector solves vs propagation on 20 random configs, worst "

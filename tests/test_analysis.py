@@ -21,7 +21,7 @@ from qfridge.analysis import (
     BracketError,
     FERMIONIC_SATURATION_DEFICIT,
     NEGATIVE_WINDOW_EDGE,
-    _window_edge_t1,
+    best_case_t1,
     solve_for_readout,
 )
 from qfridge.reservoirs import ReservoirSpec, Role, Statistics
@@ -61,6 +61,17 @@ def test_sweep_records_per_point_failures():
     records = sweep_hot_temperature(config, [2.0, 5.0])
     assert all(r.status != "ok" for r in records)
     assert all(math.isnan(r.residual) for r in records)
+
+
+def test_sweep_records_an_underflowing_hot_ratio():
+    # E3 / T_h = 1e-20 / 1e308 underflows to 0: the bosonic occupation is
+    # unbounded, and that point's status says so instead of aborting the sweep.
+    config = default_config(gaps=(1.0, 1.0 + 1e-20, 1e-20))
+    records = sweep_hot_temperature(config, [2.0, 1e308])
+    assert records[1].status.startswith("ReservoirError: ")
+    assert "underflows" in records[1].status
+    assert math.isnan(records[1].t1)
+    assert records[0].status != records[1].status
 
 
 def test_positive_plateau_reference_values(reference_config):
@@ -128,8 +139,8 @@ def test_threshold_sign_consistency(reference_config):
                                   ThresholdMode.GRID_EDGE)
     above = reference_config.with_cold_temperature(threshold + 0.01)
     below = reference_config.with_cold_temperature(threshold - 0.01)
-    assert _window_edge_t1(above, Direction.POSITIVE) - (threshold + 0.01) < 0.0
-    assert _window_edge_t1(below, Direction.POSITIVE) - (threshold - 0.01) >= 0.0
+    assert best_case_t1(above, Direction.POSITIVE, ThresholdMode.GRID_EDGE) - (threshold + 0.01) < 0.0
+    assert best_case_t1(below, Direction.POSITIVE, ThresholdMode.GRID_EDGE) - (threshold - 0.01) >= 0.0
 
 
 def test_negative_grid_edge_threshold_is_tiny(reference_config):
@@ -141,7 +152,7 @@ def test_negative_grid_edge_threshold_is_tiny(reference_config):
     # against the 60-digit solve instead.
     for tc in (0.02, 0.05, 0.1):
         config = reference_config.with_cold_temperature(tc)
-        t1 = _window_edge_t1(config, Direction.NEGATIVE)
+        t1 = best_case_t1(config, Direction.NEGATIVE, ThresholdMode.GRID_EDGE)
         edge = config.with_hot_reservoir(
             ReservoirSpec(Statistics.FERMIONIC, NEGATIVE_WINDOW_EDGE, Role.HOT))
         p_ground, p_excited = exact_qubit1_populations(edge)
@@ -240,8 +251,8 @@ def test_calibration_reuses_the_plateaus_of_the_chosen_coupling(
 
 
 def test_solve_for_readout_consistency(reference_config):
-    result, readout = solve_for_readout(reference_config)
-    assert result.residual <= 1e-10
+    residual, readout = solve_for_readout(reference_config)
+    assert residual <= 1e-10
     assert readout.qubit_index == 1
     assert readout.effective_temperature == pytest.approx(0.94860, abs=1e-4)
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qfridge.analysis import Direction, _window_edge_t1, find_plateau
+from qfridge.analysis import Direction, ThresholdMode, best_case_t1, find_plateau
 from qfridge.cli import CSV_COLUMNS, RunManifest, main
 from qfridge.liouvillian import default_config
 
@@ -103,6 +103,15 @@ def test_config_error_exit_code_and_stderr(tmp_path, capsys):
     assert error["exit_code"] == 2
 
 
+def test_solve_with_an_underflowing_hot_ratio_is_a_config_error(tmp_path, capsys):
+    config = default_config(gaps=(1.0, 1.0 + 1e-20, 1e-20), th=1e308)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    code = main(["solve", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ReservoirError"
+
+
 def test_empty_sweep_list_is_a_config_error(config_path, tmp_path, capsys):
     code = main(["sweep-th", "--config", config_path,
                  "--out", str(tmp_path / "x.csv"), "--th-values", ","])
@@ -158,7 +167,7 @@ def test_threshold_command_grid_edge(config_path, tmp_path):
     assert threshold == pytest.approx(0.476, abs=5e-3)
     # the row carries the window-edge T1 the bisection compared, not the plateau
     at_threshold = default_config().with_cold_temperature(threshold)
-    assert t1 == _window_edge_t1(at_threshold, Direction.POSITIVE)
+    assert t1 == best_case_t1(at_threshold, Direction.POSITIVE, ThresholdMode.GRID_EDGE)
     assert t1 == pytest.approx(0.476213, abs=1e-6)
     assert t1_minus_tc == t1 - threshold
     sidecar = json.loads((tmp_path / "thr.json").read_text())
@@ -234,6 +243,16 @@ def test_reproduce_fig4_tables(tmp_path):
     modes = {(r[0], r[1]): float(r[2]) for r in rows_t[1:]}
     assert modes[("positive", "grid-edge")] == pytest.approx(0.476, abs=5e-3)
     assert modes[("negative", "plateau")] == pytest.approx(0.027, abs=1e-3)
+
+
+def test_reproduce_all_writes_a_sidecar_per_csv(tmp_path, capsys):
+    assert main(["reproduce", "all", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert len(csvs) == 9
+    for path in csvs:
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        assert sidecar["output_path"] == path.name
 
 
 def test_manifest_round_trip():

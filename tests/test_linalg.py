@@ -4,17 +4,13 @@ import pytest
 from qfridge.linalg import (
     TOL,
     LinalgError,
-    NonHermitianError,
     SingularMatrixError,
-    dagger,
-    eig_hermitian,
     kron,
     max_abs,
     solve_linear,
 )
 
 I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)   # |g><e|
 RAISE = np.array([[0, 0], [1, 0]], dtype=complex)   # |e><g|
 
@@ -68,13 +64,21 @@ def test_kron_rejects_nonfinite():
         kron(np.array([[np.nan, 0], [0, 1]]), I2)
 
 
+def _solve_one(a, b):
+    """solve_linear on the stack of one system: x, or its failure raised."""
+    x, errors = solve_linear(np.asarray(a)[None], np.asarray(b)[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return x[0]
+
+
 def test_solve_identity():
     b = np.array([1.0 + 2j, -3.0, 0.5j])
-    np.testing.assert_array_equal(solve_linear(np.eye(3, dtype=complex), b), b)
+    np.testing.assert_array_equal(_solve_one(np.eye(3, dtype=complex), b), b)
 
 
 def test_solve_diagonal():
-    x = solve_linear(np.diag([2.0, 4.0]).astype(complex), np.array([2.0, 8.0]))
+    x = _solve_one(np.diag([2.0, 4.0]).astype(complex), np.array([2.0, 8.0]))
     np.testing.assert_allclose(x, [1.0, 2.0], rtol=0, atol=1e-14)
 
 
@@ -84,7 +88,7 @@ def test_solve_recovers_known_solution_64(rng):
     n = 64
     a = np.eye(n) + 0.1 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     x_star = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x = solve_linear(a, a @ x_star)
+    x = _solve_one(a, a @ x_star)
     assert max_abs(x - x_star) <= 1e-8
 
 
@@ -93,7 +97,7 @@ def test_solve_residual_contract(rng):
         n = 16
         a = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        x = solve_linear(a, b)
+        x = _solve_one(a, b)
         assert max_abs(a @ x - b) <= 1e-10 * (1.0 + max_abs(b))
 
 
@@ -102,57 +106,24 @@ def test_solve_singular_carries_smallest_singular_value():
               np.array([[1.0, 2.0], [2.0, 4.0]]),                  # real, rank 1
               np.zeros((3, 3))):
         with pytest.raises(SingularMatrixError) as excinfo:
-            solve_linear(a, np.ones(len(a)))
+            _solve_one(a, np.ones(len(a)))
         assert excinfo.value.sigma_min <= TOL.singular_value * excinfo.value.scale
 
 
 def test_solve_real_system_stays_real(rng):
     a = np.eye(10) + 0.3 * rng.normal(size=(10, 10))
     x_star = rng.normal(size=10)
-    x = solve_linear(a, a @ x_star)
+    x = _solve_one(a, a @ x_star)
     assert x.dtype == np.float64
     assert max_abs(x - x_star) <= 1e-12
 
 
 def test_solve_rejects_nonfinite_and_mismatched_shapes():
     with pytest.raises(LinalgError):
-        solve_linear(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
+        _solve_one(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
     with pytest.raises(LinalgError):
-        solve_linear(np.eye(2), np.ones(3))
+        _solve_one(np.eye(2), np.ones(3))
     with pytest.raises(LinalgError):
-        solve_linear(np.ones((2, 3)), np.ones(2))
-
-
-def test_eig_diagonal_sorted():
-    values, _ = eig_hermitian(np.diag([3.0, 1.0, 2.0]).astype(complex))
-    np.testing.assert_allclose(values, [1.0, 2.0, 3.0], atol=1e-12)
-
-
-def test_eig_sigma_x_spectrum():
-    values, _ = eig_hermitian(SIGMA_X)
-    np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-12)
-
-
-def test_eig_projector_spectrum(rng):
-    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    psi /= np.linalg.norm(psi)
-    values, _ = eig_hermitian(np.outer(psi, psi.conj()))
-    np.testing.assert_allclose(values[:-1], np.zeros(7), atol=1e-12)
-    np.testing.assert_allclose(values[-1], 1.0, atol=1e-12)
-
-
-def test_eig_reconstruction(rng):
-    from qfridge.linalg import TOL
-
-    for _ in range(20):
-        m = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        a = m + dagger(m)
-        values, vectors = eig_hermitian(a)
-        rebuilt = vectors @ np.diag(values) @ dagger(vectors)
-        assert max_abs(rebuilt - a) <= TOL.eig_residual
-        assert max_abs(a @ vectors - vectors @ np.diag(values)) <= TOL.eig_residual
-
-
-def test_eig_rejects_non_hermitian():
-    with pytest.raises(NonHermitianError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        _solve_one(np.ones((2, 3)), np.ones(2))
+    with pytest.raises(LinalgError):       # stacks only
+        solve_linear(np.eye(2), np.ones(2))

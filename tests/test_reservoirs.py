@@ -71,6 +71,14 @@ def test_occupation_rejects_bad_gap():
         occupation(bosonic(1.0), -2.0)
 
 
+def test_occupation_rejects_an_underflowing_bosonic_ratio():
+    # E/T = 1e-20 / 1e308 rounds to 0, where n = 1 / expm1(E/T) is unbounded
+    with pytest.raises(ReservoirError, match="underflows"):
+        occupation(bosonic(1e308), 1e-20)
+    # a ratio that stays normal still gives n = T / E
+    assert occupation(bosonic(1e300), 1e-7) == pytest.approx(1e307, rel=1e-12)
+
+
 def test_rates_fermionic_from_occupation():
     rates = lindblad_rates(fermionic(-1.0), 1.0, 1.0)
     assert rates.gamma_down == pytest.approx(1.0 - FERMI_E1_TNEG1, rel=1e-14)

@@ -1,5 +1,6 @@
-"""The 10-dimensional sector solve against the 64x64 oracle, and the stacked
-sector solve against one-at-a-time solves.
+"""The 10-dimensional sector solve against the 64x64 oracle, the stacked
+sector solve against one-at-a-time solves, and the stacked solve against
+closed forms: the g = 0 thermal product and the fermionic mirror symmetry.
 
 Property tests over resonant and detuned machines, including the decoupled
 machine (g = 0), a bath switched off (gamma_k = 0), saturated hot baths and
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfridge import (
+    DensityMatrix,
     FridgeConfig,
     ReservoirSpec,
     Role,
@@ -22,8 +24,9 @@ from qfridge import (
     default_config,
     read_qubit,
     solve_direct,
+    thermal_product,
 )
-from qfridge.analysis import solve_for_readout, sweep_hot_temperature
+from qfridge.analysis import _solve_hot_grid, solve_for_readout, sweep_hot_temperature
 from qfridge.linalg import TOL
 from qfridge.liouvillian import (
     DIM,
@@ -39,11 +42,10 @@ from qfridge.steady_state import (
     MultiplicityError,
     SteadyStateError,
     _solve_constrained,
-    solve_sector,
     solve_sectors,
 )
-from qfridge.thermometry import read_qubit1_stack
-from tests.conftest import exact_qubit1_populations
+from qfridge.thermometry import TemperatureSentinel, read_qubit1_stack
+from tests.conftest import exact_qubit1_populations, sector_solution
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -137,7 +139,7 @@ def test_sector_generator_preserves_trace(config):
 @given(machines())
 def test_sector_solve_matches_full_solve(config):
     try:
-        sector = solve_sector(config)
+        state, residual = sector_solution(config)
     except MultiplicityError:
         # an insulated qubit 1 next to a frozen bath can be degenerate to
         # working precision; then both paths must say so
@@ -145,15 +147,15 @@ def test_sector_solve_matches_full_solve(config):
             solve_direct(build_liouvillian(config))
         return
     full = solve_direct(build_liouvillian(config))
-    assert np.max(np.abs(sector.state.matrix - full.state.matrix)) <= 1e-12
-    assert sector.residual <= 1e-10
+    assert np.max(np.abs(state.matrix - full.state.matrix)) <= 1e-12
+    assert residual <= 1e-10
     if config.gammas[0] == 0.0:
         # Insulated qubit 1 relaxes through the interaction alone, and
         # neither path resolves T1 beyond ~1e-11 there (against a 60-digit
         # solve: sector <= 1.1e-12, 64x64 <= 9.3e-12 over 40 machines), so
         # only the state is compared.
         return
-    t_sector = read_qubit(sector.state, 1, config.gaps[0]).effective_temperature
+    t_sector = read_qubit(state, 1, config.gaps[0]).effective_temperature
     t_full = read_qubit(full.state, 1, config.gaps[0]).effective_temperature
     if isinstance(t_full, float) and isinstance(t_sector, float):
         assert t_sector == pytest.approx(t_full, rel=1e-12, abs=0.0)
@@ -174,7 +176,7 @@ def test_both_paths_raise_multiplicity_for_a_free_qubit_1(data):
                     data.draw(reservoirs(Role.HOT, e3))),
         coupling=0.0)
     with pytest.raises(MultiplicityError):
-        solve_sector(config)
+        sector_solution(config)
     with pytest.raises(MultiplicityError):
         solve_direct(build_liouvillian(config))
 
@@ -184,7 +186,7 @@ def test_deep_cooled_population_is_resolved():
     # p_e1 ~ 1e-22 sits far below the largest populations, and the solve's
     # refinement pass is what resolves it to full relative precision.
     config = default_config(tc=0.02, th=-0.1, hot_statistics="fermionic")
-    readout = read_qubit(solve_sector(config).state, 1, config.gaps[0])
+    readout = read_qubit(sector_solution(config)[0], 1, config.gaps[0])
     assert readout.p_excited == pytest.approx(1.1378e-22, rel=1e-4, abs=0.0)
     _, exact = exact_qubit1_populations(config)
     assert readout.p_excited == pytest.approx(float(exact), rel=1e-9, abs=0.0)
@@ -216,13 +218,13 @@ def test_stacked_solve_matches_one_at_a_time(case):
         np.diagonal(solved.states[good], axis1=1, axis2=2).real, config.gaps[0]))
     for hot, residual, error in zip(hots, solved.residuals, solved.errors):
         try:
-            single, readout = solve_for_readout(config.with_hot_reservoir(hot))
+            single_residual, readout = solve_for_readout(config.with_hot_reservoir(hot))
         except (SteadyStateError, ValueError) as exc:
             assert error is not None and _status(error) == _status(exc)
             continue
         assert error is None
         assert residual <= TOL.steady_residual_direct
-        assert single.residual <= TOL.steady_residual_direct
+        assert single_residual <= TOL.steady_residual_direct
         stacked = next(readouts).effective_temperature
         single_t1 = readout.effective_temperature
         if isinstance(single_t1, float) and isinstance(stacked, float):
@@ -234,20 +236,24 @@ def test_stacked_solve_matches_one_at_a_time(case):
 @PROPERTY_SETTINGS
 @given(hot_stacks())
 def test_one_row_stack_is_the_single_solve(case):
+    # solve_for_readout is the one-row grid solve: its outcome is the row's
+    # residual, and its readout, summed from the sector populations, is the
+    # partial trace of the row's state.
     config, hots = case
-    hot = hots[0]
-    solved = solve_sectors(config, [hot])
+    config = config.with_hot_reservoir(hots[0])
+    solved = solve_sectors(config)
+    outcome, = _solve_hot_grid(config, hots[:1])
     try:
-        single = solve_sector(config.with_hot_reservoir(hot))
+        residual, readout = solve_for_readout(config)
     except (SteadyStateError, ValueError) as exc:
-        assert _status(solved.errors[0]) == _status(exc)
+        assert _status(outcome) == _status(exc)
+        if solved.errors[0] is not None:
+            assert _status(solved.errors[0]) == _status(exc)
         return
+    assert outcome == (residual, readout)
     assert solved.errors == [None]
-    np.testing.assert_array_equal(solved.states[0], single.state.matrix)
-    assert float(solved.residuals[0]) == single.residual
-    # the sector readout sums the populations as the partial trace does
-    stacked = read_qubit1_stack(np.diagonal(single.state.matrix).real, config.gaps[0])
-    assert stacked == [read_qubit(single.state, 1, config.gaps[0])]
+    assert residual == float(solved.residuals[0])
+    assert readout == read_qubit(DensityMatrix(solved.states[0]), 1, config.gaps[0])
 
 
 @PROPERTY_SETTINGS
@@ -270,12 +276,12 @@ def test_multiplicity_rows_leave_their_neighbours_solved(data):
             assert np.all(np.isnan(x[k]))
             continue
         try:
-            single = solve_sector(config)
+            state, _ = sector_solution(config)
         except MultiplicityError as exc:
             assert _status(errors[k]) == _status(exc)
             continue
         assert errors[k] is None
-        populations = np.diagonal(single.state.matrix).real
+        populations = np.diagonal(state.matrix).real
         np.testing.assert_allclose(x[k, :DIM], populations, rtol=0, atol=1e-15)
 
 
@@ -292,3 +298,141 @@ def test_sweep_row_failure_keeps_the_one_at_a_time_status(reference_config):
         _, readout = solve_for_readout(reference_config.with_hot_temperature(th))
         assert record.status == "ok"
         assert record.t1 == pytest.approx(readout.effective_temperature, rel=1e-12, abs=0.0)
+
+
+PINNED_HOT = [ReservoirSpec.saturated(Statistics.FERMIONIC, n)
+              for n in (0.0, 1e-15, 1.0 - 1e-15, 1.0)]
+PINNED_HOT.append(ReservoirSpec.saturated(Statistics.BOSONIC, 0.0))
+
+
+def hot_baths(gap):
+    """Any hot bath of `reservoirs`, or an occupation pinned at or next to
+    its limits (the saturated overrides)."""
+    return st.one_of(reservoirs(Role.HOT, gap), st.sampled_from(PINNED_HOT))
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_decoupled_rows_are_the_thermal_product(data):
+    # g = 0 with every bath attached: each qubit relaxes to its own bath, so
+    # each row of a stack is the product of the three thermal states and
+    # qubit 1 reads the cold bath's temperature.
+    drawn = data.draw(machines())
+    config = FridgeConfig(gaps=drawn.gaps, gammas=tuple(g or 1.0 for g in drawn.gammas),
+                          reservoirs=drawn.reservoirs, coupling=0.0)
+    hots = data.draw(st.lists(hot_baths(config.gaps[2]), min_size=1, max_size=6))
+    solved = solve_sectors(config, hots)
+    assert solved.errors == [None] * len(hots)
+    for hot, state in zip(hots, solved.states):
+        expected = thermal_product(config.with_hot_reservoir(hot)).matrix
+        np.testing.assert_allclose(state, expected, rtol=0, atol=1e-14)
+    populations = np.diagonal(solved.states, axis1=1, axis2=2).real
+    for readout in read_qubit1_stack(populations, config.gaps[0]):
+        assert readout.effective_temperature == pytest.approx(
+            config.cold_temperature, rel=1e-9, abs=0.0)
+
+
+def fermionic_baths(role, gap, extreme=True):
+    """Fermionic baths of either sign, near the exp cutoff or pinned too
+    when extreme."""
+    thermal = st.builds(lambda sign, t: ReservoirSpec(Statistics.FERMIONIC, sign * t, role),
+                        st.sampled_from((1.0, -1.0)), temperatures)
+    if not extreme:
+        return thermal
+    near_cutoff = st.builds(
+        lambda sign, x: ReservoirSpec(Statistics.FERMIONIC, sign * gap / x, role),
+        st.sampled_from((1.0, -1.0)), st.floats(650.0, 750.0))
+    pinned = st.sampled_from([ReservoirSpec.saturated(Statistics.FERMIONIC, n, role)
+                              for n in (0.0, 1e-15, 1.0 - 1e-15, 1.0)])
+    return st.one_of(thermal, near_cutoff, pinned)
+
+
+def _mirrored(spec):
+    """The bath with n -> 1 - n: T -> -T, or the complementary pinned n."""
+    if spec.occupation_override is not None:
+        return ReservoirSpec.saturated(spec.statistics, 1.0 - spec.occupation_override,
+                                       spec.role)
+    return ReservoirSpec(spec.statistics, -spec.temperature, spec.role)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_fermionic_mirror_symmetry(data):
+    # With every bath fermionic, n -> 1 - n swaps each qubit's up and down
+    # rates. Flipping all three qubits maps H0 to -H0, complex conjugation
+    # and a sign gauge on qubit 1 undo that and H_int's sign, so the
+    # mirrored machine's steady state has p_i -> p_{7-i}: qubit 1's
+    # temperature changes sign, row by row of the stack. Rows whose rates
+    # raise or whose solve fails must do so on both sides.
+    drawn = data.draw(machines())
+    e1, e2, e3 = drawn.gaps
+    hots = data.draw(st.lists(fermionic_baths(Role.HOT, e3), min_size=1, max_size=6))
+    baths = (data.draw(fermionic_baths(Role.COLD, e1, extreme=False)),
+             data.draw(fermionic_baths(Role.ROOM, e2)),
+             hots[0])
+    config = FridgeConfig(gaps=drawn.gaps, gammas=drawn.gammas, reservoirs=baths,
+                          coupling=drawn.coupling)
+    mirror = FridgeConfig(gaps=drawn.gaps, gammas=drawn.gammas,
+                          reservoirs=tuple(_mirrored(b) for b in baths),
+                          coupling=drawn.coupling)
+    solved = solve_sectors(config, hots)
+    mirrored = solve_sectors(mirror, [_mirrored(h) for h in hots])
+    for k, (error, mirrored_error) in enumerate(zip(solved.errors, mirrored.errors)):
+        assert type(error) is type(mirrored_error)
+        if error is not None:
+            continue
+        populations = np.diagonal(solved.states[k]).real
+        mirrored_populations = np.diagonal(mirrored.states[k]).real
+        np.testing.assert_allclose(mirrored_populations, populations[::-1],
+                                   rtol=0, atol=1e-13)
+        readout = read_qubit1_stack(populations, e1)[0]
+        if min(readout.p_ground, readout.p_excited) < 1e-6:
+            # deep cooling or inversion: the smaller population nears the
+            # solve's noise floor (~1e-34) and T1 is not resolved
+            continue
+        t1 = readout.effective_temperature
+        mirrored_t1 = read_qubit1_stack(mirrored_populations, e1)[0].effective_temperature
+        if t1 is TemperatureSentinel.INFINITE:
+            assert mirrored_t1 is t1
+        else:
+            assert mirrored_t1 == pytest.approx(-t1, rel=1e-9, abs=0.0)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_a_free_qubit_fails_every_row_alone(data):
+    # g = 0 with gamma_k = 0 leaves qubit k free whatever the hot bath: every
+    # row of the stack fails, each with the status of its one-row solve.
+    drawn = data.draw(machines())
+    off = data.draw(st.sampled_from((0, 1, 2)))
+    gammas = tuple(0.0 if k == off else (g or 1.0) for k, g in enumerate(drawn.gammas))
+    config = FridgeConfig(gaps=drawn.gaps, gammas=gammas, reservoirs=drawn.reservoirs,
+                          coupling=0.0)
+    hots = data.draw(st.lists(hot_baths(config.gaps[2]), min_size=1, max_size=6))
+    for hot, outcome in zip(hots, _solve_hot_grid(config, hots)):
+        assert isinstance(outcome, MultiplicityError)
+        with pytest.raises(MultiplicityError) as excinfo:
+            solve_for_readout(config.with_hot_reservoir(hot))
+        assert _status(outcome) == _status(excinfo.value)
+
+
+@PROPERTY_SETTINGS
+@given(machines(), st.sampled_from(list(Statistics)), st.sampled_from((1.0, -1.0)))
+def test_rows_straddling_the_exp_cutoff_agree(config, statistics, sign):
+    # |E3/T_h| just below and just above 700, where the occupation switches
+    # from its closed form to its limit: the two rows read the same T1.
+    if statistics is Statistics.BOSONIC:
+        sign = 1.0
+    e3 = config.gaps[2]
+    hots = [ReservoirSpec(statistics, sign * e3 / x, Role.HOT)
+            for x in (700.0 * (1.0 - 1e-12), 700.0 * (1.0 + 1e-12))]
+    below, above = _solve_hot_grid(config, hots)
+    if isinstance(below, Exception):
+        assert _status(above) == _status(below)
+        return
+    t_below = below[1].effective_temperature
+    t_above = above[1].effective_temperature
+    if isinstance(t_below, float) and isinstance(t_above, float):
+        assert t_above == pytest.approx(t_below, rel=1e-9, abs=0.0)
+    else:
+        assert t_above == t_below

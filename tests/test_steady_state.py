@@ -153,3 +153,21 @@ def test_trace_distance_basics():
     b = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-14)
     assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_trace_distance_of_sigma_x_eigenstates():
+    # |+><+| - |-><-| is sigma_x, eigenvalues -1 and 1; |g><g| - |+><+| has
+    # only off-diagonal weight left after the diagonal cancels, +-1/sqrt(2).
+    plus = DensityMatrix.from_pure([1.0, 1.0])
+    minus = DensityMatrix.from_pure([1.0, -1.0])
+    assert trace_distance(plus, minus) == pytest.approx(1.0, abs=1e-12)
+    assert trace_distance(DensityMatrix.ground_state(2), plus) == pytest.approx(
+        np.sqrt(0.5), abs=1e-12)
+
+
+def test_trace_distance_of_a_pure_state_from_the_maximally_mixed(rng):
+    # |psi><psi| - I/8 has eigenvalues 7/8 once and -1/8 seven times.
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    pure = DensityMatrix.from_pure(psi)
+    assert trace_distance(pure, DensityMatrix.maximally_mixed(8)) == pytest.approx(
+        7.0 / 8.0, abs=1e-12)
