@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import TOL
-from .liouvillian import FridgeConfig
+from .liouvillian import DIM, FridgeConfig
 from .reservoirs import ReservoirSpec, Role, Statistics
 from .steady_state import SteadyStateError, solve_sectors
 from .thermometry import (
@@ -177,8 +177,7 @@ def _solve_hot_grid(config: FridgeConfig, hot_reservoirs):
     solved = solve_sectors(config, [h for h in hot_reservoirs
                                     if not isinstance(h, Exception)])
     good = [k for k, error in enumerate(solved.errors) if error is None]
-    populations = np.diagonal(solved.states[good], axis1=1, axis2=2).real
-    readouts = iter(read_qubit1_stack(populations, config.gaps[0]))
+    readouts = iter(read_qubit1_stack(solved.coordinates[good, :DIM], config.gaps[0]))
     rows = iter(zip(solved.errors, solved.residuals.tolist()))
     outcomes = []
     for hot in hot_reservoirs:
@@ -301,6 +300,10 @@ def find_plateau(config: FridgeConfig, direction: Direction) -> PlateauResult:
     Positive side: scan of a geometric T_h grid followed by a golden-section
     polish of the minimum, so the reported value is the lowest temperature
     the machine actually reaches before the bosonic rate growth quenches it.
+
+    Either side solves its walk or grid and the saturation point as one
+    stack, whose rows are the solves a point-by-point search would make;
+    the polish solves one point at a time.
     """
     if Direction(direction) is Direction.POSITIVE:
         return _find_plateau_positive(config)
@@ -319,10 +322,11 @@ def _find_plateau_positive(config):
     grid = np.geomspace(PLATEAU_GRID_START, PLATEAU_GRID_CAP,
                         int(math.log(PLATEAU_GRID_CAP / PLATEAU_GRID_START)
                             / math.log(PLATEAU_GRID_RATIO)) + 1)
-    values = [_t1_of(outcome) for outcome in
-              _solve_hot_grid(config, [_hot_at(hot, th) for th in grid.tolist()])]
+    # the saturation point rides along as the stack's last row
+    *values, saturation = [_t1_of(outcome) for outcome in _solve_hot_grid(
+        config, [_hot_at(hot, th) for th in grid.tolist()]
+        + [HOT_BATHS[Direction.POSITIVE].saturated])]
     k = int(np.argmin(values))
-    saturation = _saturation_t1(config, Direction.POSITIVE)
     if k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step:
         # Still descending at the cap: no interior minimum; T1 creeps down
         # toward an infimum it only attains in the hot limit, so the pinned
@@ -347,29 +351,43 @@ def _find_plateau_positive(config):
     )
 
 
-def _find_plateau_negative(config):
-    def t1_at(th):
-        hot = ReservoirSpec(Statistics.FERMIONIC, th, Role.HOT)
-        return _t1_value(config.with_hot_reservoir(hot))
-
+def _negative_walk(config: FridgeConfig):
+    """The T_h the negative plateau search walks: from NEGATIVE_WALK_START
+    toward 0-, shrinking by NEGATIVE_WALK_SHRINK while |T_h| stays at or
+    above _negative_walk_floor."""
     floor = _negative_walk_floor(config)
-    th = NEGATIVE_WALK_START
-    previous = t1_at(th)
-    detected_at = th
+    walk = [NEGATIVE_WALK_START]
+    while abs(walk[-1]) * NEGATIVE_WALK_SHRINK >= floor:
+        walk.append(-abs(walk[-1]) * NEGATIVE_WALK_SHRINK)
+        if walk[-1] == walk[-2]:
+            # A floor below the smallest subnormal: shrinking stalls there,
+            # and a step-by-step walk would read that point twice and stop.
+            break
+    return walk
+
+
+def _find_plateau_negative(config):
+    # The whole walk and the saturation point are solved as one stack; the
+    # stop rule then reads the outcomes in walk order, so a failed row is
+    # raised only if the walk reaches it.
+    walk = _negative_walk(config)
+    hot = HOT_BATHS[Direction.NEGATIVE]
+    outcomes = _solve_hot_grid(
+        config, [_hot_at(hot.window_edge, th) for th in walk] + [hot.saturated])
+    previous = _t1_of(outcomes[0])
+    detected_at = walk[0]
     flattened = False
-    while abs(th) * NEGATIVE_WALK_SHRINK >= floor:
-        th = -abs(th) * NEGATIVE_WALK_SHRINK
-        current = t1_at(th)
+    for th, outcome in zip(walk[1:], outcomes[1:-1]):
+        current = _t1_of(outcome)
+        detected_at = th
         if abs(current - previous) < TOL.plateau_step:
-            detected_at = th
             flattened = True
             break
         previous = current
-        detected_at = th
     # The saturated occupation is the representable limit of T_h -> 0-, so it
     # is the plateau value whether or not the walk flattened before the floor
     # (in the deep-cooling regime T1 keeps tracking n3 all the way down).
-    saturation = _saturation_t1(config, Direction.NEGATIVE)
+    saturation = _t1_of(outcomes[-1])
     return PlateauResult(
         plateau_t1=saturation,
         plateau_detected_at=float(detected_at),
@@ -377,10 +395,6 @@ def _find_plateau_negative(config):
         saturation_t1=saturation,
         walk_flattened=flattened,
     )
-
-
-def _saturation_t1(config: FridgeConfig, direction: Direction) -> float:
-    return _t1_value(config.with_hot_reservoir(HOT_BATHS[direction].saturated))
 
 
 def best_case_t1(config: FridgeConfig, direction: Direction,

@@ -43,6 +43,7 @@ DIM = 2 ** NUM_QUBITS
 SECTOR_PAIR = (2, 5)
 # Sector coordinates: the DIM populations, then Re and Im of rho[SECTOR_PAIR].
 SECTOR_DIM = DIM + 2
+_OUTSIDE_PAIR = np.array([i for i in range(DIM) if i not in SECTOR_PAIR])
 
 
 class ConfigError(ValueError):
@@ -283,38 +284,48 @@ def sector_coefficients(config: FridgeConfig, hot_reservoirs=None):
     if hot_reservoirs is None:
         hot_reservoirs = (config.reservoirs[2],)
     rows = len(hot_reservoirs)
-    base = np.zeros(len(_SECTOR_TERMS))
-    e1, e2, e3 = config.gaps
-    base[-2] = config.coupling
-    base[-1] = e1 - e2 + e3
+    base = []
     try:
         for k in range(NUM_QUBITS - 1):
-            if config.gammas[k] != 0.0:
-                rates = lindblad_rates(config.reservoirs[k], config.gaps[k], config.gammas[k])
-                base[2 * k:2 * k + 2] = rates.gamma_down, rates.gamma_up
+            if config.gammas[k] == 0.0:
+                base += (0.0, 0.0)
+                continue
+            rates = lindblad_rates(config.reservoirs[k], config.gaps[k], config.gammas[k])
+            base += (rates.gamma_down, rates.gamma_up)
     except ValueError as exc:
-        return np.full((rows, len(base)), np.nan), [exc] * rows
+        return np.full((rows, len(_SECTOR_TERMS)), np.nan), [exc] * rows
+    e1, e2, e3 = config.gaps
+    base += (0.0, 0.0, config.coupling, e1 - e2 + e3)
     coefficients = np.empty((rows, len(base)))
     coefficients[:] = base
     errors = [None] * rows
     gamma = config.gammas[2]
     if gamma != 0.0:
-        hot = 2 * (NUM_QUBITS - 1)
+        hot_rates = []
         for i, spec in enumerate(hot_reservoirs):
             try:
                 rates = lindblad_rates(spec, e3, gamma)
             except ValueError as exc:
                 errors[i] = exc
-                coefficients[i] = np.nan
+                hot_rates.append((np.nan, np.nan))
                 continue
-            coefficients[i, hot:hot + 2] = rates.gamma_down, rates.gamma_up
+            hot_rates.append((rates.gamma_down, rates.gamma_up))
+        hot = 2 * (NUM_QUBITS - 1)
+        coefficients[:, hot:hot + 2] = np.reshape(hot_rates, (rows, 2))
+        failed = [i for i, error in enumerate(errors) if error is not None]
+        if failed:
+            coefficients[failed] = np.nan
     return coefficients, errors
 
 
 def sector_generators(coefficients) -> np.ndarray:
     """Stack (N, SECTOR_DIM, SECTOR_DIM) of sector generators, one per row of
-    sector_coefficients: each is linear in its row."""
-    return (coefficients @ _SECTOR_TERMS).reshape(-1, SECTOR_DIM, SECTOR_DIM)
+    sector_coefficients: each is linear in its row.
+
+    Each row is multiplied on its own, as a (1, 8) matrix: BLAS picks its
+    kernel by the number of rows, so one (N, 8) product would make a row's
+    generator depend, in its last bits, on the size of its stack."""
+    return (coefficients[:, None, :] @ _SECTOR_TERMS).reshape(-1, SECTOR_DIM, SECTOR_DIM)
 
 
 def sector_generator(config: FridgeConfig) -> np.ndarray:
@@ -342,7 +353,6 @@ def density_matrix_errors(matrices):
     the first of Hermiticity, unit trace and the smallest eigenvalue that
     misses its TOL bound."""
     m = np.asarray(matrices, dtype=complex)
-    errors = [None] * len(m)
     adjoint = m.conj().transpose(0, 2, 1)
     # An entry that is not finite makes its row's Hermiticity defect inf or NaN.
     hermiticity = np.abs(m - adjoint).max(axis=(1, 2))
@@ -352,12 +362,45 @@ def density_matrix_errors(matrices):
         symmetric[~finite] = np.eye(m.shape[-1])
     smallest = np.linalg.eigvalsh(symmetric)[:, 0]
     trace_error = np.abs(m.trace(axis1=1, axis2=2) - 1.0)
-    failed = ~(finite & (hermiticity <= TOL.density_hermiticity)
-               & (trace_error <= TOL.density_trace)
-               & (smallest >= TOL.density_min_eigenvalue))
-    if not failed.any():
-        return errors
-    for i in np.flatnonzero(failed):
+    failures = _state_errors(finite, hermiticity, trace_error, smallest)
+    return [failures.get(i) for i in range(len(m))]
+
+
+def sector_state_errors(x):
+    """{row: error} for the rows of sector coordinates x (N, SECTOR_DIM)
+    whose density matrix fails the invariants of density_matrix_errors,
+    checked in closed form without building the matrix.
+
+    The state is Hermitian by construction of the real coordinates. Its
+    trace is the sum of the populations. Its eigenvalues are the
+    populations outside SECTOR_PAIR and the two of the pair's 2x2 block
+    [[p2, c], [conj(c), p5]], the smaller being
+    (p2 + p5)/2 - sqrt(((p2 - p5)/2)^2 + |c|^2).
+    """
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        x = np.where(finite[:, None], x, 0.0)
+    populations = x[:, :DIM]
+    low, high = populations[:, SECTOR_PAIR[0]], populations[:, SECTOR_PAIR[1]]
+    pair_smallest = (low + high) / 2.0 - np.hypot((low - high) / 2.0,
+                                                  np.hypot(x[:, DIM], x[:, DIM + 1]))
+    smallest = np.minimum(populations[:, _OUTSIDE_PAIR].min(axis=1), pair_smallest)
+    return _state_errors(finite, np.zeros(len(x)), np.abs(populations.sum(axis=1) - 1.0),
+                         smallest)
+
+
+def _state_errors(finite, hermiticity, trace_error, smallest):
+    """{row: error} for the rows that miss an invariant: LinalgError for
+    non-finite entries, else DensityMatrixError for the first of
+    Hermiticity, unit trace and the smallest eigenvalue that misses its TOL
+    bound."""
+    passed = (finite & (hermiticity <= TOL.density_hermiticity)
+              & (trace_error <= TOL.density_trace)
+              & (smallest >= TOL.density_min_eigenvalue))
+    if passed.all():
+        return {}
+    errors = {}
+    for i in np.flatnonzero(~passed).tolist():
         if not finite[i]:
             errors[i] = LinalgError("matrix has non-finite entries")
         elif hermiticity[i] > TOL.density_hermiticity:

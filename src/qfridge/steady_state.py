@@ -7,7 +7,8 @@ Three routes to the same object:
     stack of hot baths under one machine at once;
   * solve_direct solves the full 64x64 vectorized generator;
   * propagate integrates d vec(rho)/dt = L vec(rho) with classic fixed-step
-    RK4 until the state stops moving.
+    RK4 until the state stops moving; steady_state_by_propagation takes the
+    same RK4 steps in bulk, by squaring their one-step propagator.
 
 Both solves replace one population row of their generator with the trace
 functional and solve the resulting nonsingular system exactly. The 64x64
@@ -31,9 +32,9 @@ from .liouvillian import (
     FridgeConfig,
     Liouvillian,
     _trace_row,
-    density_matrix_errors,
     sector_coefficients,
     sector_generators,
+    sector_state_errors,
 )
 
 
@@ -85,9 +86,14 @@ class SteadyStateResult:
 class SectorSolutions:
     """Steady states of a stack of machines, row by row (see solve_sectors)."""
 
-    states: np.ndarray      # (N, DIM, DIM), validated where errors[i] is None
-    residuals: np.ndarray   # (N,) drift residuals, NaN where the solve failed
-    errors: list            # per row, None or the exception its solve raised
+    coordinates: np.ndarray  # (N, SECTOR_DIM), validated where errors[i] is None
+    residuals: np.ndarray    # (N,) drift residuals, NaN where the solve failed
+    errors: list             # per row, None or the exception its solve raised
+
+    @property
+    def states(self):
+        """The rows as density matrices (N, DIM, DIM)."""
+        return _sector_states(self.coordinates)
 
 
 def _vec(rho):
@@ -113,11 +119,12 @@ def _solve_constrained(generators, population_rows, trace_row, constraint_row=No
     Each system is scaled by max(1, max |L|) first.
     """
     systems = np.arange(len(generators))
-    scale = np.maximum(np.abs(generators).max(axis=(1, 2)), 1.0)
+    magnitudes = np.abs(generators)
+    scale = np.maximum(magnitudes.max(axis=(1, 2)), 1.0)
     constrained = generators / scale[:, None, None]
     if constraint_row is None:
-        diagonal = generators.diagonal(axis1=1, axis2=2)[:, population_rows]
-        rows = population_rows[np.abs(diagonal).argmin(axis=1)]
+        diagonal = magnitudes.diagonal(axis1=1, axis2=2)[:, population_rows]
+        rows = population_rows[diagonal.argmin(axis=1)]
     else:
         row = int(constraint_row)
         if row not in population_rows:
@@ -181,11 +188,12 @@ def solve_sectors(config: FridgeConfig, hot_reservoirs=None) -> SectorSolutions:
     hot_reservoirs in turn (default: its own), as one stacked sector solve.
 
     Every row is checked on its own, in this order: its rates, the
-    constrained solve, the state invariants (those DensityMatrix checks) and
-    the drift residual. A row that fails one carries that exception in
-    errors and leaves the other rows solved.
+    constrained solve, the state invariants (those DensityMatrix checks, in
+    closed form by sector_state_errors) and the drift residual. A row that
+    fails one carries that exception in errors and leaves the other rows
+    solved.
     """
-    coefficients, errors = sector_coefficients(config, hot_reservoirs)
+    coefficients, rate_errors = sector_coefficients(config, hot_reservoirs)
     generators = sector_generators(coefficients)
     x, solve_errors = _solve_constrained(generators, _SECTOR_POPULATIONS,
                                          _SECTOR_TRACE_ROW)
@@ -193,14 +201,12 @@ def solve_sectors(config: FridgeConfig, hot_reservoirs=None) -> SectorSolutions:
     # |d rho[2, 5]/dt| counts as one entry, as in the 64x64 residual
     residuals = np.maximum(np.abs(drift[:, :DIM]).max(axis=1),
                            np.hypot(drift[:, DIM], drift[:, DIM + 1]))
-    states = _sector_states(x)
-    errors = [
-        rates or solve or _invalid_state(invalid)
-        or _residual_error(residual, Solver.DIRECT)
-        for rates, solve, invalid, residual in zip(
-            errors, solve_errors, density_matrix_errors(states), residuals.tolist())
-    ]
-    return SectorSolutions(states=states, residuals=residuals, errors=errors)
+    errors = [rates or solve for rates, solve in zip(rate_errors, solve_errors)]
+    for i, invalid in sector_state_errors(x).items():
+        errors[i] = errors[i] or _invalid_state(invalid)
+    for i in np.nonzero(residuals > TOL.steady_residual_direct)[0].tolist():
+        errors[i] = errors[i] or _residual_error(float(residuals[i]), Solver.DIRECT)
+    return SectorSolutions(coordinates=x, residuals=residuals, errors=errors)
 
 
 def solve_direct(liouvillian: Liouvillian,
@@ -298,11 +304,35 @@ def propagate(liouvillian: Liouvillian, rho0: DensityMatrix, t_final: float,
 def steady_state_by_propagation(liouvillian: Liouvillian,
                                 rho0: DensityMatrix | None = None,
                                 t_final: float = 400.0) -> SteadyStateResult:
-    """Oracle route: integrate from rho0 (ground state by default) to rest."""
+    """Oracle route: the state RK4 reaches from rho0 (ground state by
+    default) after at least t_final.
+
+    On a linear generator one RK4 step of size h is the matrix
+    P = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so 2^m steps are P squared
+    m times: with h the step propagate takes by default, m squarings reach
+    2^m h >= t_final. The trace is checked as in propagate and renormalized
+    only at output.
+    """
+    if t_final < 0.0:
+        raise PropagationError(f"t_final must be >= 0, got {t_final}")
     if rho0 is None:
         rho0 = DensityMatrix.ground_state(liouvillian.dim)
-    state = propagate(liouvillian, rho0, t_final)
-    residual = max_abs(liouvillian.matrix @ _vec(state.matrix))
+    generator = liouvillian.matrix
+    h = default_time_step(liouvillian)
+    hl = h * generator
+    identity = np.eye(len(generator))
+    step = identity + hl @ (identity + hl @ (identity + hl @ (identity + hl / 4.0) / 3.0) / 2.0)
+    for _ in range(math.ceil(math.log2(max(t_final / h, 1.0)))):
+        step = step @ step
+    x = step @ _vec(rho0.matrix)
+    if not np.all(np.isfinite(x.view(float))):
+        raise PropagationError("state became non-finite during propagation")
+    drift = abs(_trace_row(liouvillian.dim) @ x - 1.0)
+    if drift > TOL.propagation_trace_drift:
+        raise PropagationError(f"trace drifted by {drift:.3e}")
+    rho = _unvec(x, liouvillian.dim)
+    state = DensityMatrix(rho / np.trace(rho).real)
+    residual = max_abs(generator @ _vec(state.matrix))
     return SteadyStateResult(state=state, residual=residual, solver=Solver.PROPAGATION)
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfridge import (
     Direction,
@@ -16,15 +18,23 @@ from qfridge import (
     solve_direct,
     sweep_hot_temperature,
 )
+from qfridge import analysis, liouvillian
 from qfridge.analysis import (
     AnalysisError,
     BracketError,
     FERMIONIC_SATURATION_DEFICIT,
+    HOT_BATHS,
     NEGATIVE_WINDOW_EDGE,
+    PlateauResult,
+    _negative_walk,
+    _negative_walk_floor,
     best_case_t1,
     solve_for_readout,
 )
-from qfridge.reservoirs import ReservoirSpec, Role, Statistics
+from qfridge.liouvillian import FridgeConfig
+from qfridge.linalg import TOL
+from qfridge.reservoirs import ReservoirError, ReservoirSpec, Role, Statistics
+from qfridge.thermometry import temperature_as_float
 from tests.conftest import exact_qubit1_populations
 
 
@@ -106,6 +116,126 @@ def test_negative_side_monotone_toward_zero_minus():
     records = sweep_hot_temperature(config, grid)
     values = [r.t1 for r in records]
     assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+
+
+def _serial_t1(config, hot):
+    _, readout = solve_for_readout(config.with_hot_reservoir(hot))
+    return temperature_as_float(readout.effective_temperature)
+
+
+def _serial_plateau(config, direction):
+    """find_plateau one solve per point: the negative walk stepped one T_h
+    at a time until it flattens, the positive grid point by point, and the
+    saturation point solved on its own after them."""
+    if direction is Direction.NEGATIVE:
+        floor = _negative_walk_floor(config)
+        th = analysis.NEGATIVE_WALK_START
+        previous = _serial_t1(config, ReservoirSpec(Statistics.FERMIONIC, th, Role.HOT))
+        detected_at, flattened = th, False
+        while abs(th) * analysis.NEGATIVE_WALK_SHRINK >= floor:
+            th = -abs(th) * analysis.NEGATIVE_WALK_SHRINK
+            current = _serial_t1(config, ReservoirSpec(Statistics.FERMIONIC, th, Role.HOT))
+            detected_at = th
+            if abs(current - previous) < TOL.plateau_step:
+                flattened = True
+                break
+            previous = current
+        saturation = _serial_t1(config, HOT_BATHS[direction].saturated)
+        return PlateauResult(saturation, detected_at, TOL.plateau_step, saturation,
+                             flattened)
+    hot = config.reservoirs[2]
+    if hot.statistics is not Statistics.BOSONIC:
+        hot = HOT_BATHS[direction].window_edge
+        config = config.with_hot_reservoir(hot)
+    grid = np.geomspace(analysis.PLATEAU_GRID_START, analysis.PLATEAU_GRID_CAP,
+                        int(math.log(analysis.PLATEAU_GRID_CAP / analysis.PLATEAU_GRID_START)
+                            / math.log(analysis.PLATEAU_GRID_RATIO)) + 1).tolist()
+    values = [_serial_t1(config, ReservoirSpec(Statistics.BOSONIC, th, Role.HOT))
+              for th in grid]
+    saturation = _serial_t1(config, HOT_BATHS[direction].saturated)
+    k = int(np.argmin(values))
+    if k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step:
+        return PlateauResult(min(values[-1], saturation),
+                             analysis.BOSONIC_SATURATION_TEMPERATURE, TOL.plateau_step,
+                             saturation, False)
+    th_best, t1_best = analysis._polish_minimum(
+        lambda th: _serial_t1(config, ReservoirSpec(Statistics.BOSONIC, th, Role.HOT)),
+        grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], TOL.plateau_step)
+    if values[k] < t1_best:
+        th_best, t1_best = grid[k], values[k]
+    return PlateauResult(t1_best, th_best, TOL.plateau_step, saturation)
+
+
+def _outcome(search, *args):
+    """search(*args), or the type and message of what it raised."""
+    try:
+        return search(*args)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def plateau_machines(draw):
+    """Resonant or detuned machines with T_c from about 0.004 (deep cooling:
+    the negative walk reaches its floor without flattening) to about 2 (it
+    flattens before the floor), sometimes with a free qubit 1 (every search
+    fails)."""
+    e1 = draw(st.floats(0.5, 2.0))
+    e3 = draw(st.floats(0.5, 4.0))
+    e2 = e1 + e3 + draw(st.sampled_from((0.0, 0.0, -0.4, 0.4)))
+    coupling = draw(st.floats(0.2, 2.0))
+    gammas = [draw(st.floats(0.3, 2.0)) for _ in range(3)]
+    if draw(st.integers(0, 9)) == 0:
+        coupling, gammas[0] = 0.0, 0.0
+    tc = draw(st.sampled_from((0.004, 0.01, 0.03, 0.1, 0.5, 1.0, 2.0))) * draw(
+        st.floats(0.8, 1.25))
+    room = ReservoirSpec(draw(st.sampled_from(list(Statistics))),
+                         draw(st.floats(1.0, 3.0)), Role.ROOM)
+    hot = ReservoirSpec(Statistics.BOSONIC, 10.0, Role.HOT)
+    return FridgeConfig(gaps=(e1, e2, e3), gammas=tuple(gammas),
+                        reservoirs=(ReservoirSpec(Statistics.BOSONIC, tc, Role.COLD),
+                                    room, hot),
+                        coupling=coupling)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(plateau_machines(), st.sampled_from(list(Direction)))
+@example(default_config(), Direction.NEGATIVE)
+@example(default_config(tc=0.005), Direction.NEGATIVE)
+@example(default_config(tc=0.005), Direction.POSITIVE)
+@example(default_config(gaps=(1.0, 1.0 + 1e-323, 1e-323)), Direction.NEGATIVE)
+def test_stacked_plateau_search_is_the_serial_search(config, direction):
+    # Each search is one stacked solve; field by field, bit for bit, it
+    # finds what the serial search finds, or fails as it does.
+    assert _outcome(find_plateau, config, direction) == _outcome(
+        _serial_plateau, config, direction)
+
+
+@pytest.mark.parametrize("offset", [-2, 0, 1, 2])
+def test_a_failing_walk_row_counts_only_if_the_walk_reaches_it(
+        reference_config, monkeypatch, offset):
+    # The reference walk flattens well before its floor. A row the serial
+    # walk reaches raises that walk's exception; a row after the stop is
+    # never read.
+    walk = _negative_walk(reference_config)
+    plateau = find_plateau(reference_config, Direction.NEGATIVE)
+    stop = walk.index(plateau.plateau_detected_at)
+    assert plateau.walk_flattened and stop + 2 < len(walk)
+    failing = walk[stop + offset]
+    rates = liouvillian.lindblad_rates
+
+    def rates_failing_at(spec, gap, gamma):
+        if spec.role is Role.HOT and spec.temperature == failing:
+            raise ReservoirError(f"no rates at T_h = {failing}")
+        return rates(spec, gap, gamma)
+
+    monkeypatch.setattr(liouvillian, "lindblad_rates", rates_failing_at)
+    outcome = _outcome(find_plateau, reference_config, Direction.NEGATIVE)
+    assert outcome == _outcome(_serial_plateau, reference_config, Direction.NEGATIVE)
+    if offset <= 0:
+        assert outcome == (ReservoirError, f"no rates at T_h = {failing}")
+    else:
+        assert outcome == plateau
 
 
 def test_positive_threshold_grid_edge(reference_config):

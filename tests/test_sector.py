@@ -32,15 +32,18 @@ from qfridge.liouvillian import (
     DIM,
     SECTOR_DIM,
     SECTOR_PAIR,
+    density_matrix_errors,
     sector_coefficients,
     sector_generator,
     sector_generators,
+    sector_state_errors,
 )
 from qfridge.steady_state import (
     _SECTOR_POPULATIONS,
     _SECTOR_TRACE_ROW,
     MultiplicityError,
     SteadyStateError,
+    _sector_states,
     _solve_constrained,
     solve_sectors,
 )
@@ -181,6 +184,53 @@ def test_both_paths_raise_multiplicity_for_a_free_qubit_1(data):
         solve_direct(build_liouvillian(config))
 
 
+@st.composite
+def sector_rows(draw):
+    """Sector coordinates of a solved machine's state, valid or NaN where the
+    solve failed, or that state with one invariant broken well past its TOL
+    bound: a negative population (trace kept), |c|^2 > p2 p5, the trace off
+    by 1e-9, or a non-finite coordinate."""
+    x = solve_sectors(draw(machines())).coordinates[0].copy()
+    defect = draw(st.sampled_from((None, "negative", "coherence", "trace", "non-finite")))
+    if defect == "negative":
+        k, j = draw(st.permutations(range(DIM)))[:2]
+        depth = draw(st.floats(1e-6, 0.5))
+        x[j] += x[k] + depth
+        x[k] = -depth
+    elif defect == "coherence":
+        # |c| such that the pair's smaller eigenvalue is -depth
+        low, high = x[SECTOR_PAIR[0]], x[SECTOR_PAIR[1]]
+        depth = draw(st.floats(1e-6, 0.5))
+        magnitude = math.sqrt(low * high + (low + high) * depth + depth * depth)
+        phase = draw(st.floats(0.0, 2.0 * math.pi))
+        x[DIM:] = magnitude * math.cos(phase), magnitude * math.sin(phase)
+    elif defect == "trace":
+        x[draw(st.integers(0, DIM - 1))] += draw(st.sampled_from((1e-9, -1e-9)))
+    elif defect == "non-finite":
+        x[draw(st.integers(0, SECTOR_DIM - 1))] = draw(
+            st.sampled_from((math.nan, math.inf, -math.inf)))
+    return x
+
+
+def _invariant(error):
+    """Which check an error reports: its type and its message without the number."""
+    return None if error is None else (type(error), str(error).rsplit(" ", 1)[0])
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(sector_rows(), min_size=1, max_size=5))
+def test_closed_form_state_check_is_the_density_matrix_check(rows):
+    # The sector's closed-form check accepts and rejects the same rows as
+    # DensityMatrix's checks on the embedded 8x8 states, and names the same
+    # first failing invariant.
+    x = np.array(rows)
+    closed = sector_state_errors(x)
+    with np.errstate(invalid="ignore"):
+        full = density_matrix_errors(_sector_states(x))
+    assert [_invariant(closed.get(k)) for k in range(len(x))] == [
+        _invariant(error) for error in full]
+
+
 def test_deep_cooled_population_is_resolved():
     # T_c = 0.02 under an inverted hot bath at T_h = -0.1 (n3 rounds to 1):
     # p_e1 ~ 1e-22 sits far below the largest populations, and the solve's
@@ -211,12 +261,13 @@ def hot_stacks(draw):
 @PROPERTY_SETTINGS
 @given(hot_stacks())
 def test_stacked_solve_matches_one_at_a_time(case):
+    # A row of a stack is solved bit for bit as on its own: same T1, same
+    # residual, same status.
     config, hots = case
     solved = solve_sectors(config, hots)
     good = [k for k, error in enumerate(solved.errors) if error is None]
-    readouts = iter(read_qubit1_stack(
-        np.diagonal(solved.states[good], axis1=1, axis2=2).real, config.gaps[0]))
-    for hot, residual, error in zip(hots, solved.residuals, solved.errors):
+    readouts = iter(read_qubit1_stack(solved.coordinates[good, :DIM], config.gaps[0]))
+    for hot, residual, error in zip(hots, solved.residuals.tolist(), solved.errors):
         try:
             single_residual, readout = solve_for_readout(config.with_hot_reservoir(hot))
         except (SteadyStateError, ValueError) as exc:
@@ -224,13 +275,8 @@ def test_stacked_solve_matches_one_at_a_time(case):
             continue
         assert error is None
         assert residual <= TOL.steady_residual_direct
-        assert single_residual <= TOL.steady_residual_direct
-        stacked = next(readouts).effective_temperature
-        single_t1 = readout.effective_temperature
-        if isinstance(single_t1, float) and isinstance(stacked, float):
-            assert stacked == pytest.approx(single_t1, rel=1e-12, abs=0.0)
-        else:
-            assert stacked == single_t1
+        assert residual == single_residual
+        assert next(readouts).effective_temperature == readout.effective_temperature
 
 
 @PROPERTY_SETTINGS
@@ -254,6 +300,16 @@ def test_one_row_stack_is_the_single_solve(case):
     assert solved.errors == [None]
     assert residual == float(solved.residuals[0])
     assert readout == read_qubit(DensityMatrix(solved.states[0]), 1, config.gaps[0])
+
+
+def test_an_empty_stack_solves_to_nothing(reference_config):
+    # _solve_hot_grid passes hot baths that could not be built through
+    # unsolved; when none could, the stack it solves is empty.
+    error = ValueError("no bath")
+    assert _solve_hot_grid(reference_config, [error]) == [error]
+    solved = solve_sectors(reference_config, [])
+    assert solved.coordinates.shape == (0, SECTOR_DIM)
+    assert solved.errors == []
 
 
 @PROPERTY_SETTINGS
