@@ -15,18 +15,7 @@ from .analysis import (
     solve_for_readout,
     sweep_hot_temperature,
 )
-from .liouvillian import (
-    DensityMatrix,
-    FridgeConfig,
-    Liouvillian,
-    build_liouvillian,
-    default_config,
-    free_hamiltonian,
-    interaction_hamiltonian,
-    qubit_liouvillian,
-    thermal_product,
-    thermal_qubit,
-)
+from .liouvillian import DensityMatrix, FridgeConfig, default_config
 from .reservoirs import (
     LindbladRates,
     ReservoirSpec,
@@ -36,20 +25,11 @@ from .reservoirs import (
     occupation,
     temperature_from_occupation,
 )
-from .steady_state import (
-    SteadyStateResult,
-    propagate,
-    solve_direct,
-    steady_state_by_propagation,
-    trace_distance,
-)
 from .thermometry import (
     QubitReadout,
     TemperatureSentinel,
     effective_temperature,
     insulated_limit_temperature,
-    read_qubit,
-    reduced_qubit_state,
     temperature_as_float,
 )
 

@@ -72,6 +72,10 @@ PLATEAU_GRID_CAP = 1e4
 PLATEAU_GRID_RATIO = 1.12
 NEGATIVE_WALK_START = -5.0
 NEGATIVE_WALK_SHRINK = 0.75
+# Walk points solved per stack. The reference machine's walk (E3 = 4) has 14
+# points to its floor, so it stays one stack with its saturation point; a
+# machine with a tiny E3 walks thousands of points but stops after a few.
+NEGATIVE_WALK_CHUNK = 16
 
 THRESHOLD_BRACKET = (1e-3, 5.0)
 
@@ -301,9 +305,11 @@ def find_plateau(config: FridgeConfig, direction: Direction) -> PlateauResult:
     polish of the minimum, so the reported value is the lowest temperature
     the machine actually reaches before the bosonic rate growth quenches it.
 
-    Either side solves its walk or grid and the saturation point as one
-    stack, whose rows are the solves a point-by-point search would make;
-    the polish solves one point at a time.
+    The positive side solves its grid and the saturation point as one
+    stack, the negative side its walk in stacks of NEGATIVE_WALK_CHUNK
+    points, the first with the saturation point; their rows are the solves
+    a point-by-point search would make. The polish solves one point at a
+    time.
     """
     if Direction(direction) is Direction.POSITIVE:
         return _find_plateau_positive(config)
@@ -367,27 +373,34 @@ def _negative_walk(config: FridgeConfig):
 
 
 def _find_plateau_negative(config):
-    # The whole walk and the saturation point are solved as one stack; the
-    # stop rule then reads the outcomes in walk order, so a failed row is
-    # raised only if the walk reaches it.
+    # The walk is solved in stacks of NEGATIVE_WALK_CHUNK points, the first
+    # with the saturation point as its last row, until a stack's rows meet
+    # the stop rule. The rule reads the outcomes in walk order, so a failed
+    # row is raised only if the walk reaches it.
     walk = _negative_walk(config)
     hot = HOT_BATHS[Direction.NEGATIVE]
-    outcomes = _solve_hot_grid(
-        config, [_hot_at(hot.window_edge, th) for th in walk] + [hot.saturated])
-    previous = _t1_of(outcomes[0])
+    previous = saturated = None
     detected_at = walk[0]
     flattened = False
-    for th, outcome in zip(walk[1:], outcomes[1:-1]):
-        current = _t1_of(outcome)
-        detected_at = th
-        if abs(current - previous) < TOL.plateau_step:
-            flattened = True
+    for start in range(0, len(walk), NEGATIVE_WALK_CHUNK):
+        chunk = walk[start:start + NEGATIVE_WALK_CHUNK]
+        outcomes = _solve_hot_grid(config, [_hot_at(hot.window_edge, th) for th in chunk]
+                                   + ([hot.saturated] if start == 0 else []))
+        if start == 0:
+            saturated = outcomes.pop()
+        for th, outcome in zip(chunk, outcomes):
+            current = _t1_of(outcome)
+            detected_at = th
+            if previous is not None and abs(current - previous) < TOL.plateau_step:
+                flattened = True
+                break
+            previous = current
+        if flattened:
             break
-        previous = current
     # The saturated occupation is the representable limit of T_h -> 0-, so it
     # is the plateau value whether or not the walk flattened before the floor
     # (in the deep-cooling regime T1 keeps tracking n3 all the way down).
-    saturation = _t1_of(outcomes[-1])
+    saturation = _t1_of(saturated)
     return PlateauResult(
         plateau_t1=saturation,
         plateau_detected_at=float(detected_at),

@@ -45,7 +45,7 @@ from .analysis import (
 from .linalg import TOL, LinalgError
 from .liouvillian import ConfigError, FridgeConfig, default_config
 from .reservoirs import ReservoirError
-from .steady_state import PropagationError, SteadyStateError
+from .steady_state import SteadyStateError
 from .thermometry import TemperatureSentinel, ThermometryError
 
 EXIT_OK = 0
@@ -130,6 +130,8 @@ def _load_config(path):
     """Accept either a bare config document or a previously written sidecar."""
     with open(path) as handle:
         document = json.load(handle)
+    if not isinstance(document, dict):
+        raise ConfigError(f"{path} holds no JSON object")
     if "config" in document and "command" in document:
         manifest = RunManifest.from_dict(document)
         manifest.options.pop("parallel", None)    # older sidecars record the ignored flag
@@ -145,28 +147,39 @@ def _record_to_row(record):
 def _parse_float_list(text):
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:    # a sidecar value that is no string
         raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
     if not values:
         raise ConfigError(f"empty number list {text!r}")
     return values
 
 
+def _option(options, key, convert, default=None):
+    """options[key] (default when absent) passed through convert, as its
+    command-line flag would be: a sidecar can hold any JSON value there."""
+    value = options.get(key, default)
+    if value is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid option {key}={value!r}: {exc}") from exc
+
+
 def _sweep_values(options):
     if options.get("th_values"):
         return _parse_float_list(options["th_values"])
-    start = options.get("th_start")
-    stop = options.get("th_stop")
-    points = options.get("th_points")
+    start = _option(options, "th_start", float)
+    stop = _option(options, "th_stop", float)
+    points = _option(options, "th_points", int)
     if start is None or stop is None or points is None:
         raise ConfigError(
             "sweep needs either --th-values or all of --th-start/--th-stop/--th-points"
         )
-    points = int(points)
     if points < 1:
         raise ConfigError("--th-points must be >= 1")
     if points == 1:
-        return [float(start)]
+        return [start]
     if options.get("th_spacing", "linear") == "log":
         if start * stop <= 0.0:
             raise ConfigError("log spacing needs endpoints of one sign")
@@ -197,7 +210,7 @@ def _cmd_sweep(config, options, out_path, manifest):
 
 
 def _cmd_plateau(config, options, out_path, manifest):
-    direction = Direction(options.get("direction", "positive"))
+    direction = _option(options, "direction", Direction, "positive")
     plateau = find_plateau(config, direction)
     row = (plateau.plateau_detected_at, plateau.plateau_t1,
            plateau.plateau_t1 - config.cold_temperature, None, None, "ok")
@@ -213,8 +226,8 @@ def _cmd_plateau(config, options, out_path, manifest):
 
 
 def _cmd_threshold(config, options, out_path, manifest):
-    direction = Direction(options.get("direction", "positive"))
-    mode = ThresholdMode(options.get("threshold_mode", "plateau"))
+    direction = _option(options, "direction", Direction, "positive")
+    mode = _option(options, "threshold_mode", ThresholdMode, "plateau")
     threshold = cooling_threshold(config, direction, mode)
     t1 = best_case_t1(config.with_cold_temperature(threshold), direction, mode)
     row = (threshold, t1, t1 - threshold, None, None, "ok")
@@ -421,11 +434,11 @@ def main(argv=None):
                                options=options, output_path=args.out)
         return _COMMANDS[args.command](config, options, args.out, manifest)
     except (ConfigError, ReservoirError, ThermometryError, AnalysisError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+            OSError, json.JSONDecodeError, KeyError) as exc:
         if isinstance(exc, BracketError):
             return _fail(exc, EXIT_NONCONVERGENCE)
         return _fail(exc, EXIT_CONFIG)
-    except (SteadyStateError, PropagationError, LinalgError) as exc:
+    except (SteadyStateError, LinalgError) as exc:
         return _fail(exc, EXIT_SOLVER)
 
 

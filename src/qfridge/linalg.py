@@ -1,11 +1,10 @@
 """Dense complex linear algebra for small operator problems.
 
-Everything in the simulator lives in tiny fixed-size spaces: 2x2 and 8x8
-operators, the 10x10 steady-state sector and the 64x64 oracle generator.
-Matrices are plain numpy arrays. The linear solver is LAPACK's behind an
-explicit smallest-singular-value check, so that near-singularity is reported
-(with the offending singular value) instead of surfacing as a garbage
-solution.
+Everything in the simulator lives in tiny fixed-size spaces: 8x8 states and
+stacks of 10x10 steady-state sector systems. Matrices are plain numpy arrays.
+The linear solver is LAPACK's behind an explicit smallest-singular-value
+check, so that near-singularity is reported (with the offending singular
+value) instead of surfacing as a garbage solution.
 """
 
 from dataclasses import dataclass
@@ -14,7 +13,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Single source of truth for the numerical tolerances used everywhere."""
+    """Single source of truth for the numerical tolerances used everywhere,
+    the test oracles' (the 64x64 solve and propagation) included, so that a
+    run's sidecar records every bound its numbers were checked against."""
 
     singular_value: float = 1e-14        # smallest / largest singular value
     solve_residual: float = 1e-10        # relative, for ||a x - b||_inf
@@ -62,7 +63,7 @@ class SingularMatrixError(LinalgError):
         )
 
 
-def as_matrix(a, shape=None):
+def as_matrix(a):
     """Coerce to a 2-D complex array and reject non-finite entries."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
@@ -71,23 +72,7 @@ def as_matrix(a, shape=None):
         raise LinalgError("empty matrix")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise LinalgError("matrix has non-finite entries")
-    if shape is not None and m.shape != shape:
-        raise LinalgError(f"expected shape {shape}, got {m.shape}")
     return m
-
-
-def max_abs(a):
-    """Largest entry magnitude; the infinity-scale used by the tolerances."""
-    return float(np.max(np.abs(a)))
-
-
-def dagger(a):
-    return a.conj().T
-
-
-def kron(a, b):
-    """Kronecker product, entry ((i*rb + k), (j*cb + l)) = a[i, j] * b[k, l]."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def solve_linear(a, b):

@@ -1,11 +1,10 @@
-"""Three-qubit refrigerator model and its vectorized Lindblad generator.
+"""Three-qubit refrigerator model and its Lindblad generator on the sector.
 
 Basis conventions (fixed here once, used everywhere):
 
   * single qubit: |g> = index 0, |e> = index 1, sigma_z |e> = +|e>;
   * three qubits: qubit 1 is the most significant tensor factor, so the
-    computational index of |q1 q2 q3> is 4 q1 + 2 q2 + q3 with g = 0, e = 1;
-  * vectorization is column-stacking, vec(A rho B) = (B^T kron A) vec(rho).
+    computational index of |q1 q2 q3> is 4 q1 + 2 q2 + q3 with g = 0, e = 1.
 
 The machine: qubit 1 (gap E1, cold bath) is the target of the cooling, qubit 2
 (gap E2, room bath) dumps the absorbed energy, qubit 3 (gap E3, hot bath)
@@ -18,8 +17,8 @@ The generator maps the populations plus the single coherence H_int creates,
 rho[2, 5] between |g1 e2 g3> and |e1 g2 e3>, onto themselves, and every other
 coherence decays to zero. So the steady state lives in this 10-dimensional
 sector: sector_coefficients and sector_generators build it directly, for a
-stack of machines at once, and are the production path, while
-build_liouvillian assembles the full 64x64 generator as the oracle.
+stack of machines at once. The full 64x64 generator, assembled from the
+Hamiltonians and the collapse operators, is a test oracle (tests/oracles.py).
 """
 
 import hashlib
@@ -29,13 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import TOL, LinalgError, as_matrix, dagger, kron, max_abs
-from .reservoirs import ReservoirSpec, Role, Statistics, lindblad_rates, occupation
-
-IDENTITY_2 = np.eye(2, dtype=complex)
-SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |g><e|
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)    # |e><g|
+from .linalg import TOL, LinalgError, as_matrix
+from .reservoirs import ReservoirSpec, Role, lindblad_rates
 
 NUM_QUBITS = 3
 DIM = 2 ** NUM_QUBITS
@@ -54,13 +48,12 @@ class DensityMatrixError(ValueError):
     """Matrix fails the density-matrix invariants."""
 
 
-def embed(op, qubit_index):
-    """Lift a single-qubit operator onto the 3-qubit space (qubit 1 = MSB)."""
-    if qubit_index not in (1, 2, 3):
-        raise ConfigError(f"qubit index must be 1..3, got {qubit_index}")
-    factors = [IDENTITY_2, IDENTITY_2, IDENTITY_2]
-    factors[qubit_index - 1] = op
-    return kron(kron(factors[0], factors[1]), factors[2])
+def _numbers(name, values):
+    """values as a tuple of floats, or the ConfigError of what is not one."""
+    try:
+        return tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,8 @@ class FridgeConfig:
     coupling: float
 
     def __post_init__(self):
-        gaps = tuple(float(e) for e in self.gaps)
-        gammas = tuple(float(g) for g in self.gammas)
+        gaps = _numbers("energy gaps", self.gaps)
+        gammas = _numbers("dissipation rates", self.gammas)
         if len(gaps) != 3 or len(gammas) != 3 or len(self.reservoirs) != 3:
             raise ConfigError("need exactly three gaps, gammas and reservoirs")
         if any(not math.isfinite(e) or e <= 0.0 for e in gaps):
@@ -85,7 +78,11 @@ class FridgeConfig:
             raise ConfigError("reservoirs must be ReservoirSpec instances")
         # g = 0 is allowed deliberately: the decoupled machine is the
         # reference point for the thermal fixed-point checks.
-        if not math.isfinite(self.coupling) or self.coupling < 0.0:
+        try:
+            valid = math.isfinite(self.coupling) and self.coupling >= 0.0
+        except TypeError as exc:
+            raise ConfigError(f"coupling must be a number, got {self.coupling!r}") from exc
+        if not valid:
             raise ConfigError(f"coupling must be >= 0, got {self.coupling}")
         object.__setattr__(self, "gaps", gaps)
         object.__setattr__(self, "gammas", gammas)
@@ -131,13 +128,15 @@ class FridgeConfig:
         try:
             reservoirs = tuple(ReservoirSpec.from_dict(r) for r in d["reservoirs"])
             return cls(
-                gaps=tuple(d["gaps"]),
-                gammas=tuple(d["gammas"]),
+                gaps=d["gaps"],
+                gammas=d["gammas"],
                 reservoirs=reservoirs,
                 coupling=d["coupling"],
             )
         except KeyError as exc:
             raise ConfigError(f"missing config field: {exc}") from exc
+        except TypeError as exc:    # a document, or a reservoir in it, not a JSON object
+            raise ConfigError(f"malformed config: {exc}") from exc
 
     def config_hash(self):
         payload = json.dumps(self.to_dict(), sort_keys=True)
@@ -158,83 +157,6 @@ def default_config(tc=1.0, tr=2.0, th=10.0, coupling=1.0,
         ),
         coupling=coupling,
     )
-
-
-def free_hamiltonian(config: FridgeConfig):
-    """H0 = sum_k (E_k / 2) sigma_z,k. Diagonal in the computational basis."""
-    h = np.zeros((DIM, DIM), dtype=complex)
-    for k, gap in enumerate(config.gaps, start=1):
-        h += 0.5 * gap * embed(SIGMA_Z, k)
-    return h
-
-
-def interaction_hamiltonian(config: FridgeConfig):
-    """H_int = g (s-_1 s+_2 s-_3 + s+_1 s-_2 s+_3).
-
-    Exactly two nonzero entries: the |e1 g2 e3> <-> |g1 e2 g3> exchange.
-    """
-    lower = embed(SIGMA_MINUS, 1) @ embed(SIGMA_PLUS, 2) @ embed(SIGMA_MINUS, 3)
-    return config.coupling * (lower + dagger(lower))
-
-
-@dataclass(frozen=True)
-class Liouvillian:
-    """Vectorized generator: d vec(rho)/dt = matrix @ vec(rho)."""
-
-    matrix: np.ndarray
-    dim: int
-    config_hash: str
-
-    def __post_init__(self):
-        m = as_matrix(self.matrix, shape=(self.dim ** 2, self.dim ** 2))
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        defect = max_abs(_trace_row(self.dim) @ m)
-        scale = max(1.0, max_abs(m))
-        if defect > TOL.trace_preservation * scale:
-            raise ConfigError(
-                f"generator is not trace preserving: defect {defect:.3e}"
-            )
-
-
-def _trace_row(dim):
-    """vec(I)^T for column stacking: ones at positions j*dim + j."""
-    row = np.zeros(dim * dim, dtype=complex)
-    row[:: dim + 1] = 1.0
-    return row
-
-
-def _dissipator(collapse, rate):
-    """Vectorized (rate/2) (2 c rho c^dag - {c^dag c, rho})."""
-    dim = collapse.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    cdc = dagger(collapse) @ collapse
-    return 0.5 * rate * (
-        2.0 * kron(collapse.conj(), collapse)
-        - kron(eye, cdc)
-        - kron(cdc.T, eye)
-    )
-
-
-def _unitary_part(hamiltonian):
-    dim = hamiltonian.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    return -1j * (kron(eye, hamiltonian) - kron(hamiltonian.T, eye))
-
-
-def build_liouvillian(config: FridgeConfig) -> Liouvillian:
-    """Assemble the 64x64 generator from the Hamiltonians and six dissipators."""
-    h = free_hamiltonian(config) + interaction_hamiltonian(config)
-    generator = _unitary_part(h)
-    for k in range(1, NUM_QUBITS + 1):
-        gap = config.gaps[k - 1]
-        gamma = config.gammas[k - 1]
-        if gamma == 0.0:
-            continue
-        rates = lindblad_rates(config.reservoirs[k - 1], gap, gamma)
-        generator += _dissipator(embed(SIGMA_MINUS, k), rates.gamma_down)
-        generator += _dissipator(embed(SIGMA_PLUS, k), rates.gamma_up)
-    return Liouvillian(matrix=generator, dim=DIM, config_hash=config.config_hash())
 
 
 def _sector_terms():
@@ -326,25 +248,6 @@ def sector_generators(coefficients) -> np.ndarray:
     kernel by the number of rows, so one (N, 8) product would make a row's
     generator depend, in its last bits, on the size of its stack."""
     return (coefficients[:, None, :] @ _SECTOR_TERMS).reshape(-1, SECTOR_DIM, SECTOR_DIM)
-
-
-def sector_generator(config: FridgeConfig) -> np.ndarray:
-    """Real SECTOR_DIM x SECTOR_DIM generator, linear in the six rates, g and
-    the detuning: d x/dt = sector_generator(config) @ x on the coordinates
-    (p_0 .. p_7, Re rho[2, 5], Im rho[2, 5])."""
-    coefficients, errors = sector_coefficients(config)
-    if errors[0] is not None:
-        raise errors[0]
-    return sector_generators(coefficients)[0]
-
-
-def qubit_liouvillian(gap, gamma_down, gamma_up):
-    """Single-qubit generator (4x4), the small sanity case for the dissipators."""
-    h = 0.5 * gap * SIGMA_Z
-    generator = _unitary_part(h)
-    generator += _dissipator(SIGMA_MINUS, gamma_down)
-    generator += _dissipator(SIGMA_PLUS, gamma_up)
-    return Liouvillian(matrix=generator, dim=2, config_hash="single-qubit")
 
 
 def density_matrix_errors(matrices):
@@ -450,33 +353,3 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim=DIM):
         return cls(np.eye(dim, dtype=complex) / dim)
-
-
-def thermal_qubit(spec: ReservoirSpec, gap: float) -> DensityMatrix:
-    """Fixed point of a single qubit damped by the given reservoir.
-
-    Detailed balance p_e / p_g = up / down = exp(-E/T) holds for both
-    statistics, so this is the Gibbs state at the reservoir temperature
-    (population inverted when T < 0). Both populations are evaluated through
-    decaying exponentials so neither loses precision near saturation.
-    """
-    n = occupation(spec, gap)
-    if spec.statistics is Statistics.FERMIONIC:
-        p_excited = n
-        if spec.occupation_override is None:
-            # mirror symmetry: p_ground = 1 - n(T) = n(-T), cancellation free
-            p_ground = occupation(replace(spec, temperature=-spec.temperature), gap)
-        else:
-            p_ground = 1.0 - n
-    else:
-        p_excited = n / (1.0 + 2.0 * n)
-        p_ground = (1.0 + n) / (1.0 + 2.0 * n)
-    return DensityMatrix(np.diag([p_ground, p_excited]).astype(complex))
-
-
-def thermal_product(config: FridgeConfig) -> DensityMatrix:
-    """Product of the three per-qubit thermal states (the g = 0 steady state)."""
-    m = np.eye(1, dtype=complex)
-    for spec, gap in zip(config.reservoirs, config.gaps):
-        m = kron(m, thermal_qubit(spec, gap).matrix)
-    return DensityMatrix(m)

@@ -57,9 +57,14 @@ class ReservoirSpec:
     occupation_override: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "statistics", Statistics(self.statistics))
-        object.__setattr__(self, "role", Role(self.role))
-        t = float(self.temperature)
+        try:
+            statistics, role = Statistics(self.statistics), Role(self.role)
+            t = float(self.temperature)
+            n = None if self.occupation_override is None else float(self.occupation_override)
+        except (TypeError, ValueError) as exc:
+            raise ReservoirError(f"invalid reservoir field: {exc}") from exc
+        object.__setattr__(self, "statistics", statistics)
+        object.__setattr__(self, "role", role)
         if not math.isfinite(t) or t == 0.0:
             raise ReservoirError(f"temperature must be finite and nonzero, got {t}")
         if self.statistics is Statistics.BOSONIC and t < 0.0:
@@ -68,8 +73,7 @@ class ReservoirSpec:
                 f"temperature {t} is invalid"
             )
         object.__setattr__(self, "temperature", t)
-        if self.occupation_override is not None:
-            n = float(self.occupation_override)
+        if n is not None:
             if self.statistics is Statistics.FERMIONIC and not 0.0 <= n <= 1.0:
                 raise ReservoirError(f"fermionic occupation must lie in [0, 1], got {n}")
             if self.statistics is Statistics.BOSONIC and n < 0.0:

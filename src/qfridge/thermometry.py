@@ -1,4 +1,4 @@
-"""Reduced single-qubit states and effective-temperature assignment.
+"""Cooled-qubit readout and effective-temperature assignment.
 
 A qubit with gap E whose reduced state has ground population p carries the
 effective temperature
@@ -19,8 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import TOL, max_abs
-from .liouvillian import DensityMatrix
+from .linalg import TOL
 
 
 class TemperatureSentinel(Enum):
@@ -35,21 +34,6 @@ class ThermometryError(ValueError):
 
 class OutOfRegimeError(ThermometryError):
     """Insulated-limit formula evaluated where its denominator is <= 0."""
-
-
-def reduced_qubit_state(state: DensityMatrix, qubit_index: int) -> np.ndarray:
-    """Partial trace down to one qubit (2x2), qubit 1 being the MSB factor."""
-    if qubit_index not in (1, 2, 3):
-        raise ThermometryError(f"qubit index must be 1..3, got {qubit_index}")
-    if state.dim != 8:
-        raise ThermometryError(f"expected a three-qubit state, got dim {state.dim}")
-    tensor = state.matrix.reshape(2, 2, 2, 2, 2, 2)
-    axes = [0, 1, 2]
-    axes.remove(qubit_index - 1)
-    # Trace the two unwanted qubits; row/column axes are offset by 3.
-    reduced = np.trace(tensor, axis1=axes[1], axis2=axes[1] + 3)
-    reduced = np.trace(reduced, axis1=axes[0], axis2=axes[0] + 2)
-    return reduced
 
 
 def effective_temperature(p_ground: float, gap: float):
@@ -110,26 +94,14 @@ class QubitReadout:
             )
 
 
-def read_qubit(state: DensityMatrix, qubit_index: int, gap: float) -> QubitReadout:
-    reduced = reduced_qubit_state(state, qubit_index)
-    p_ground = max(float(reduced[0, 0].real), 0.0)
-    p_excited = max(float(reduced[1, 1].real), 0.0)
-    return QubitReadout(
-        qubit_index=qubit_index,
-        p_ground=p_ground,
-        p_excited=p_excited,
-        coherence_magnitude=float(abs(reduced[0, 1])),
-        effective_temperature=temperature_from_population_ratio(p_ground, p_excited, gap),
-    )
-
-
 def read_qubit1_stack(populations, gap: float):
     """Readouts of qubit 1 from a stack (N, 8) of steady-state populations of
     the sector: per row, its QubitReadout or the ThermometryError raised.
 
     Qubit 1's reduced coherence sums rho[j, 4 + j], which the sector holds at
-    exactly 0. Its populations are summed in the order reduced_qubit_state
-    traces them, so a row reads the same as read_qubit on its state.
+    exactly 0. Its populations are summed as the partial trace over qubits 3
+    and then 2 sums them, so a row reads the same as the partial trace of its
+    8x8 state.
     """
     halves = np.asarray(populations).reshape(-1, 2, 2, 2).sum(axis=3).sum(axis=2)
     readouts = []
@@ -145,17 +117,6 @@ def read_qubit1_stack(populations, gap: float):
         except ThermometryError as exc:
             readouts.append(exc)
     return readouts
-
-
-def coherence_is_negligible(state: DensityMatrix, qubit_index: int) -> bool:
-    """Whether the reduced state is diagonal enough for Gibbs thermometry.
-
-    Cooling steady states are expected to satisfy this; the readout reports
-    the coherence magnitude rather than silently discarding it, and callers
-    assert smallness through here.
-    """
-    reduced = reduced_qubit_state(state, qubit_index)
-    return max_abs(reduced - np.diag(np.diagonal(reduced))) <= TOL.steady_coherence
 
 
 def insulated_limit_temperature(t_c: float, t_h: float, e1: float, e3: float) -> float:

@@ -10,6 +10,7 @@ from qfridge import (
     default_config,
 )
 from qfridge.steady_state import solve_sectors
+from tests.oracles import sector_states
 
 
 def random_valid_config(rng, resonant=False):
@@ -44,7 +45,7 @@ def sector_solution(config):
     solved = solve_sectors(config)
     if solved.errors[0] is not None:
         raise solved.errors[0]
-    return DensityMatrix(solved.states[0]), float(solved.residuals[0])
+    return DensityMatrix(sector_states(solved.coordinates)[0]), float(solved.residuals[0])
 
 
 @pytest.fixture

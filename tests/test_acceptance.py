@@ -20,22 +20,24 @@ from qfridge import (
     Direction,
     ReservoirSpec,
     ThresholdMode,
-    build_liouvillian,
     calibrate_coupling,
     cooling_threshold,
     default_config,
     find_plateau,
     insulation_limit,
     occupation,
+)
+from qfridge.analysis import REFERENCE_THRESHOLDS
+from qfridge.reservoirs import Statistics
+from tests.conftest import random_valid_config, sector_solution
+from tests.oracles import (
+    _trace_row,
+    build_liouvillian,
     read_qubit,
     solve_direct,
     steady_state_by_propagation,
     trace_distance,
 )
-from qfridge.analysis import REFERENCE_THRESHOLDS
-from qfridge.liouvillian import _trace_row
-from qfridge.reservoirs import Statistics
-from tests.conftest import random_valid_config, sector_solution
 
 TC_SET = (1.0, 1.5, 2.0)
 

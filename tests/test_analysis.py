@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 from qfridge import (
     Direction,
     ThresholdMode,
-    build_liouvillian,
     calibrate_coupling,
     cooling_threshold,
     default_config,
     find_plateau,
     insulation_limit,
-    read_qubit,
-    solve_direct,
     sweep_hot_temperature,
 )
 from qfridge import analysis, liouvillian
@@ -36,6 +33,7 @@ from qfridge.linalg import TOL
 from qfridge.reservoirs import ReservoirError, ReservoirSpec, Role, Statistics
 from qfridge.thermometry import temperature_as_float
 from tests.conftest import exact_qubit1_populations
+from tests.oracles import build_liouvillian, read_qubit, solve_direct
 
 
 def test_single_point_sweep_equals_direct_solve(reference_config):
@@ -236,6 +234,36 @@ def test_a_failing_walk_row_counts_only_if_the_walk_reaches_it(
         assert outcome == (ReservoirError, f"no rates at T_h = {failing}")
     else:
         assert outcome == plateau
+
+
+def test_the_negative_walk_is_solved_only_up_to_the_stack_where_it_stops(monkeypatch):
+    # With E3 = 1e-300 the walk has 2,420 points to its floor, and it
+    # flattens at its second: one stack of NEGATIVE_WALK_CHUNK points and the
+    # saturation point is solved, not the whole walk. The reference machine's
+    # 14 points and its saturation point stay one stack, and a deep-cooling
+    # walk of 21 points (E3 = 0.5) that never flattens takes two stacks and
+    # finds what the serial search finds.
+    stacks = []
+    solve = analysis.solve_sectors
+
+    def counted(config, hot_reservoirs=None):
+        stacks.append(len(hot_reservoirs))
+        return solve(config, hot_reservoirs)
+
+    monkeypatch.setattr(analysis, "solve_sectors", counted)
+    tiny = default_config(gaps=(1.0, 1.0 + 1e-300, 1e-300))
+    assert len(_negative_walk(tiny)) == 2420
+    assert find_plateau(tiny, Direction.NEGATIVE).walk_flattened
+    assert stacks == [analysis.NEGATIVE_WALK_CHUNK + 1]
+    stacks.clear()
+    find_plateau(default_config(), Direction.NEGATIVE)
+    assert stacks == [15]
+    deep = default_config(tc=0.005, gaps=(1.0, 1.5, 0.5))
+    stacks.clear()
+    plateau = find_plateau(deep, Direction.NEGATIVE)
+    assert stacks == [analysis.NEGATIVE_WALK_CHUNK + 1, 21 - analysis.NEGATIVE_WALK_CHUNK]
+    assert not plateau.walk_flattened
+    assert plateau == _serial_plateau(deep, Direction.NEGATIVE)
 
 
 def test_positive_threshold_grid_edge(reference_config):

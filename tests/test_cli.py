@@ -126,6 +126,53 @@ def test_missing_config_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _edited_config(edit):
+    document = default_config().to_dict()
+    edit(document)
+    return document
+
+
+def _reservoir_edit(index, **fields):
+    return lambda document: document["reservoirs"][index].update(fields)
+
+
+MALFORMED_INPUTS = [
+    pytest.param(_edited_config(lambda d: d.update(coupling="1")), "ConfigError",
+                 id="coupling-string"),
+    pytest.param(_edited_config(lambda d: d.update(coupling=None)), "ConfigError",
+                 id="coupling-null"),
+    pytest.param(_edited_config(_reservoir_edit(2, temperature="hot")), "ReservoirError",
+                 id="temperature-string"),
+    pytest.param(_edited_config(lambda d: d.update(gaps=[1.0, "five", 4.0])), "ConfigError",
+                 id="gap-string"),
+    pytest.param(_edited_config(_reservoir_edit(0, statistics="quantum")), "ReservoirError",
+                 id="statistics-unknown"),
+    pytest.param(_edited_config(lambda d: d.update(gaps=5)), "ConfigError",
+                 id="gaps-number"),
+    pytest.param(RunManifest(command="sweep-th", config=default_config(),
+                             options={"th_start": 1.0, "th_stop": 10.0, "th_points": "abc"},
+                             output_path="x.csv").to_dict(),
+                 "ConfigError", id="sidecar-th-points-string"),
+    pytest.param(None, "IsADirectoryError", id="config-is-a-directory"),
+]
+
+
+@pytest.mark.parametrize("document, error", MALFORMED_INPUTS)
+def test_malformed_input_exits_2_with_an_error_line(document, error, tmp_path, capsys):
+    # Each input once escaped main as a raw TypeError, ValueError or
+    # IsADirectoryError traceback.
+    path = tmp_path
+    if document is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+    command = "sweep-th" if document and "command" in document else "solve"
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    line = json.loads(capsys.readouterr().err)
+    assert line["error"] == error
+    assert line["exit_code"] == 2
+
+
 def test_failed_points_keep_csv_clean(tmp_path):
     # Disconnected qubit 1: every point fails; numeric cells must be empty,
     # never NaN, and the exit code flags the solver failure.

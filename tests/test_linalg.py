@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from qfridge.linalg import (
-    TOL,
-    LinalgError,
-    SingularMatrixError,
-    kron,
-    max_abs,
-    solve_linear,
-)
+from qfridge.linalg import TOL, LinalgError, SingularMatrixError, solve_linear
+from tests.oracles import kron, max_abs
 
 I2 = np.eye(2, dtype=complex)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)   # |g><e|

@@ -1,28 +1,22 @@
 import numpy as np
 import pytest
 
-from qfridge import (
-    DensityMatrix,
-    FridgeConfig,
-    ReservoirSpec,
+from qfridge import DensityMatrix, FridgeConfig, ReservoirSpec, default_config
+from qfridge.liouvillian import ConfigError, DensityMatrixError
+from qfridge.reservoirs import Statistics, lindblad_rates
+from tests.conftest import random_valid_config
+from tests.oracles import (
+    SIGMA_Z,
+    _trace_row,
     build_liouvillian,
-    default_config,
+    embed,
     free_hamiltonian,
     interaction_hamiltonian,
+    max_abs,
     qubit_liouvillian,
     thermal_product,
     thermal_qubit,
 )
-from qfridge.linalg import max_abs
-from qfridge.liouvillian import (
-    SIGMA_Z,
-    ConfigError,
-    DensityMatrixError,
-    embed,
-    _trace_row,
-)
-from qfridge.reservoirs import Statistics, lindblad_rates
-from tests.conftest import random_valid_config
 
 
 def vec(rho):

@@ -20,11 +20,7 @@ from qfridge import (
     ReservoirSpec,
     Role,
     Statistics,
-    build_liouvillian,
     default_config,
-    read_qubit,
-    solve_direct,
-    thermal_product,
 )
 from qfridge.analysis import _solve_hot_grid, solve_for_readout, sweep_hot_temperature
 from qfridge.linalg import TOL
@@ -34,21 +30,25 @@ from qfridge.liouvillian import (
     SECTOR_PAIR,
     density_matrix_errors,
     sector_coefficients,
-    sector_generator,
     sector_generators,
     sector_state_errors,
 )
 from qfridge.steady_state import (
-    _SECTOR_POPULATIONS,
-    _SECTOR_TRACE_ROW,
     MultiplicityError,
     SteadyStateError,
-    _sector_states,
     _solve_constrained,
     solve_sectors,
 )
 from qfridge.thermometry import TemperatureSentinel, read_qubit1_stack
 from tests.conftest import exact_qubit1_populations, sector_solution
+from tests.oracles import (
+    build_liouvillian,
+    read_qubit,
+    sector_generator,
+    sector_states,
+    solve_direct,
+    thermal_product,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -226,7 +226,7 @@ def test_closed_form_state_check_is_the_density_matrix_check(rows):
     x = np.array(rows)
     closed = sector_state_errors(x)
     with np.errstate(invalid="ignore"):
-        full = density_matrix_errors(_sector_states(x))
+        full = density_matrix_errors(sector_states(x))
     assert [_invariant(closed.get(k)) for k in range(len(x))] == [
         _invariant(error) for error in full]
 
@@ -299,7 +299,8 @@ def test_one_row_stack_is_the_single_solve(case):
     assert outcome == (residual, readout)
     assert solved.errors == [None]
     assert residual == float(solved.residuals[0])
-    assert readout == read_qubit(DensityMatrix(solved.states[0]), 1, config.gaps[0])
+    assert readout == read_qubit(DensityMatrix(sector_states(solved.coordinates)[0]), 1,
+                                 config.gaps[0])
 
 
 def test_an_empty_stack_solves_to_nothing(reference_config):
@@ -324,8 +325,7 @@ def test_multiplicity_rows_leave_their_neighbours_solved(data):
         configs[k] = FridgeConfig(gaps=configs[k].gaps, gammas=gammas,
                                   reservoirs=configs[k].reservoirs, coupling=0.0)
     coefficients = np.concatenate([sector_coefficients(c)[0] for c in configs])
-    x, errors = _solve_constrained(sector_generators(coefficients),
-                                   _SECTOR_POPULATIONS, _SECTOR_TRACE_ROW)
+    x, errors = _solve_constrained(sector_generators(coefficients))
     for k, config in enumerate(configs):
         if k in free:
             assert isinstance(errors[k], MultiplicityError)
@@ -379,10 +379,11 @@ def test_decoupled_rows_are_the_thermal_product(data):
     hots = data.draw(st.lists(hot_baths(config.gaps[2]), min_size=1, max_size=6))
     solved = solve_sectors(config, hots)
     assert solved.errors == [None] * len(hots)
-    for hot, state in zip(hots, solved.states):
+    states = sector_states(solved.coordinates)
+    for hot, state in zip(hots, states):
         expected = thermal_product(config.with_hot_reservoir(hot)).matrix
         np.testing.assert_allclose(state, expected, rtol=0, atol=1e-14)
-    populations = np.diagonal(solved.states, axis1=1, axis2=2).real
+    populations = np.diagonal(states, axis1=1, axis2=2).real
     for readout in read_qubit1_stack(populations, config.gaps[0]):
         assert readout.effective_temperature == pytest.approx(
             config.cold_temperature, rel=1e-9, abs=0.0)
@@ -437,8 +438,8 @@ def test_fermionic_mirror_symmetry(data):
         assert type(error) is type(mirrored_error)
         if error is not None:
             continue
-        populations = np.diagonal(solved.states[k]).real
-        mirrored_populations = np.diagonal(mirrored.states[k]).real
+        populations = solved.coordinates[k, :DIM]
+        mirrored_populations = mirrored.coordinates[k, :DIM]
         np.testing.assert_allclose(mirrored_populations, populations[::-1],
                                    rtol=0, atol=1e-13)
         readout = read_qubit1_stack(populations, e1)[0]

@@ -1,26 +1,22 @@
 import numpy as np
 import pytest
 
-from qfridge import (
-    DensityMatrix,
+from qfridge import DensityMatrix, default_config
+from qfridge.steady_state import MultiplicityError, SteadyStateError
+from tests.conftest import random_valid_config
+from tests.oracles import (
+    Liouvillian,
+    PropagationError,
+    Solver,
+    SteadyStateResult,
     build_liouvillian,
-    default_config,
     propagate,
     read_qubit,
     solve_direct,
+    steady_state_by_propagation,
     thermal_product,
     trace_distance,
 )
-from qfridge.liouvillian import Liouvillian
-from qfridge.steady_state import (
-    MultiplicityError,
-    PropagationError,
-    SteadyStateError,
-    SteadyStateResult,
-    Solver,
-    steady_state_by_propagation,
-)
-from tests.conftest import random_valid_config
 
 
 def test_direct_solve_reference_point(reference_config):

@@ -6,22 +6,24 @@ import pytest
 from qfridge import (
     DensityMatrix,
     ReservoirSpec,
-    build_liouvillian,
     effective_temperature,
     insulated_limit_temperature,
-    read_qubit,
-    reduced_qubit_state,
-    solve_direct,
-    thermal_qubit,
 )
 from qfridge.reservoirs import Statistics
 from qfridge.thermometry import (
     OutOfRegimeError,
     TemperatureSentinel,
     ThermometryError,
-    coherence_is_negligible,
     temperature_as_float,
     temperature_from_population_ratio,
+)
+from tests.oracles import (
+    build_liouvillian,
+    coherence_is_negligible,
+    read_qubit,
+    reduced_qubit_state,
+    solve_direct,
+    thermal_qubit,
 )
 
 P_GROUND_AT_UNIT_T = 1.0 / (1.0 + math.exp(-1.0))   # Gibbs at T = 1, E = 1
