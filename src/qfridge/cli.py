@@ -10,8 +10,14 @@ the column set
 
     swept_value, t1, t1_minus_tc, residual, coherence, status
 
-with sentinel strings (never NaN or inf) for the singular temperature cases.
-calibrate and reproduce-fig4 emit their natural tables instead.
+with sentinel strings for the singular temperature cases. calibrate and
+reproduce-fig4 emit their natural tables instead. No NaN or infinity reaches a
+file: a number that is not finite is written as an empty cell and as null in
+the sidecar, and a sweep-like row whose t1 is not finite says so in its status.
+
+Each command's options resolve in one place, main: the defaults of the OPTIONS
+table, then the options a sidecar passed as --config recorded, then explicit
+flags. A run records exactly its command's options.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 non-convergence.
 """
@@ -23,6 +29,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import __version__
@@ -90,7 +97,8 @@ class RunManifest:
 
 
 def _format_value(value):
-    """Shortest round-trip decimal; sentinels by name; missing as empty."""
+    """Shortest round-trip decimal; sentinels by name; missing or non-finite
+    as empty."""
     if isinstance(value, TemperatureSentinel):
         return value.value
     if isinstance(value, str):
@@ -98,9 +106,16 @@ def _format_value(value):
     if value is None:
         return ""
     value = float(value)
-    if math.isnan(value):
-        return ""
-    return repr(value)
+    return repr(value) if math.isfinite(value) else ""
+
+
+def _json_safe(value):
+    """value with every non-finite number replaced by None, JSON's null."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _write_csv(path, columns, rows):
@@ -121,7 +136,7 @@ def _write_sidecar(path, manifest, result_summary=None):
     if result_summary is not None:
         payload["result"] = result_summary
     with open(sidecar, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(_json_safe(payload), handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     return sidecar
 
@@ -133,45 +148,41 @@ def _load_config(path):
     if not isinstance(document, dict):
         raise ConfigError(f"{path} holds no JSON object")
     if "config" in document and "command" in document:
+        if not isinstance(document.get("options", {}), dict):
+            raise ConfigError(f"{path} holds sidecar options that are no JSON object")
         manifest = RunManifest.from_dict(document)
-        manifest.options.pop("parallel", None)    # older sidecars record the ignored flag
         return manifest.config, manifest.options
     return FridgeConfig.from_dict(document), {}
 
 
+def _row(swept_value, t1, t1_minus_tc, residual=None, coherence=None, status="ok"):
+    """One row of CSV_COLUMNS. A T1 that is a number but not a finite one
+    (an infinite or inverted temperature collapsed onto +inf) is written
+    empty, and its status says why."""
+    if status == "ok" and isinstance(t1, float) and not math.isfinite(t1):
+        status = "non-finite t1"
+    return (swept_value, t1, t1_minus_tc, residual, coherence, status)
+
+
 def _record_to_row(record):
-    return (record.swept_value, record.t1, record.t1_minus_tc,
-            record.residual, record.coherence_magnitude, record.status)
+    return _row(record.swept_value, record.t1, record.t1_minus_tc,
+                record.residual, record.coherence_magnitude, record.status)
 
 
 def _parse_float_list(text):
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
-    except (AttributeError, ValueError) as exc:    # a sidecar value that is no string
+    except ValueError as exc:
         raise ConfigError(f"cannot parse number list {text!r}: {exc}") from exc
     if not values:
         raise ConfigError(f"empty number list {text!r}")
     return values
 
 
-def _option(options, key, convert, default=None):
-    """options[key] (default when absent) passed through convert, as its
-    command-line flag would be: a sidecar can hold any JSON value there."""
-    value = options.get(key, default)
-    if value is None:
-        return None
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid option {key}={value!r}: {exc}") from exc
-
-
 def _sweep_values(options):
     if options.get("th_values"):
         return _parse_float_list(options["th_values"])
-    start = _option(options, "th_start", float)
-    stop = _option(options, "th_stop", float)
-    points = _option(options, "th_points", int)
+    start, stop, points = (options.get(key) for key in ("th_start", "th_stop", "th_points"))
     if start is None or stop is None or points is None:
         raise ConfigError(
             "sweep needs either --th-values or all of --th-start/--th-stop/--th-points"
@@ -180,7 +191,7 @@ def _sweep_values(options):
         raise ConfigError("--th-points must be >= 1")
     if points == 1:
         return [start]
-    if options.get("th_spacing", "linear") == "log":
+    if options["th_spacing"] == "log":
         if start * stop <= 0.0:
             raise ConfigError("log spacing needs endpoints of one sign")
         sign = 1.0 if start > 0 else -1.0
@@ -190,116 +201,96 @@ def _sweep_values(options):
     return [start + step * k for k in range(points)]
 
 
-def _cmd_solve(config, options, out_path, manifest):
+# Each command returns (columns, rows, sidecar result or None, exit code);
+# main writes the files.
+
+def _cmd_solve(config, options):
     record = _record(config.reservoirs[2].temperature, config.cold_temperature,
                      solve_for_readout(config))
-    _write_csv(out_path, CSV_COLUMNS, [_record_to_row(record)])
-    _write_sidecar(out_path, manifest)
-    return EXIT_OK
+    return CSV_COLUMNS, [_record_to_row(record)], None, EXIT_OK
 
 
-def _cmd_sweep(config, options, out_path, manifest):
-    values = _sweep_values(options)
-    records = sweep_hot_temperature(config, values)
-    _write_csv(out_path, CSV_COLUMNS, [_record_to_row(r) for r in records])
-    _write_sidecar(out_path, manifest)
-    failed = sum(1 for r in records if r.status != "ok")
-    if failed > TOL.sweep_failed_fraction * len(records):
-        return EXIT_SOLVER
-    return EXIT_OK
+def _cmd_sweep(config, options):
+    rows = [_record_to_row(r)
+            for r in sweep_hot_temperature(config, _sweep_values(options))]
+    failed = sum(1 for row in rows if row[-1] != "ok")
+    code = EXIT_SOLVER if failed > TOL.sweep_failed_fraction * len(rows) else EXIT_OK
+    return CSV_COLUMNS, rows, None, code
 
 
-def _cmd_plateau(config, options, out_path, manifest):
-    direction = _option(options, "direction", Direction, "positive")
-    plateau = find_plateau(config, direction)
-    row = (plateau.plateau_detected_at, plateau.plateau_t1,
-           plateau.plateau_t1 - config.cold_temperature, None, None, "ok")
-    _write_csv(out_path, CSV_COLUMNS, [row])
-    _write_sidecar(out_path, manifest, result_summary={
+def _cmd_plateau(config, options):
+    plateau = find_plateau(config, Direction(options["direction"]))
+    row = _row(plateau.plateau_detected_at, plateau.plateau_t1,
+               plateau.plateau_t1 - config.cold_temperature)
+    return CSV_COLUMNS, [row], {
         "plateau_t1": plateau.plateau_t1,
         "plateau_detected_at": plateau.plateau_detected_at,
         "tolerance_used": plateau.tolerance_used,
         "saturation_t1": plateau.saturation_t1,
         "walk_flattened": plateau.walk_flattened,
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_threshold(config, options, out_path, manifest):
-    direction = _option(options, "direction", Direction, "positive")
-    mode = _option(options, "threshold_mode", ThresholdMode, "plateau")
+def _cmd_threshold(config, options):
+    direction = Direction(options["direction"])
+    mode = ThresholdMode(options["threshold_mode"])
     threshold = cooling_threshold(config, direction, mode)
     t1 = best_case_t1(config.with_cold_temperature(threshold), direction, mode)
-    row = (threshold, t1, t1 - threshold, None, None, "ok")
-    _write_csv(out_path, CSV_COLUMNS, [row])
-    _write_sidecar(out_path, manifest, result_summary={
+    return CSV_COLUMNS, [_row(threshold, t1, t1 - threshold)], {
         "threshold": threshold,
         "direction": direction.value,
         "mode": mode.value,
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_insulation(config, options, out_path, manifest):
-    sequence = _parse_float_list(options.get("gamma1", "1e-1,1e-2,1e-3,1e-4"))
-    result = insulation_limit(config, sequence)
+def _cmd_insulation(config, options):
+    result = insulation_limit(config, _parse_float_list(options["gamma1"]))
     tc = config.cold_temperature
-    rows = [(g, t1, t1 - tc, None, None, "ok")
-            for g, t1 in zip(result.gamma1_values, result.t1_values)]
-    _write_csv(out_path, CSV_COLUMNS, rows)
-    _write_sidecar(out_path, manifest, result_summary={
+    rows = [_row(g, t1, t1 - tc) for g, t1 in zip(result.gamma1_values, result.t1_values)]
+    return CSV_COLUMNS, rows, {
         "analytic_t1": result.analytic_t1,
         "final_relative_gap": result.final_relative_gap,
         "smallest_usable_gamma1": result.smallest_usable_gamma1,
-    })
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_calibrate(config, options, out_path, manifest):
-    grid = _parse_float_list(options.get("g_grid", "0.05,0.1,0.2,0.5,1.0"))
-    result = calibrate_coupling(config, search_grid=grid)
+def _cmd_calibrate(config, options):
+    result = calibrate_coupling(config, search_grid=_parse_float_list(options["g_grid"]))
     rows = [(direction.value, tc, value, target, err)
             for (tc, direction), (value, target, err) in sorted(
                 result.achieved.items(), key=lambda kv: (kv[0][1].value, kv[0][0]))]
-    _write_csv(out_path,
-               ("direction", "tc", "plateau_t1", "target_t1", "relative_error"),
-               rows)
-    _write_sidecar(out_path, manifest, result_summary={
+    for line in result.report_lines():
+        print(line)
+    return ("direction", "tc", "plateau_t1", "target_t1", "relative_error"), rows, {
         "coupling": result.coupling,
         "max_relative_error": result.max_relative_error,
         "within_tolerance": result.within_tolerance,
         "landscape": [[g, err] for g, err in result.landscape],
-    })
-    for line in result.report_lines():
-        print(line)
-    return EXIT_OK if result.within_tolerance else EXIT_NONCONVERGENCE
+    }, EXIT_OK if result.within_tolerance else EXIT_NONCONVERGENCE
 
 
 def _reproduce_sweep_figure(name, th_grid, hot_statistics, out_dir):
-    paths = []
+    runs = []
     for tc in REPRODUCE_TCS:
         config = default_config(tc=tc, coupling=CALIBRATED_COUPLING,
                                 hot_statistics=hot_statistics)
-        records = sweep_hot_temperature(config, th_grid)
-        out_path = os.path.join(out_dir, f"{name}_tc{tc:g}.csv")
-        _write_csv(out_path, CSV_COLUMNS, [_record_to_row(r) for r in records])
+        rows = [_record_to_row(r) for r in sweep_hot_temperature(config, th_grid)]
         manifest = RunManifest(
             command="sweep-th", config=config,
             options={"th_values": ",".join(repr(v) for v in th_grid)},
-            output_path=out_path,
+            output_path=os.path.join(out_dir, f"{name}_tc{tc:g}.csv"),
         )
-        _write_sidecar(out_path, manifest)
-        paths.append(out_path)
-    return paths
+        runs.append((manifest, CSV_COLUMNS, rows, None))
+    return runs
 
 
 def _cmd_reproduce(scenario, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    produced = []
+    """The scenario's runs, each (manifest, columns, rows, sidecar result)."""
+    runs = []
     if scenario in ("fig2", "all"):
-        produced += _reproduce_sweep_figure("fig2", FIG2_TH_GRID, "bosonic", out_dir)
+        runs += _reproduce_sweep_figure("fig2", FIG2_TH_GRID, "bosonic", out_dir)
     if scenario in ("fig3", "all"):
-        produced += _reproduce_sweep_figure("fig3", FIG3_TH_GRID, "fermionic", out_dir)
+        runs += _reproduce_sweep_figure("fig3", FIG3_TH_GRID, "fermionic", out_dir)
     if scenario in ("fig4", "all"):
         table_a, table_b = [], []
         for tc in REPRODUCE_TCS:
@@ -310,33 +301,80 @@ def _cmd_reproduce(scenario, out_dir):
             table_b.append((tc,
                             100.0 * (tc - low_pos) / tc,
                             100.0 * (tc - low_neg) / tc))
-        path_a = os.path.join(out_dir, "fig4a.csv")
-        path_b = os.path.join(out_dir, "fig4b.csv")
-        _write_csv(path_a, ("tc", "lowest_t1_positive", "lowest_t1_negative"), table_a)
-        _write_csv(path_b, ("tc", "cooling_percent_positive", "cooling_percent_negative"),
-                   table_b)
         config = default_config(coupling=CALIBRATED_COUPLING)
-        thresholds = [
-            ("positive", "grid-edge",
-             cooling_threshold(config, Direction.POSITIVE, ThresholdMode.GRID_EDGE),
-             REFERENCE_THRESHOLDS[Direction.POSITIVE]),
-            ("positive", "plateau",
-             cooling_threshold(config, Direction.POSITIVE, ThresholdMode.PLATEAU),
-             REFERENCE_THRESHOLDS[Direction.POSITIVE]),
-            ("negative", "plateau",
-             cooling_threshold(config, Direction.NEGATIVE, ThresholdMode.PLATEAU),
-             REFERENCE_THRESHOLDS[Direction.NEGATIVE]),
-        ]
-        path_t = os.path.join(out_dir, "fig4_thresholds.csv")
-        _write_csv(path_t, ("direction", "mode", "threshold", "reference"), thresholds)
-        for path in (path_a, path_b, path_t):
-            _write_sidecar(path, RunManifest(command="reproduce", config=config,
-                                             options={"scenario": "fig4"},
-                                             output_path=path))
-        produced += [path_a, path_b, path_t]
-    for path in produced:
-        print(path)
-    return EXIT_OK
+        thresholds = [(direction.value, mode.value,
+                       cooling_threshold(config, direction, mode),
+                       REFERENCE_THRESHOLDS[direction])
+                      for direction, mode in ((Direction.POSITIVE, ThresholdMode.GRID_EDGE),
+                                              (Direction.POSITIVE, ThresholdMode.PLATEAU),
+                                              (Direction.NEGATIVE, ThresholdMode.PLATEAU))]
+        for name, columns, rows in (
+                ("fig4a", ("tc", "lowest_t1_positive", "lowest_t1_negative"), table_a),
+                ("fig4b", ("tc", "cooling_percent_positive", "cooling_percent_negative"),
+                 table_b),
+                ("fig4_thresholds", ("direction", "mode", "threshold", "reference"),
+                 thresholds)):
+            manifest = RunManifest(command="reproduce", config=config,
+                                   options={"scenario": "fig4"},
+                                   output_path=os.path.join(out_dir, f"{name}.csv"))
+            runs.append((manifest, columns, rows, None))
+    return runs
+
+
+# Command -> (function, help).
+_COMMANDS = {
+    "solve": (_cmd_solve, "single steady state at the configured point"),
+    "sweep-th": (_cmd_sweep, "sweep the hot-bath temperature"),
+    "plateau": (_cmd_plateau, "lowest T1 as the hot bath saturates"),
+    "threshold": (_cmd_threshold, "smallest cold temperature that still cools"),
+    "insulation": (_cmd_insulation, "decouple the cooled qubit, gamma1 -> 0"),
+    "calibrate": (_cmd_calibrate, "fit the coupling to the bundled targets"),
+}
+
+
+Option = namedtuple("Option", "commands type choices default help",
+                    defaults=(str, None, None, None))
+
+# Every option of every command, each stated once: the commands that take it,
+# the type that reads a flag's text or a sidecar's value, and its choices
+# (the first is the default) or its default. The flags carry no argparse
+# default, so that main can tell a flag given from one left out.
+OPTIONS = {
+    "th_values": Option(("sweep-th",), help="comma-separated explicit grid"),
+    "th_start": Option(("sweep-th",), float),
+    "th_stop": Option(("sweep-th",), float),
+    "th_points": Option(("sweep-th",), int),
+    "th_spacing": Option(("sweep-th",), choices=("linear", "log")),
+    "direction": Option(("plateau", "threshold"), choices=("positive", "negative")),
+    "threshold_mode": Option(("threshold",), choices=("plateau", "grid-edge")),
+    "gamma1": Option(("insulation",), default="1e-1,1e-2,1e-3,1e-4",
+                     help="comma-separated decreasing gamma1 sequence"),
+    "g_grid": Option(("calibrate",), default="0.05,0.1,0.2,0.5,1.0"),
+}
+
+
+def _checked(name, value):
+    """A sidecar's value for option name, read as the text of its flag."""
+    option = OPTIONS[name]
+    try:
+        checked = option.type(str(value))
+        if option.choices and checked not in option.choices:
+            raise ValueError(f"not one of {', '.join(option.choices)}")
+    except ValueError as exc:
+        raise ConfigError(f"invalid option {name}={value!r}: {exc}") from exc
+    return checked
+
+
+def _resolve(args, recorded):
+    """The options of args.command, and only those: table defaults, then the
+    sidecar's recorded values, then explicit flags, each overriding the last."""
+    taken = {name: option for name, option in OPTIONS.items() if args.command in option.commands}
+    options = {name: (option.choices or [option.default])[0] for name, option in taken.items()}
+    options.update((name, _checked(name, recorded[name]))
+                   for name in taken if recorded.get(name) is not None)
+    options.update((name, getattr(args, name))
+                   for name in taken if getattr(args, name) is not None)
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def build_parser():
@@ -353,40 +391,16 @@ def build_parser():
         p.add_argument("--parallel", type=int,
                        help="accepted and ignored, kept for compatibility")
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config,
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", required=True,
                        help="JSON config (or a sidecar from a previous run)")
         p.add_argument("--out", required=True, help="output CSV path")
         parallel_option(p)
-
-    common(sub.add_parser("solve", help="single steady state at the configured point"))
-
-    p = sub.add_parser("sweep-th", help="sweep the hot-bath temperature")
-    common(p)
-    p.add_argument("--th-values", help="comma-separated explicit grid")
-    p.add_argument("--th-start", type=float)
-    p.add_argument("--th-stop", type=float)
-    p.add_argument("--th-points", type=int)
-    p.add_argument("--th-spacing", choices=("linear", "log"), default="linear")
-
-    p = sub.add_parser("plateau", help="lowest T1 as the hot bath saturates")
-    common(p)
-    p.add_argument("--direction", choices=("positive", "negative"), default="positive")
-
-    p = sub.add_parser("threshold", help="smallest cold temperature that still cools")
-    common(p)
-    p.add_argument("--direction", choices=("positive", "negative"), default="positive")
-    p.add_argument("--threshold-mode", choices=("plateau", "grid-edge"),
-                   default="plateau")
-
-    p = sub.add_parser("insulation", help="decouple the cooled qubit, gamma1 -> 0")
-    common(p)
-    p.add_argument("--gamma1", default="1e-1,1e-2,1e-3,1e-4",
-                   help="comma-separated decreasing gamma1 sequence")
-
-    p = sub.add_parser("calibrate", help="fit the coupling to the bundled targets")
-    common(p)
-    p.add_argument("--g-grid", default="0.05,0.1,0.2,0.5,1.0")
+        for name, option in OPTIONS.items():
+            if command in option.commands:
+                p.add_argument("--" + name.replace("_", "-"), type=option.type,
+                               choices=option.choices, help=option.help)
 
     p = sub.add_parser("reproduce", help="run the bundled scenarios")
     p.add_argument("scenario", choices=("fig2", "fig3", "fig4", "all"))
@@ -394,19 +408,6 @@ def build_parser():
     parallel_option(p)
 
     return parser
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "sweep-th": _cmd_sweep,
-    "plateau": _cmd_plateau,
-    "threshold": _cmd_threshold,
-    "insulation": _cmd_insulation,
-    "calibrate": _cmd_calibrate,
-}
-
-_OPTION_KEYS = ("th_values", "th_start", "th_stop", "th_points",
-                "th_spacing", "direction", "threshold_mode", "gamma1", "g_grid")
 
 
 def _fail(exc, exit_code):
@@ -417,22 +418,25 @@ def _fail(exc, exit_code):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "reproduce":
-            return _cmd_reproduce(args.scenario, args.out)
-
-        config, sidecar_options = _load_config(args.config)
-        options = dict(sidecar_options)
-        for key in _OPTION_KEYS:
-            value = getattr(args, key, None)
-            if value is not None:
-                options[key] = value
-        manifest = RunManifest(command=args.command, config=config,
-                               options=options, output_path=args.out)
-        return _COMMANDS[args.command](config, options, args.out, manifest)
+            os.makedirs(args.out, exist_ok=True)
+            runs, code = _cmd_reproduce(args.scenario, args.out), EXIT_OK
+        else:
+            config, recorded = _load_config(args.config)
+            options = _resolve(args, recorded)
+            columns, rows, result, code = _COMMANDS[args.command][0](config, options)
+            manifest = RunManifest(command=args.command, config=config,
+                                   options=options, output_path=args.out)
+            runs = [(manifest, columns, rows, result)]
+        # Every CSV and sidecar is written here.
+        for manifest, columns, rows, result in runs:
+            _write_csv(manifest.output_path, columns, rows)
+            _write_sidecar(manifest.output_path, manifest, result)
+        if args.command == "reproduce":
+            print(*(manifest.output_path for manifest, *_ in runs), sep="\n")
+        return code
     except (ConfigError, ReservoirError, ThermometryError, AnalysisError,
             OSError, json.JSONDecodeError, KeyError) as exc:
         if isinstance(exc, BracketError):

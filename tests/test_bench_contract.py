@@ -8,10 +8,13 @@ modules (checks, oracle, tracing, workloads) stay out of the test process:
 hypothesis draws examples from the constants of every local module loaded.
 """
 
+import collections
 import json
 import os
 import subprocess
 import sys
+
+from qfridge.liouvillian import default_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -21,15 +24,42 @@ sys.path[:0] = [{src!r}, {bench!r}]
 import tracing, workloads
 import qfridge
 from qfridge import liouvillian
+
+def resolves(owner, attr):
+    # as tracing.patched looks a target up
+    found = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+    return callable(found)
+
 print(json.dumps({{
-    "latency_targets": [[owner.__name__, attr, callable(getattr(owner, attr, None))]
-                        for owner, attr, name in tracing.TARGETS
-                        if name in tracing.LATENCY_SPANS],
+    "targets": [[owner.__name__, attr, name, resolves(owner, attr)]
+                for owner, attr, name in tracing.TARGETS],
     "latency_spans": list(tracing.LATENCY_SPANS),
     "density_matrix_check": callable(liouvillian.DensityMatrix.__dict__.get("__post_init__")),
     "solve_for_readout": callable(getattr(qfridge, "solve_for_readout", None)),
     "workloads": sorted(workloads.WORKLOADS),
 }}))
+"""
+
+
+# Span targets of bench/tracing.py whose layer production no longer routes
+# through: they resolve to nothing and record no spans.
+RETIRED_TARGETS = [
+    ["qfridge.analysis", "build_liouvillian"],
+    ["qfridge.analysis", "read_qubit"],
+    ["qfridge.analysis", "solve_direct"],
+    ["qfridge.liouvillian", "eig_hermitian"],
+    ["qfridge.steady_state", "eig_hermitian"],
+]
+
+TRACE_PROBE = """
+import contextlib, io, json, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import tracing
+from qfridge import cli
+tracer = tracing.Tracer()
+with tracer.active(), contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["plateau", "--config", {config!r}, "--out", {out!r}])
+print(json.dumps({{"exit_code": code, "spans": [span[2] for span in tracer.spans]}}))
 """
 
 
@@ -45,13 +75,31 @@ def test_every_name_bench_looks_up_resolves():
     # setup_probe.py imports solve_for_readout from the package.
     found = _child(BENCH_PROBE.format(src=os.path.join(ROOT, "src"),
                                       bench=os.path.join(ROOT, "bench")))
-    assert len(found["latency_targets"]) >= len(found["latency_spans"]) > 0
-    unresolved = [f"{owner}.{attr}" for owner, attr, resolves in found["latency_targets"]
-                  if not resolves]
-    assert unresolved == []
+    unresolved = sorted([owner, attr] for owner, attr, _, resolves in found["targets"]
+                        if not resolves)
+    assert unresolved == RETIRED_TARGETS
+    live = [name for _, _, name, resolves in found["targets"] if resolves]
+    assert len(live) == 15
+    assert set(found["latency_spans"]) <= set(live)
     assert found["density_matrix_check"]
     assert found["solve_for_readout"]
     assert found["workloads"] == ["reproduce", "sweep-many"]
+
+
+def test_a_traced_cli_run_records_its_spans(tmp_path):
+    # tracing.patched skips a name it cannot find, so a writer or dispatch
+    # that stopped going through the names it wraps would silently read
+    # zero for cli.files_written and the CLI layer's times.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(default_config().to_dict()))
+    found = _child(TRACE_PROBE.format(src=os.path.join(ROOT, "src"),
+                                      bench=os.path.join(ROOT, "bench"),
+                                      config=str(config), out=str(tmp_path / "plateau.csv")))
+    assert found["exit_code"] == 0
+    spans = collections.Counter(found["spans"])
+    assert spans["cli.main"] == 1
+    assert spans["cli.write"] == 2
+    assert spans["analysis.plateau"] == 1
 
 
 def test_the_package_needs_only_numpy_at_runtime():

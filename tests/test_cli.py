@@ -153,6 +153,14 @@ MALFORMED_INPUTS = [
                              options={"th_start": 1.0, "th_stop": 10.0, "th_points": "abc"},
                              output_path="x.csv").to_dict(),
                  "ConfigError", id="sidecar-th-points-string"),
+    pytest.param(RunManifest(command="sweep-th", config=default_config(),
+                             options={"th_start": 1.0, "th_stop": 10.0, "th_points": 4,
+                                      "th_spacing": "bogus"},
+                             output_path="x.csv").to_dict(),
+                 "ConfigError", id="sidecar-th-spacing-unknown"),
+    pytest.param(dict(RunManifest(command="sweep-th", config=default_config(), options={},
+                                  output_path="x.csv").to_dict(), options=[1]),
+                 "ConfigError", id="sidecar-options-list"),
     pytest.param(None, "IsADirectoryError", id="config-is-a-directory"),
 ]
 
@@ -171,6 +179,70 @@ def test_malformed_input_exits_2_with_an_error_line(document, error, tmp_path, c
     line = json.loads(capsys.readouterr().err)
     assert line["error"] == error
     assert line["exit_code"] == 2
+
+
+ROUND_TRIPS = [
+    pytest.param(["sweep-th", "--th-start", "1", "--th-stop", "100", "--th-points", "4",
+                  "--th-spacing", "log"], [], None, id="sweep-log"),
+    pytest.param(["plateau", "--direction", "negative"], [], None, id="plateau-negative"),
+    pytest.param(["threshold", "--direction", "positive", "--threshold-mode", "grid-edge"],
+                 [], None, id="threshold-grid-edge"),
+    pytest.param(["insulation", "--gamma1", "1e-2,1e-3"], [], None, id="insulation"),
+    pytest.param(["calibrate", "--g-grid", "0.5,1.0"], [], None, id="calibrate"),
+    # An explicit flag overrides the sidecar's value; the sidecar's other
+    # options still hold.
+    pytest.param(["sweep-th", "--th-start", "1", "--th-stop", "100", "--th-points", "4",
+                  "--th-spacing", "log"], ["--th-points", "3"],
+                 ["sweep-th", "--th-start", "1", "--th-stop", "100", "--th-points", "3",
+                  "--th-spacing", "log"], id="flag-overrides-sidecar"),
+]
+
+
+@pytest.mark.parametrize("first, flags, expected", ROUND_TRIPS)
+def test_a_sidecar_reruns_its_own_run(first, flags, expected, config_path, tmp_path):
+    # Rerun a run from its sidecar, plus any flags, and compare with a fresh
+    # run of the expected command line (the first run itself when none).
+    assert main(first + ["--config", config_path, "--out", str(tmp_path / "a.csv")]) == 0
+    assert main([first[0], "--config", str(tmp_path / "a.json"),
+                 "--out", str(tmp_path / "b.csv")] + flags) == 0
+    reference = "a"
+    if expected is not None:
+        reference = "e"
+        assert main(expected + ["--config", config_path,
+                                "--out", str(tmp_path / "e.csv")]) == 0
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / f"{reference}.csv").read_bytes()
+    fresh, rerun = (json.loads((tmp_path / name).read_text())
+                    for name in (f"{reference}.json", "b.json"))
+    assert rerun["options"] == fresh["options"]
+    assert rerun.get("result") == fresh.get("result")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["plateau"], id="plateau-positive"),
+    pytest.param(["plateau", "--direction", "negative"], id="plateau-negative"),
+    pytest.param(["insulation"], id="insulation"),
+    pytest.param(["solve"], id="solve"),
+])
+def test_no_non_finite_number_reaches_a_file(command, tmp_path):
+    # A decoupled qubit next to a hot fermionic cold bath reads T1 as an
+    # infinite temperature, which the searches collapse onto +inf.
+    document = default_config(coupling=0.0).to_dict()
+    document["reservoirs"][0].update(statistics="fermionic", temperature=1e14)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "x.csv"
+    assert main(command + ["--config", str(path), "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [cell for row in rows for cell in row
+            if cell.lower() in ("inf", "-inf", "nan")] == []
+    for row in rows[1:]:
+        if row[1] == "":
+            assert row[5] != "ok"
+    json.loads(out.with_suffix(".json").read_text(), parse_constant=_reject_constant)
 
 
 def test_failed_points_keep_csv_clean(tmp_path):
