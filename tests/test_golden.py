@@ -8,10 +8,15 @@ calibration's golden-section search became _polish_minimum.
 
 Status and sentinel cells must match exactly. Numbers must match within
 TOL.golden_relative, except in the columns that are differences or near zero
-by nature (t1_minus_tc is ~0 where T1 ~ T_c, the residual and the
-coherence), which must match within TOL.golden_absolute. The couplings of a
-calibration's landscape must match exactly: they are the points its search
-chose to evaluate.
+by nature, which must match within TOL.golden_absolute: t1_minus_tc is ~0
+where T1 ~ T_c, the residual and the coherence are ~0, and a calibration's
+relative errors |plateau - target| / target (the CSV's relative_error, the
+sidecar's landscape errors and max_relative_error) are differences of
+plateaus within 1e-4 of their targets, so one ulp of a plateau moves them
+by up to ~3e-12 relative. Each CSV relative_error must also equal the value
+recomputed from its own row's plateau_t1 and target_t1 exactly. The
+couplings of a calibration's landscape must match exactly: they are the
+points its search chose to evaluate.
 """
 
 import csv
@@ -26,7 +31,9 @@ from qfridge.liouvillian import default_config
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = GOLDEN / "commands"
-ABSOLUTE_COLUMNS = ("t1_minus_tc", "residual", "coherence")
+ABSOLUTE_COLUMNS = ("t1_minus_tc", "residual", "coherence", "relative_error")
+# Sidecar results that are differences by nature, as ABSOLUTE_COLUMNS.
+ABSOLUTE_RESULTS = ("landscape", "max_relative_error")
 
 
 def _rows(path):
@@ -58,18 +65,22 @@ def _assert_csv_matches(golden_path, fresh_path):
                     value, rel=TOL.golden_relative, abs=0.0), where
 
 
-def _assert_result_matches(expected, actual, where):
-    """A sidecar's result: numbers within TOL.golden_relative, the rest exact."""
-    if isinstance(expected, float):
+def _assert_result_matches(expected, actual, where, absolute=False):
+    """A sidecar's result: numbers within TOL.golden_relative (within
+    TOL.golden_absolute under ABSOLUTE_RESULTS), the rest exact."""
+    if isinstance(expected, float) and absolute:
+        assert abs(actual - expected) <= TOL.golden_absolute, where
+    elif isinstance(expected, float):
         assert actual == pytest.approx(expected, rel=TOL.golden_relative, abs=0.0), where
     elif isinstance(expected, list):
         assert len(actual) == len(expected), where
         for k, (e, a) in enumerate(zip(expected, actual)):
-            _assert_result_matches(e, a, f"{where}[{k}]")
+            _assert_result_matches(e, a, f"{where}[{k}]", absolute)
     elif isinstance(expected, dict):
         assert sorted(actual) == sorted(expected), where
         for key in expected:
-            _assert_result_matches(expected[key], actual[key], f"{where}.{key}")
+            _assert_result_matches(expected[key], actual[key], f"{where}.{key}",
+                                   absolute or key in ABSOLUTE_RESULTS)
     else:
         assert actual == expected, where
 
@@ -100,6 +111,11 @@ def test_reproduce_all_matches_golden(tmp_path, capsys):
 def test_calibrate_matches_golden(tmp_path, capsys):
     golden, fresh = _run_and_compare(tmp_path, "calibrate", ["calibrate"])
     capsys.readouterr()
+    header, *rows = _rows(tmp_path / "calibrate.csv")
+    for row in rows:
+        cells = dict(zip(header, row))
+        plateau, target = float(cells["plateau_t1"]), float(cells["target_t1"])
+        assert float(cells["relative_error"]) == abs(plateau - target) / abs(target), row
     assert [g for g, _ in fresh["landscape"]] == [g for g, _ in golden["landscape"]]
     assert fresh["coupling"] == golden["coupling"]
 
