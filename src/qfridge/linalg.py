@@ -1,10 +1,10 @@
-"""Dense complex linear algebra for small operator problems.
+"""The tolerances every check is made against, and matrix input checks.
 
 Everything in the simulator lives in tiny fixed-size spaces: 8x8 states and
-stacks of 10x10 steady-state sector systems. Matrices are plain numpy arrays.
-The linear solver is LAPACK's behind an explicit smallest-singular-value
-check, so that near-singularity is reported (with the offending singular
-value) instead of surfacing as a garbage solution.
+stacks of 8-state rate chains. Matrices are plain numpy arrays. The package
+solves no linear system: its steady states come from GTH elimination
+(qfridge.steady_state), and the only constrained solve left, with its
+singular-value check, is the 64x64 test oracle's.
 """
 
 from dataclasses import dataclass
@@ -47,22 +47,6 @@ class LinalgError(ValueError):
     """Base class for contract violations in this module."""
 
 
-class SingularMatrixError(LinalgError):
-    """Matrix is singular to working precision.
-
-    Carries the smallest singular value and the largest (the scale) so
-    callers can report how degenerate the system actually was.
-    """
-
-    def __init__(self, sigma_min, scale):
-        self.sigma_min = sigma_min
-        self.scale = scale
-        super().__init__(
-            f"matrix singular to working precision: smallest singular value "
-            f"{sigma_min:.3e} below {TOL.singular_value:.0e} * {scale:.3e}"
-        )
-
-
 def as_matrix(a):
     """Coerce to a 2-D complex array and reject non-finite entries."""
     m = np.asarray(a, dtype=complex)
@@ -73,59 +57,3 @@ def as_matrix(a):
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise LinalgError("matrix has non-finite entries")
     return m
-
-
-def solve_linear(a, b):
-    """Solve a stack of systems a x = b (real or complex), a (N, n, n) and
-    b (N, n), by LAPACK plus one refinement pass.
-
-    Each system is checked on its own: it fails with LinalgError when it has
-    non-finite entries, with SingularMatrixError when its smallest singular
-    value falls below TOL.singular_value times its largest, and with
-    LinalgError unless ||a x - b||_inf <= TOL.solve_residual * (1 + ||b||_inf).
-    Returns (x, errors): errors[i] is None or the exception system i failed
-    with, and its row of x is NaN; the failure of one system leaves the
-    others solved.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    n = a.shape[-1] if a.ndim == 3 else 0
-    if n == 0 or a.shape[1:] != (n, n) or b.shape != a.shape[:2]:
-        raise LinalgError(f"cannot solve a {a.shape} system for a {b.shape} rhs")
-    errors = [None] * len(a)
-    excluded = ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
-    if excluded.any():
-        for i in np.flatnonzero(excluded):
-            errors[i] = LinalgError("system has non-finite entries")
-        a, b = _excluding(a, b, excluded)
-    sigma = np.linalg.svd(a, compute_uv=False)
-    singular = (sigma[:, 0] == 0.0) | (sigma[:, -1] < TOL.singular_value * sigma[:, 0])
-    if singular.any():
-        for i in np.flatnonzero(singular & ~excluded):
-            errors[i] = SingularMatrixError(float(sigma[i, -1]), float(sigma[i, 0]))
-        excluded |= singular
-        a, b = _excluding(a, b, excluded)
-    b = b[..., None]
-    x = np.linalg.solve(a, b)
-    # One step of iterative refinement keeps the residual near machine level
-    # even when the generator carries very large rates, and recovers the
-    # relative accuracy of populations far below the largest ones.
-    x += np.linalg.solve(a, b - a @ x)
-    residual = np.abs(a @ x - b).max(axis=(1, 2))
-    excluded |= residual > TOL.solve_residual * (1.0 + np.abs(b).max(axis=(1, 2)))
-    x = x[..., 0]
-    if excluded.any():
-        for i in np.flatnonzero(excluded):
-            if errors[i] is None:
-                errors[i] = LinalgError(f"solve residual {residual[i]:.3e} exceeds tolerance")
-        x[excluded] = np.nan
-    return x, errors
-
-
-def _excluding(a, b, excluded):
-    """Copies of a stack with the excluded systems replaced by x = 0 under
-    the identity, so that they cannot fail the stacked LAPACK calls."""
-    a, b = a.copy(), b.copy()
-    a[excluded] = np.eye(a.shape[-1])
-    b[excluded] = 0.0
-    return a, b

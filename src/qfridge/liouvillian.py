@@ -159,41 +159,6 @@ def default_config(tc=1.0, tr=2.0, th=10.0, coupling=1.0,
     )
 
 
-def _sector_terms():
-    """Sector generator per unit coefficient, one row per coefficient:
-    (down_k, up_k) for k = 1..3, then g, then the detuning E1 - E2 + E3.
-
-    Populations follow the Pauli rate equation: each qubit flips on its own,
-    down when excited and up when ground. The coherence c = rho[2, 5] obeys
-    dc/dt = -i(-delta c + g (p5 - p2)) - (Gamma_2 + Gamma_5) c / 2, with
-    Gamma_i the total out-rate of state i, and feeds back through
-    dp2/dt = -dp5/dt = -2 g Im c.
-    """
-    terms = np.zeros((2 * NUM_QUBITS + 2, SECTOR_DIM, SECTOR_DIM))
-    low, high = SECTOR_PAIR
-    re, im = DIM, DIM + 1
-    for k in range(NUM_QUBITS):
-        bit = 1 << (NUM_QUBITS - 1 - k)       # qubit 1 is the most significant
-        for state in range(DIM):
-            term = terms[2 * k] if state & bit else terms[2 * k + 1]
-            term[state ^ bit, state] += 1.0
-            term[state, state] -= 1.0
-            if state in SECTOR_PAIR:
-                term[re, re] -= 0.5
-                term[im, im] -= 0.5
-    coupling, detuning = terms[2 * NUM_QUBITS], terms[2 * NUM_QUBITS + 1]
-    coupling[im, high] -= 1.0
-    coupling[im, low] += 1.0
-    coupling[low, im] -= 2.0
-    coupling[high, im] += 2.0
-    detuning[re, im] -= 1.0
-    detuning[im, re] += 1.0
-    return terms.reshape(len(terms), -1)
-
-
-_SECTOR_TERMS = _sector_terms()
-
-
 def sector_coefficients(config: FridgeConfig, hot_reservoirs=None):
     """Coefficient rows (N, 8) of the sector generator, one per hot reservoir
     in hot_reservoirs (default: the config's own), the config supplying
@@ -215,7 +180,7 @@ def sector_coefficients(config: FridgeConfig, hot_reservoirs=None):
             rates = lindblad_rates(config.reservoirs[k], config.gaps[k], config.gammas[k])
             base += (rates.gamma_down, rates.gamma_up)
     except ValueError as exc:
-        return np.full((rows, len(_SECTOR_TERMS)), np.nan), [exc] * rows
+        return np.full((rows, 2 * NUM_QUBITS + 2), np.nan), [exc] * rows
     e1, e2, e3 = config.gaps
     base += (0.0, 0.0, config.coupling, e1 - e2 + e3)
     coefficients = np.empty((rows, len(base)))
@@ -238,16 +203,6 @@ def sector_coefficients(config: FridgeConfig, hot_reservoirs=None):
         if failed:
             coefficients[failed] = np.nan
     return coefficients, errors
-
-
-def sector_generators(coefficients) -> np.ndarray:
-    """Stack (N, SECTOR_DIM, SECTOR_DIM) of sector generators, one per row of
-    sector_coefficients: each is linear in its row.
-
-    Each row is multiplied on its own, as a (1, 8) matrix: BLAS picks its
-    kernel by the number of rows, so one (N, 8) product would make a row's
-    generator depend, in its last bits, on the size of its stack."""
-    return (coefficients[:, None, :] @ _SECTOR_TERMS).reshape(-1, SECTOR_DIM, SECTOR_DIM)
 
 
 def density_matrix_errors(matrices):

@@ -1,24 +1,42 @@
 """Steady states of the refrigerator.
 
-solve_sectors solves the 10-dimensional invariant sector (populations plus
-the coherent pair, see qfridge.liouvillian) for a stack of hot baths under
-one machine at once. It replaces one population row of each generator with
-the trace functional and solves the resulting nonsingular system exactly.
-The full 64x64 generator, its own constrained solve and an RK4 propagation
-route are the test oracles it is checked against (tests/oracles.py).
+The coherence c = rho[2, 5] between |g1 e2 g3> and |e1 g2 e3> decays at half
+the pair's summed out-rate Gamma and turns at the detuning
+delta = E1 - E2 + E3 (see qfridge.liouvillian). At the steady state dc/dt = 0
+eliminates it exactly: with h = hypot(Gamma/2, delta),
+
+    Re c = -g delta (p2 - p5) / h^2,    Im c = g (Gamma/2) (p2 - p5) / h^2,
+
+and the populations are the stationary law of an 8-state Markov chain: the
+Pauli rates of the three qubits plus one symmetric edge 2 <-> 5 of rate
+kappa = Gamma (g/h)^2. Every rate of the chain is non-negative, negative
+temperatures included, so solve_sectors finds that law by the elimination of
+Grassmann, Taksar and Heyman (Oper. Res. 33, 1107 (1985)). It makes no
+subtraction and gives each stationary probability to small relative error
+(O'Cinneide, Numer. Math. 65, 109 (1993)), however far below the largest it
+lies.
+
+A chain that is not irreducible is classified by which of its rates are
+exactly zero: with one closed class its other states get probability 0
+exactly; with two or more the steady state is not unique. The sector
+generator, the full 64x64 generator, its own constrained solve and an RK4
+propagation route are the test oracles this is checked against
+(tests/oracles.py).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TOL, SingularMatrixError, solve_linear
+from .linalg import TOL
 from .liouvillian import (
     DIM,
+    NUM_QUBITS,
+    SECTOR_DIM,
+    SECTOR_PAIR,
     DensityMatrixError,
     FridgeConfig,
     sector_coefficients,
-    sector_generators,
     sector_state_errors,
 )
 
@@ -28,7 +46,8 @@ class SteadyStateError(RuntimeError):
 
 
 class MultiplicityError(SteadyStateError):
-    """The steady-state manifold has dimension > 1 (constrained system singular).
+    """The steady state is not unique: the rate chain has two or more closed
+    classes, or the coherent pair neither decays nor is detuned.
 
     Possible when the machine decouples, e.g. g = 0 with some gamma_k = 0.
     """
@@ -39,49 +58,98 @@ class SectorSolutions:
     """Steady states of a stack of machines, row by row (see solve_sectors)."""
 
     coordinates: np.ndarray  # (N, SECTOR_DIM), validated where errors[i] is None
-    residuals: np.ndarray    # (N,) drift residuals, NaN where the solve failed
+    residuals: np.ndarray    # (N,) balance defects, NaN where the solve failed
     errors: list             # per row, None or the exception its solve raised
 
 
-# The trace functional on sector coordinates: the sum of the populations.
-_TRACE_ROW = np.concatenate([np.ones(DIM), np.zeros(2)])
+# Every edge of the chain flips the parity of the number of excitations, the
+# pair's exchange 2 <-> 5 included, so the chain is bipartite. Its states are
+# ordered even first: _ORDER[i] is the basis state at chain position i.
+_ORDER = np.array(sorted(range(DIM), key=lambda state: bin(state).count("1") % 2))
+_EVEN = DIM // 2
 
 
-def _solve_constrained(generators):
-    """Stationary x of each sector generator in a stack (N, SECTOR_DIM,
-    SECTOR_DIM), with populations summing to 1. Returns (x, errors) as
-    solve_linear does, a singular system reported as MultiplicityError.
-
-    The null-space equation L x = 0 is made square by overwriting one
-    population row of L (the one with the smallest diagonal magnitude, i.e.
-    the least informative equation) with the trace functional and setting
-    that entry of the right-hand side to 1. Only population rows qualify:
-    they are the support of the trace functional, and sacrificing a coherence
-    equation instead would leave that coherence undetermined. At generic
-    parameters the result is independent of which population row is replaced.
-    Each system is scaled by max(1, max |L|) first.
-    """
-    systems = np.arange(len(generators))
-    magnitudes = np.abs(generators)
-    scale = np.maximum(magnitudes.max(axis=(1, 2)), 1.0)
-    constrained = generators / scale[:, None, None]
-    rows = magnitudes.diagonal(axis1=1, axis2=2)[:, :DIM].argmin(axis=1)
-    constrained[systems, rows, :] = _TRACE_ROW
-    rhs = np.zeros((len(systems), len(_TRACE_ROW)))
-    rhs[systems, rows] = 1.0
-    x, errors = solve_linear(constrained, rhs)
-    return x, [_multiplicity(exc) if isinstance(exc, SingularMatrixError) else exc
-               for exc in errors]
+def _chain_edges():
+    """(source, target, rate column) of each qubit flip of the chain, as
+    chain positions: each qubit flips down (column 2k) when excited and up
+    (2k + 1) when ground; and the chain positions of SECTOR_PAIR."""
+    edges = []
+    for k in range(NUM_QUBITS):
+        bit = 1 << (NUM_QUBITS - 1 - k)       # qubit 1 is the most significant
+        for state in range(DIM):
+            edges.append((state, state ^ bit, 2 * k if state & bit else 2 * k + 1))
+    position = np.argsort(_ORDER)
+    source, target, rate = (np.array(column) for column in zip(*edges))
+    low, high = (int(position[state]) for state in SECTOR_PAIR)
+    return position[source], position[target], rate, low, high
 
 
-def _multiplicity(exc):
-    error = MultiplicityError(
-        "constrained steady-state system is singular; the generator has a "
-        f"degenerate stationary manifold (smallest singular value "
-        f"{exc.sigma_min:.3e})"
-    )
-    error.__cause__ = exc
-    return error
+# _LOW, _HIGH: the chain positions of the pair, which exchanges at kappa
+_SOURCE, _TARGET, _RATE, _LOW, _HIGH = _chain_edges()
+
+
+def _eliminate(generators):
+    """Stationary laws (N, n) of a stack of rate matrices (N, n, n) by GTH
+    elimination; generators[:, i, j] is the rate from i to j, and the
+    diagonal is not read. Nothing overflows, however far apart the
+    probabilities lie. A row with two or more closed classes, or with a
+    transient state that the elimination meets before its closed class,
+    meets a zero pivot that makes its law NaN."""
+    q = generators.copy()
+    n = q.shape[-1]
+    for k in range(n - 1, 0, -1):
+        # Censor state k: its rates to the lower states sum to its pivot,
+        # kept on the diagonal; divided by it they become the law of where
+        # it goes, and every path through it becomes a direct rate.
+        row = q[:, k:k + 1, :k]
+        pivot = q[:, k:k + 1, k:k + 1]
+        np.add.reduce(row, axis=2, out=pivot, keepdims=True)
+        if k > 1:     # below, state 0 is left alone: nothing to update
+            row /= pivot
+            block = q[:, :k, :k]
+            block += q[:, :k, k:k + 1] * row
+    law = np.ones(q.shape[:2])
+    for k in range(1, n):
+        # law[:, :k] sums to 1, and state k's odds against those states are
+        # their inflow to it over its pivot
+        inflow = np.add.reduce(law[:, :k] * q[:, :k, k], axis=1, keepdims=True)
+        pivot = q[:, k:k + 1, k]
+        total = inflow + pivot
+        head = law[:, :k]
+        head *= pivot / total
+        np.divide(inflow, total, out=law[:, k:k + 1])
+    return law
+
+
+def _closed_classes(edges):
+    """The closed communicating classes, as index arrays, of a chain whose
+    boolean matrix edges marks its nonzero rates."""
+    reach = edges | np.eye(len(edges), dtype=bool)
+    for _ in range(len(edges).bit_length()):
+        reach = reach @ reach
+    recurrent = (reach <= reach.T).all(axis=1)
+    return [np.flatnonzero(members) for members in np.unique(reach[recurrent], axis=0)]
+
+
+def _solve_reducible(generator, h):
+    """Stationary law of one chain (n, n) that is not irreducible: the GTH
+    law on its closed class and exactly 0 elsewhere. Raises
+    MultiplicityError when it has two or more closed classes, or when
+    h = hypot(Gamma/2, delta) = 0: then every rate is 0 and the pair
+    |g e g>, |e g e> turns into itself coherently or not at all."""
+    if h == 0.0:
+        raise MultiplicityError(
+            "the pair |g e g>, |e g e> neither decays nor is detuned "
+            "(Gamma = delta = 0): the steady state is not unique")
+    closed = _closed_classes(generator > 0.0)
+    if len(closed) > 1:
+        raise MultiplicityError(
+            f"the rate chain has {len(closed)} closed classes: the steady state "
+            "is not unique")
+    members, = closed
+    law = np.zeros(len(generator))
+    law[members] = _eliminate(generator[np.ix_(members, members)][None])[0]
+    return law
 
 
 def _invalid_state(exc):
@@ -93,28 +161,71 @@ def _invalid_state(exc):
     return error
 
 
-def solve_sectors(config: FridgeConfig, hot_reservoirs=None) -> SectorSolutions:
-    """Steady states of config with its hot reservoir replaced by each of
-    hot_reservoirs in turn (default: its own), as one stacked sector solve.
+def solve_coefficients(coefficients) -> SectorSolutions:
+    """Steady states of a stack of sector_coefficients rows, which may come
+    from different machines.
 
-    Every row is checked on its own, in this order: its rates, the
-    constrained solve, the state invariants (those DensityMatrix checks, in
-    closed form by sector_state_errors) and the drift residual. A row that
-    fails one carries that exception in errors and leaves the other rows
-    solved.
+    The odd states of the chain are censored first, all at once: their
+    rates lead only to even states. GTH elimination then solves the chain
+    of the even states, and each odd state's probability is its inflow over
+    its out-rate. Every row is checked on its own, in this order: a unique
+    steady state, the state invariants (those DensityMatrix checks, in
+    closed form by sector_state_errors) and the balance defect max |pi Q| of
+    its chain, scaled by max(1, its largest rate). A row that fails one
+    carries that exception in errors and leaves the other rows solved.
     """
-    coefficients, rate_errors = sector_coefficients(config, hot_reservoirs)
-    generators = sector_generators(coefficients)
-    x, solve_errors = _solve_constrained(generators)
-    drift = (generators @ x[..., None])[..., 0]
-    # |d rho[2, 5]/dt| counts as one entry, as in the residual of vec(rho)
-    residuals = np.maximum(np.abs(drift[:, :DIM]).max(axis=1),
-                           np.hypot(drift[:, DIM], drift[:, DIM + 1]))
-    errors = [rates or solve for rates, solve in zip(rate_errors, solve_errors)]
+    rates = coefficients[:, :2 * NUM_QUBITS]
+    coupling, detuning = coefficients[:, -2], coefficients[:, -1]
+    half_gamma = np.add.reduce(rates, axis=1) / 2.0    # the pair's out-rates: each rate once
+    h = np.hypot(half_gamma, detuning)
+    errors = [None] * len(coefficients)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_h = coupling / h
+        # Gamma (g/h)^2, in a form that does not overflow as h -> 0
+        kappa = 2.0 * coupling * g_h * (half_gamma / h)
+        generators = np.zeros((len(coefficients), DIM, DIM))
+        generators[:, _SOURCE, _TARGET] = rates[:, _RATE]
+        generators[:, _LOW, _HIGH] = generators[:, _HIGH, _LOW] = kappa
+        to_odd, to_even = generators[:, :_EVEN, _EVEN:], generators[:, _EVEN:, :_EVEN]
+        exits = np.add.reduce(to_even, axis=2, keepdims=True)
+        law = np.empty((len(coefficients), DIM))
+        law[:, :_EVEN] = _eliminate(to_odd @ (to_even / exits))
+        np.divide(law[:, None, :_EVEN] @ to_odd, exits.transpose(0, 2, 1),
+                  out=law[:, None, _EVEN:])
+        law /= np.add.reduce(law, axis=1, keepdims=True)
+        if not np.isfinite(law).all():
+            # a zero pivot or a zero out-rate: solve what the chain's
+            # structure allows, unless its rates are not finite
+            unsolved = ~np.isfinite(law).all(axis=1) & np.isfinite(coefficients).all(axis=1)
+            for i in np.flatnonzero(unsolved).tolist():
+                try:
+                    law[i] = _solve_reducible(generators[i], h[i])
+                except MultiplicityError as exc:
+                    errors[i] = exc
+                    law[i] = np.nan
+        balance = (law[:, None, :] @ generators)[:, 0] - law * np.add.reduce(generators, axis=2)
+        largest = np.maximum.reduce(generators.reshape(len(law), DIM * DIM), axis=1)
+        residuals = np.maximum.reduce(np.abs(balance), axis=1) / np.maximum(largest, 1.0)
+        x = np.empty((len(law), SECTOR_DIM))
+        x[:, _ORDER] = law
+        exchange = g_h * (law[:, _LOW] - law[:, _HIGH])
+        x[:, DIM] = -exchange * (detuning / h)
+        x[:, DIM + 1] = exchange * (half_gamma / h)
     for i, invalid in sector_state_errors(x).items():
         errors[i] = errors[i] or _invalid_state(invalid)
-    for i in np.nonzero(residuals > TOL.steady_residual_direct)[0].tolist():
+    for i in (residuals > TOL.steady_residual_direct).nonzero()[0].tolist():
         errors[i] = errors[i] or SteadyStateError(
             f"steady-state residual {residuals[i]:.3e} exceeds "
             f"{TOL.steady_residual_direct:.0e} for solver direct")
     return SectorSolutions(coordinates=x, residuals=residuals, errors=errors)
+
+
+def solve_sectors(config: FridgeConfig, hot_reservoirs=None) -> SectorSolutions:
+    """Steady states of config with its hot reservoir replaced by each of
+    hot_reservoirs in turn (default: its own), as one stacked solve. A row
+    whose rates raise carries that error first (see solve_coefficients)."""
+    coefficients, rate_errors = sector_coefficients(config, hot_reservoirs)
+    solved = solve_coefficients(coefficients)
+    errors = [rates or solve for rates, solve in zip(rate_errors, solved.errors)]
+    return SectorSolutions(coordinates=solved.coordinates, residuals=solved.residuals,
+                           errors=errors)

@@ -1,16 +1,17 @@
-"""Test oracles: the full 64x64 Lindblad generator, its steady state by a
-constrained solve and by RK4 propagation, and the partial-trace readout of an
-8x8 state.
+"""Test oracles: the 10x10 generator of the invariant sector, the full 64x64
+Lindblad generator, its steady state by a constrained solve and by RK4
+propagation, and the partial-trace readout of an 8x8 state.
 
-None of this is on qfridge's production path, which solves the
-10-dimensional invariant sector (qfridge.steady_state.solve_sectors). Here
-the generator is assembled by Kronecker products from the Hamiltonians and
-the collapse operators, and solved by a constrained solve of its own, so a
-fault in the production sector, its scaling, its constraint row, its
-singular-value check or its refinement shows up as a disagreement. From
-qfridge these oracles take the configuration, the rates, the tolerances, the
-DensityMatrix checks, the readout record and the exception types; they take
-no solve code.
+None of this is on qfridge's production path, which solves the 8-state rate
+chain the sector reduces to once its coherence is eliminated
+(qfridge.steady_state.solve_sectors). Here the sector generator is built term
+by term from the sector coefficients, and the 64x64 generator is assembled by
+Kronecker products from the Hamiltonians and the collapse operators and
+solved by a constrained solve of its own, so a fault in the production
+chain, its rates, its elimination or its closed-class analysis shows up as a
+disagreement. From qfridge these oracles take the configuration, the rates,
+the tolerances, the DensityMatrix checks, the readout record and the
+exception types; they take no solve code.
 
 Basis conventions are qfridge.liouvillian's:
 
@@ -37,7 +38,6 @@ from qfridge.liouvillian import (
     DensityMatrixError,
     FridgeConfig,
     sector_coefficients,
-    sector_generators,
 )
 from qfridge.reservoirs import ReservoirSpec, Statistics, lindblad_rates, occupation
 from qfridge.steady_state import MultiplicityError, SteadyStateError
@@ -170,6 +170,41 @@ def qubit_liouvillian(gap, gamma_down, gamma_up):
 # --- the sector, one machine at a time --------------------------------------
 
 
+def _sector_terms():
+    """Sector generator per unit coefficient, one row per coefficient:
+    (down_k, up_k) for k = 1..3, then g, then the detuning E1 - E2 + E3.
+
+    Populations follow the Pauli rate equation: each qubit flips on its own,
+    down when excited and up when ground. The coherence c = rho[2, 5] obeys
+    dc/dt = -i(-delta c + g (p5 - p2)) - (Gamma_2 + Gamma_5) c / 2, with
+    Gamma_i the total out-rate of state i, and feeds back through
+    dp2/dt = -dp5/dt = -2 g Im c.
+    """
+    terms = np.zeros((2 * NUM_QUBITS + 2, SECTOR_DIM, SECTOR_DIM))
+    low, high = SECTOR_PAIR
+    re, im = DIM, DIM + 1
+    for k in range(NUM_QUBITS):
+        bit = 1 << (NUM_QUBITS - 1 - k)       # qubit 1 is the most significant
+        for state in range(DIM):
+            term = terms[2 * k] if state & bit else terms[2 * k + 1]
+            term[state ^ bit, state] += 1.0
+            term[state, state] -= 1.0
+            if state in SECTOR_PAIR:
+                term[re, re] -= 0.5
+                term[im, im] -= 0.5
+    coupling, detuning = terms[2 * NUM_QUBITS], terms[2 * NUM_QUBITS + 1]
+    coupling[im, high] -= 1.0
+    coupling[im, low] += 1.0
+    coupling[low, im] -= 2.0
+    coupling[high, im] += 2.0
+    detuning[re, im] -= 1.0
+    detuning[im, re] += 1.0
+    return terms.reshape(len(terms), -1)
+
+
+_SECTOR_TERMS = _sector_terms()
+
+
 def sector_generator(config: FridgeConfig) -> np.ndarray:
     """Real SECTOR_DIM x SECTOR_DIM generator, linear in the six rates, g and
     the detuning: d x/dt = sector_generator(config) @ x on the coordinates
@@ -177,7 +212,7 @@ def sector_generator(config: FridgeConfig) -> np.ndarray:
     coefficients, errors = sector_coefficients(config)
     if errors[0] is not None:
         raise errors[0]
-    return sector_generators(coefficients)[0]
+    return (coefficients[0] @ _SECTOR_TERMS).reshape(SECTOR_DIM, SECTOR_DIM)
 
 
 def _sector_embedding():

@@ -303,12 +303,12 @@ def test_threshold_sign_consistency(reference_config):
 
 def test_negative_grid_edge_threshold_is_tiny(reference_config):
     # At T_h = -0.1 the hot occupation rounds to exactly 1, and in exact
-    # arithmetic the window-edge T1 stays below T_c at every T_c (a 60-digit
-    # solve gives T1 = 0.0099475 at T_c = 0.01). Where the crossover lands
-    # below 0.02 is set by the noise floor of p_e1 (~1e-34), so it is not
-    # asserted; down to T_c = 0.02, where p_e1 >= 1e-22, T1 is checked
-    # against the 60-digit solve instead.
-    for tc in (0.02, 0.05, 0.1):
+    # arithmetic the window-edge T1 stays below T_c at every T_c, so the
+    # bisection has no sign change to find. T1 is checked against the
+    # 60-digit solve down to T_c = 0.01, where p_e1 ~ 2.2e-44.
+    with pytest.raises(BracketError):
+        cooling_threshold(reference_config, Direction.NEGATIVE, ThresholdMode.GRID_EDGE)
+    for tc in (0.01, 0.02, 0.05, 0.1):
         config = reference_config.with_cold_temperature(tc)
         t1 = best_case_t1(config, Direction.NEGATIVE, ThresholdMode.GRID_EDGE)
         edge = config.with_hot_reservoir(

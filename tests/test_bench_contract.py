@@ -49,6 +49,7 @@ RETIRED_TARGETS = [
     ["qfridge.analysis", "solve_direct"],
     ["qfridge.liouvillian", "eig_hermitian"],
     ["qfridge.steady_state", "eig_hermitian"],
+    ["qfridge.steady_state", "solve_linear"],
 ]
 
 TRACE_PROBE = """
@@ -79,7 +80,7 @@ def test_every_name_bench_looks_up_resolves():
                         if not resolves)
     assert unresolved == RETIRED_TARGETS
     live = [name for _, _, name, resolves in found["targets"] if resolves]
-    assert len(live) == 15
+    assert len(live) == 14
     assert set(found["latency_spans"]) <= set(live)
     assert found["density_matrix_check"]
     assert found["solve_for_readout"]
