@@ -1,10 +1,7 @@
-"""The tolerances every check is made against, and matrix input checks.
+"""The tolerances every check is made against, and the matrix input check.
 
-Everything in the simulator lives in tiny fixed-size spaces: 8x8 states and
-stacks of 8-state rate chains. Matrices are plain numpy arrays. The package
-solves no linear system: its steady states come from GTH elimination
-(qfridge.steady_state), and the only constrained solve left, with its
-singular-value check, is the 64x64 test oracle's.
+The package solves no linear system: its steady states come from GTH
+elimination of a rate chain (qfridge.steady_state).
 """
 
 from dataclasses import dataclass

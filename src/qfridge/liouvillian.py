@@ -16,9 +16,10 @@ reservoir.
 The generator maps the populations plus the single coherence H_int creates,
 rho[2, 5] between |g1 e2 g3> and |e1 g2 e3>, onto themselves, and every other
 coherence decays to zero. So the steady state lives in this 10-dimensional
-sector: sector_coefficients and sector_generators build it directly, for a
-stack of machines at once. The full 64x64 generator, assembled from the
-Hamiltonians and the collapse operators, is a test oracle (tests/oracles.py).
+sector, fixed by the six rates, g and the detuning: sector_coefficients
+gives them for a stack of machines at once, and qfridge.steady_state solves
+the sector from them. Its generator and the full 64x64 generator are test
+oracles (tests/oracles.py).
 """
 
 import hashlib

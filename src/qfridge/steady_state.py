@@ -1,27 +1,16 @@
 """Steady states of the refrigerator.
 
-The coherence c = rho[2, 5] between |g1 e2 g3> and |e1 g2 e3> decays at half
-the pair's summed out-rate Gamma and turns at the detuning
-delta = E1 - E2 + E3 (see qfridge.liouvillian). At the steady state dc/dt = 0
-eliminates it exactly: with h = hypot(Gamma/2, delta),
-
-    Re c = -g delta (p2 - p5) / h^2,    Im c = g (Gamma/2) (p2 - p5) / h^2,
-
-and the populations are the stationary law of an 8-state Markov chain: the
-Pauli rates of the three qubits plus one symmetric edge 2 <-> 5 of rate
-kappa = Gamma (g/h)^2. Every rate of the chain is non-negative, negative
-temperatures included, so solve_sectors finds that law by the elimination of
-Grassmann, Taksar and Heyman (Oper. Res. 33, 1107 (1985)). It makes no
-subtraction and gives each stationary probability to small relative error
-(O'Cinneide, Numer. Math. 65, 109 (1993)), however far below the largest it
-lies.
-
-A chain that is not irreducible is classified by which of its rates are
-exactly zero: with one closed class its other states get probability 0
-exactly; with two or more the steady state is not unique. The sector
-generator, the full 64x64 generator, its own constrained solve and an RK4
-propagation route are the test oracles this is checked against
-(tests/oracles.py).
+At the steady state the coherence c = rho[2, 5] of the pair |g1 e2 g3>,
+|e1 g2 e3> follows from the populations (see qfridge.liouvillian): with
+Gamma the pair's summed out-rate, delta = E1 - E2 + E3 and
+h = hypot(Gamma/2, delta), Re c = -g delta (p2 - p5) / h^2 and
+Im c = g (Gamma/2) (p2 - p5) / h^2. So the populations are the stationary
+law of an 8-state Markov chain: the Pauli rates plus one symmetric edge
+2 <-> 5 of rate kappa = Gamma (g/h)^2. solve_coefficients finds it by the
+elimination of Grassmann, Taksar and Heyman (Oper. Res. 33, 1107 (1985)),
+which makes no subtraction and gives each probability to small relative
+error (O'Cinneide, Numer. Math. 65, 109 (1993)). The sector generator and
+the 64x64 oracles it is checked against live in tests/oracles.py.
 """
 
 from dataclasses import dataclass
@@ -47,10 +36,7 @@ class SteadyStateError(RuntimeError):
 
 class MultiplicityError(SteadyStateError):
     """The steady state is not unique: the rate chain has two or more closed
-    classes, or the coherent pair neither decays nor is detuned.
-
-    Possible when the machine decouples, e.g. g = 0 with some gamma_k = 0.
-    """
+    classes, e.g. when g = 0 with some gamma_k = 0, or every rate is 0."""
 
 
 @dataclass(frozen=True)
@@ -63,29 +49,17 @@ class SectorSolutions:
 
 
 # Every edge of the chain flips the parity of the number of excitations, the
-# pair's exchange 2 <-> 5 included, so the chain is bipartite. Its states are
-# ordered even first: _ORDER[i] is the basis state at chain position i.
+# exchange 2 <-> 5 included. Chain positions hold the even states first:
+# _ORDER[i] is the basis state at position i.
 _ORDER = np.array(sorted(range(DIM), key=lambda state: bin(state).count("1") % 2))
 _EVEN = DIM // 2
-
-
-def _chain_edges():
-    """(source, target, rate column) of each qubit flip of the chain, as
-    chain positions: each qubit flips down (column 2k) when excited and up
-    (2k + 1) when ground; and the chain positions of SECTOR_PAIR."""
-    edges = []
-    for k in range(NUM_QUBITS):
-        bit = 1 << (NUM_QUBITS - 1 - k)       # qubit 1 is the most significant
-        for state in range(DIM):
-            edges.append((state, state ^ bit, 2 * k if state & bit else 2 * k + 1))
-    position = np.argsort(_ORDER)
-    source, target, rate = (np.array(column) for column in zip(*edges))
-    low, high = (int(position[state]) for state in SECTOR_PAIR)
-    return position[source], position[target], rate, low, high
-
-
-# _LOW, _HIGH: the chain positions of the pair, which exchanges at kappa
-_SOURCE, _TARGET, _RATE, _LOW, _HIGH = _chain_edges()
+_POSITION = np.argsort(_ORDER)
+_LOW, _HIGH = (int(_POSITION[state]) for state in SECTOR_PAIR)
+# Each qubit flip (down, rate column 2k, when excited; up, 2k + 1, when
+# ground) as source and target chain positions; qubit 1 is the top bit.
+_SOURCE, _TARGET, _RATE = (np.array(column) for column in zip(*[
+    (_POSITION[state], _POSITION[state ^ bit], 2 * k + (not state & bit))
+    for k, bit in enumerate((4, 2, 1)) for state in range(DIM)]))
 
 
 def _eliminate(generators):
@@ -121,32 +95,20 @@ def _eliminate(generators):
     return law
 
 
-def _closed_classes(edges):
-    """The closed communicating classes, as index arrays, of a chain whose
-    boolean matrix edges marks its nonzero rates."""
-    reach = edges | np.eye(len(edges), dtype=bool)
-    for _ in range(len(edges).bit_length()):
+def _solve_reducible(generator):
+    """Stationary law of one chain (n, n) that is not irreducible, from which
+    of its rates are exactly zero: the GTH law on its closed class and 0
+    elsewhere. Raises MultiplicityError when it has two or more closed
+    classes."""
+    reach = (generator > 0.0) | np.eye(len(generator), dtype=bool)
+    for _ in range(len(generator).bit_length()):
         reach = reach @ reach
-    recurrent = (reach <= reach.T).all(axis=1)
-    return [np.flatnonzero(members) for members in np.unique(reach[recurrent], axis=0)]
-
-
-def _solve_reducible(generator, h):
-    """Stationary law of one chain (n, n) that is not irreducible: the GTH
-    law on its closed class and exactly 0 elsewhere. Raises
-    MultiplicityError when it has two or more closed classes, or when
-    h = hypot(Gamma/2, delta) = 0: then every rate is 0 and the pair
-    |g e g>, |e g e> turns into itself coherently or not at all."""
-    if h == 0.0:
-        raise MultiplicityError(
-            "the pair |g e g>, |e g e> neither decays nor is detuned "
-            "(Gamma = delta = 0): the steady state is not unique")
-    closed = _closed_classes(generator > 0.0)
+    closed = np.unique(reach[(reach <= reach.T).all(axis=1)], axis=0)
     if len(closed) > 1:
         raise MultiplicityError(
             f"the rate chain has {len(closed)} closed classes: the steady state "
             "is not unique")
-    members, = closed
+    members = np.flatnonzero(closed[0])
     law = np.zeros(len(generator))
     law[members] = _eliminate(generator[np.ix_(members, members)][None])[0]
     return law
@@ -163,16 +125,15 @@ def _invalid_state(exc):
 
 def solve_coefficients(coefficients) -> SectorSolutions:
     """Steady states of a stack of sector_coefficients rows, which may come
-    from different machines.
+    from different machines. The chain's odd states lead only to even ones,
+    so they are censored in one step; the even states are eliminated in
+    turn, and each odd state gets its inflow over its out-rate.
 
-    The odd states of the chain are censored first, all at once: their
-    rates lead only to even states. GTH elimination then solves the chain
-    of the even states, and each odd state's probability is its inflow over
-    its out-rate. Every row is checked on its own, in this order: a unique
-    steady state, the state invariants (those DensityMatrix checks, in
-    closed form by sector_state_errors) and the balance defect max |pi Q| of
-    its chain, scaled by max(1, its largest rate). A row that fails one
-    carries that exception in errors and leaves the other rows solved.
+    Each row is checked on its own, in this order: a unique steady state,
+    the state invariants (in closed form, sector_state_errors) and the
+    balance defect max |pi Q| of its chain over max(1, its largest rate). A
+    row that fails one carries that exception in errors and leaves the other
+    rows solved.
     """
     rates = coefficients[:, :2 * NUM_QUBITS]
     coupling, detuning = coefficients[:, -2], coefficients[:, -1]
@@ -194,12 +155,11 @@ def solve_coefficients(coefficients) -> SectorSolutions:
                   out=law[:, None, _EVEN:])
         law /= np.add.reduce(law, axis=1, keepdims=True)
         if not np.isfinite(law).all():
-            # a zero pivot or a zero out-rate: solve what the chain's
-            # structure allows, unless its rates are not finite
+            # a zero pivot or out-rate: the chain is not irreducible
             unsolved = ~np.isfinite(law).all(axis=1) & np.isfinite(coefficients).all(axis=1)
             for i in np.flatnonzero(unsolved).tolist():
                 try:
-                    law[i] = _solve_reducible(generators[i], h[i])
+                    law[i] = _solve_reducible(generators[i])
                 except MultiplicityError as exc:
                     errors[i] = exc
                     law[i] = np.nan

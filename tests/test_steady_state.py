@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qfridge import DensityMatrix, default_config
+from qfridge import DensityMatrix, default_config, solve_for_readout
 from qfridge.steady_state import MultiplicityError, SteadyStateError
 from tests.conftest import random_valid_config
 from tests.oracles import (
@@ -51,10 +51,15 @@ def test_decoupled_machine_factorizes():
 
 def test_degenerate_manifold_raises_multiplicity():
     # Coupling and the cold-bath rate both zero: qubit 1 is completely
-    # disconnected and any of its populations is stationary.
-    config = default_config(coupling=0.0, gammas=(0.0, 1.0, 1.0))
-    with pytest.raises(MultiplicityError):
-        solve_direct(build_liouvillian(config))
+    # disconnected and any of its populations is stationary. With every rate
+    # zero on resonant gaps (Gamma = delta = 0), the pair |g e g>, |e g e>
+    # turns into itself undamped. The oracle and the sector solve both say so.
+    for config in (default_config(coupling=0.0, gammas=(0.0, 1.0, 1.0)),
+                   default_config(gammas=(0.0, 0.0, 0.0))):
+        with pytest.raises(MultiplicityError):
+            solve_direct(build_liouvillian(config))
+        with pytest.raises(MultiplicityError):
+            solve_for_readout(config)
 
 
 def test_constraint_row_choice_is_immaterial(reference_config):
