@@ -1,16 +1,17 @@
 """Steady states of the refrigerator.
 
-At the steady state the coherence c = rho[2, 5] of the pair |g1 e2 g3>,
-|e1 g2 e3> follows from the populations (see qfridge.liouvillian): with
-Gamma the pair's summed out-rate, delta = E1 - E2 + E3 and
-h = hypot(Gamma/2, delta), Re c = -g delta (p2 - p5) / h^2 and
-Im c = g (Gamma/2) (p2 - p5) / h^2. So the populations are the stationary
-law of an 8-state Markov chain: the Pauli rates plus one symmetric edge
-2 <-> 5 of rate kappa = Gamma (g/h)^2. solve_coefficients finds it by the
-elimination of Grassmann, Taksar and Heyman (Oper. Res. 33, 1107 (1985)),
-which makes no subtraction and gives each probability to small relative
-error (O'Cinneide, Numer. Math. 65, 109 (1993)). The sector generator and
-the 64x64 oracles it is checked against live in tests/oracles.py.
+The coherence c = rho[2, 5] of the pair |g1 e2 g3>, |e1 g2 e3> obeys
+dc/dt = -i(-delta c + g (p5 - p2)) - (Gamma/2) c, with Gamma the pair's
+summed out-rate and delta = E1 - E2 + E3, and feeds the populations through
+dp2/dt = -dp5/dt = -2 g Im c. At the steady state, with h = hypot(Gamma/2,
+delta), Re c = -g delta (p2 - p5) / h^2 and Im c = g (Gamma/2) (p2 - p5) / h^2,
+so the populations are the stationary law of an 8-state Markov chain: the
+Pauli rates plus one symmetric edge 2 <-> 5 of rate kappa = Gamma (g/h)^2.
+solve_coefficients finds that law by the elimination of Grassmann, Taksar
+and Heyman (Oper. Res. 33, 1107 (1985)), which makes no subtraction and
+gives each probability to small relative error (O'Cinneide, Numer. Math.
+65, 109 (1993)). The sector generator and the 64x64 oracles it is checked
+against live in tests/oracles.py.
 """
 
 from dataclasses import dataclass
@@ -66,9 +67,9 @@ def _eliminate(generators):
     """Stationary laws (N, n) of a stack of rate matrices (N, n, n) by GTH
     elimination; generators[:, i, j] is the rate from i to j, and the
     diagonal is not read. Nothing overflows, however far apart the
-    probabilities lie. A row with two or more closed classes, or with a
-    transient state that the elimination meets before its closed class,
-    meets a zero pivot that makes its law NaN."""
+    probabilities lie. A row that is not irreducible meets a zero pivot,
+    which makes its law NaN, unless only the last pivot is 0 and the row
+    has one closed class: then its law is still exact."""
     q = generators.copy()
     n = q.shape[-1]
     for k in range(n - 1, 0, -1):
@@ -137,7 +138,8 @@ def solve_coefficients(coefficients) -> SectorSolutions:
     """
     rates = coefficients[:, :2 * NUM_QUBITS]
     coupling, detuning = coefficients[:, -2], coefficients[:, -1]
-    half_gamma = np.add.reduce(rates, axis=1) / 2.0    # the pair's out-rates: each rate once
+    # the pair's summed out-rate Gamma counts each of the six rates once
+    half_gamma = np.add.reduce(rates, axis=1) / 2.0
     h = np.hypot(half_gamma, detuning)
     errors = [None] * len(coefficients)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -173,7 +175,7 @@ def solve_coefficients(coefficients) -> SectorSolutions:
         x[:, DIM + 1] = exchange * (half_gamma / h)
     for i, invalid in sector_state_errors(x).items():
         errors[i] = errors[i] or _invalid_state(invalid)
-    for i in (residuals > TOL.steady_residual_direct).nonzero()[0].tolist():
+    for i in np.nonzero(residuals > TOL.steady_residual_direct)[0].tolist():
         errors[i] = errors[i] or SteadyStateError(
             f"steady-state residual {residuals[i]:.3e} exceeds "
             f"{TOL.steady_residual_direct:.0e} for solver direct")

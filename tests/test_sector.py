@@ -1,6 +1,8 @@
-"""The 10-dimensional sector solve against the 64x64 oracle, the stacked
-sector solve against one-at-a-time solves, and the stacked solve against
-closed forms: the g = 0 thermal product and the fermionic mirror symmetry.
+"""The sector solve, a rate chain eliminated by GTH, against the sector
+generator and the 64x64 oracle, the stacked solve against one-at-a-time
+solves, and the stacked solve against closed forms: the g = 0 thermal
+product and the fermionic mirror symmetry. Chains that are not irreducible
+against their closed classes, and deep-cooled populations against mpmath.
 
 Property tests over resonant and detuned machines, including the decoupled
 machine (g = 0), a bath switched off (gamma_k = 0), saturated hot baths and
