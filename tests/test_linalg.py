@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qfridge.linalg import LinalgError
-from tests.oracles import kron, max_abs
+from tests.oracles import kron
 
 I2 = np.eye(2, dtype=complex)
 LOWER = np.array([[0, 1], [0, 0]], dtype=complex)   # |g><e|
