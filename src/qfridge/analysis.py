@@ -17,6 +17,12 @@ The hot-bath temperature axis behaves differently on the two sides:
 Thresholds come in two modes because the bundled reference numbers mix two
 readings: the best case over the whole axis (plateau) and the sweep-window
 edge. Both are implemented; see cooling_threshold.
+
+Searches read qubit 1's T1 from the plain rows of _solve_hot_grid; only
+solve_for_readout, the one-row case and the unit of every single solve,
+builds a QubitReadout. best_case_t1 gives a search the value it compares.
+The negative plateau is T1 at the saturated hot bath, so thresholds, Fig. 4a
+and calibration solve that one row, and only find_plateau walks toward it.
 """
 
 import math
@@ -31,10 +37,11 @@ from .liouvillian import DIM, FridgeConfig
 from .reservoirs import ReservoirSpec, Role, Statistics
 from .steady_state import SteadyStateError, solve_sectors
 from .thermometry import (
+    QubitReadout,
     TemperatureSentinel,
     insulated_limit_temperature,
-    read_qubit1_stack,
     temperature_as_float,
+    temperature_from_population_ratio,
 )
 
 
@@ -174,45 +181,54 @@ class CalibrationResult:
 
 
 def _solve_hot_grid(config: FridgeConfig, hot_reservoirs):
-    """Per hot reservoir, (residual, cooled-qubit readout) of config with that
-    hot bath, or the exception its solve raised: every point is solved in one
-    stack and checked on its own. An entry of hot_reservoirs that is already
-    an exception (a spec that could not be built) is passed through."""
+    """Per hot reservoir, qubit 1's (residual, p_ground, p_excited, T1) in
+    config's steady state with that hot bath, or the exception its solve
+    raised: every point is solved in one stack and checked on its own. An
+    entry of hot_reservoirs that is already an exception (a spec that could
+    not be built) is passed through.
+
+    Qubit 1's populations are summed as the partial trace over qubits 3 and
+    then 2 sums them, so a row reads the same as the partial trace of its
+    8x8 state; its reduced coherence sums rho[j, 4 + j], which the sector
+    holds at exactly 0.
+    """
     solved = solve_sectors(config, [h for h in hot_reservoirs
                                     if not isinstance(h, Exception)])
-    good = [k for k, error in enumerate(solved.errors) if error is None]
-    readouts = iter(read_qubit1_stack(solved.coordinates[good, :DIM], config.gaps[0]))
-    rows = iter(zip(solved.errors, solved.residuals.tolist()))
+    halves = solved.coordinates[:, :DIM].reshape(-1, 2, 2, 2).sum(axis=3).sum(axis=2)
+    rows = iter(zip(solved.errors, solved.residuals.tolist(), halves.tolist()))
     outcomes = []
     for hot in hot_reservoirs:
         if isinstance(hot, Exception):
             outcomes.append(hot)
             continue
-        error, residual = next(rows)
-        outcome = error or next(readouts)
-        outcomes.append(outcome if isinstance(outcome, Exception) else (residual, outcome))
+        error, residual, (p_ground, p_excited) = next(rows)
+        outcomes.append(error or (residual, p_ground, p_excited, temperature_from_population_ratio(
+            p_ground, p_excited, config.gaps[0])))
     return outcomes
 
 
 def _t1_of(outcome) -> float:
-    """Cooled-qubit temperature of a solve's outcome as a float (sentinels
+    """Cooled-qubit temperature of a grid outcome as a float (sentinels
     collapsed to limits); a failed outcome is raised."""
     if isinstance(outcome, Exception):
         raise outcome
-    return temperature_as_float(outcome[1].effective_temperature)
+    return temperature_as_float(outcome[-1])
 
 
 def solve_for_readout(config: FridgeConfig):
     """(residual, cooled-qubit readout) of config's steady state, the unit of
-    every search: the one-row case of _solve_hot_grid. Raises the failure."""
+    every single solve: the one-row case of _solve_hot_grid. Raises the
+    failure."""
     outcome, = _solve_hot_grid(config, config.reservoirs[2:])
     if isinstance(outcome, Exception):
         raise outcome
-    return outcome
+    residual, p_ground, p_excited, t1 = outcome
+    return residual, QubitReadout(qubit_index=1, p_ground=p_ground, p_excited=p_excited,
+                                  coherence_magnitude=0.0, effective_temperature=t1)
 
 
 def _t1_value(config: FridgeConfig) -> float:
-    return _t1_of(solve_for_readout(config))
+    return temperature_as_float(solve_for_readout(config)[1].effective_temperature)
 
 
 def _hot_at(hot: ReservoirSpec, th):
@@ -230,14 +246,13 @@ def _record(th, tc, outcome):
             residual=math.nan, coherence_magnitude=math.nan,
             status=f"{type(outcome).__name__}: {outcome}",
         )
-    residual, readout = outcome
-    t1 = readout.effective_temperature
+    residual, _, _, t1 = outcome
     return SweepRecord(
         swept_value=th,
         t1=t1,
         t1_minus_tc=t1 if isinstance(t1, TemperatureSentinel) else t1 - tc,
         residual=residual,
-        coherence_magnitude=readout.coherence_magnitude,
+        coherence_magnitude=0.0,
         status="ok",
     )
 
@@ -412,12 +427,16 @@ def _find_plateau_negative(config):
 
 def best_case_t1(config: FridgeConfig, direction: Direction,
                  mode: ThresholdMode = ThresholdMode.PLATEAU) -> float:
-    """The T1 a threshold bisection compares with T_c: the plateau value in
-    PLATEAU mode, T1 at the reference window edge in GRID_EDGE mode."""
+    """The lowest T1 a search compares: in PLATEAU mode the plateau value,
+    in GRID_EDGE mode T1 at the reference window edge. The negative plateau
+    is T1 at the saturated hot bath, which find_plateau returns whatever its
+    walk does, so that one row is all this solves."""
     direction = Direction(direction)
-    if ThresholdMode(mode) is ThresholdMode.PLATEAU:
-        return find_plateau(config, direction).plateau_t1
-    return _t1_value(config.with_hot_reservoir(HOT_BATHS[direction].window_edge))
+    if ThresholdMode(mode) is ThresholdMode.GRID_EDGE:
+        return _t1_value(config.with_hot_reservoir(HOT_BATHS[direction].window_edge))
+    if direction is Direction.NEGATIVE:
+        return _t1_value(config.with_hot_reservoir(HOT_BATHS[direction].saturated))
+    return find_plateau(config, direction).plateau_t1
 
 
 def cooling_threshold(config_template: FridgeConfig, direction: Direction,
@@ -491,35 +510,30 @@ def insulation_limit(config: FridgeConfig,
     )
 
 
-def _plateau_errors(base_config, coupling, targets):
+def _plateau_errors(base_config, coupling):
     achieved = {}
     worst = 0.0
-    for (tc, direction), target in targets.items():
+    for (tc, direction), target in REFERENCE_PLATEAUS.items():
         config = replace(base_config.with_cold_temperature(tc), coupling=coupling)
-        value = find_plateau(config, Direction(direction)).plateau_t1
+        value = best_case_t1(config, direction)
         err = abs(value - target) / abs(target)
-        achieved[(tc, Direction(direction))] = (value, target, err)
+        achieved[(tc, direction)] = (value, target, err)
         worst = max(worst, err)
     return worst, achieved
 
 
 def calibrate_coupling(base_config: FridgeConfig,
-                       targets=None,
-                       search_grid=DEFAULT_COUPLING_GRID,
-                       refine: bool = True) -> CalibrationResult:
-    """Search the coupling that best reproduces the reference plateaus.
+                       search_grid=DEFAULT_COUPLING_GRID) -> CalibrationResult:
+    """Search the coupling that best reproduces REFERENCE_PLATEAUS.
 
     Grid search minimizing the maximum relative error over all targets,
-    followed by a golden-section refinement between the best grid point's
-    neighbours (13 evaluations). The best coupling and the landscape are
-    read from the evaluations made. Always returns a result;
-    within_tolerance reports whether the best error clears
-    TOL.calibration_relative, so a failed calibration still carries its
-    error landscape. Each coupling's plateaus are searched once.
+    followed, when the grid has more than one point, by a golden-section
+    refinement between the best grid point's neighbours (13 evaluations).
+    The best coupling and the landscape are read from the evaluations made.
+    Always returns a result; within_tolerance reports whether the best
+    error clears TOL.calibration_relative, so a failed calibration still
+    carries its error landscape. Each coupling's plateaus are read once.
     """
-    targets = dict(targets) if targets is not None else dict(REFERENCE_PLATEAUS)
-    if not targets:
-        raise AnalysisError("no calibration targets")
     grid = sorted(float(g) for g in search_grid)
     if not grid or any(g <= 0.0 for g in grid):
         raise AnalysisError("search grid must be positive")
@@ -527,12 +541,12 @@ def calibrate_coupling(base_config: FridgeConfig,
 
     def err_at(g):
         if g not in evaluated:
-            evaluated[g] = _plateau_errors(base_config, g, targets)
+            evaluated[g] = _plateau_errors(base_config, g)
         return evaluated[g][0]
 
     for g in grid:
         err_at(g)
-    if refine and len(grid) > 1:
+    if len(grid) > 1:
         k = min(range(len(grid)), key=lambda i: evaluated[grid[i]][0])
         lo = grid[k - 1] if k > 0 else grid[k] / 2.0
         hi = grid[k + 1] if k < len(grid) - 1 else grid[k] * 2.0

@@ -205,8 +205,10 @@ def _sweep_values(options):
 # main writes the files.
 
 def _cmd_solve(config, options):
+    residual, readout = solve_for_readout(config)
     record = _record(config.reservoirs[2].temperature, config.cold_temperature,
-                     solve_for_readout(config))
+                     (residual, readout.p_ground, readout.p_excited,
+                      readout.effective_temperature))
     return CSV_COLUMNS, [_record_to_row(record)], None, EXIT_OK
 
 
@@ -295,8 +297,8 @@ def _cmd_reproduce(scenario, out_dir):
         table_a, table_b = [], []
         for tc in REPRODUCE_TCS:
             config = default_config(tc=tc, coupling=CALIBRATED_COUPLING)
-            low_pos = find_plateau(config, Direction.POSITIVE).plateau_t1
-            low_neg = find_plateau(config, Direction.NEGATIVE).plateau_t1
+            low_pos = best_case_t1(config, Direction.POSITIVE)
+            low_neg = best_case_t1(config, Direction.NEGATIVE)
             table_a.append((tc, low_pos, low_neg))
             table_b.append((tc,
                             100.0 * (tc - low_pos) / tc,
@@ -386,17 +388,11 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"qfridge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def parallel_option(p):
-        # Sweeps run serially; the flag stays so old command lines still parse.
-        p.add_argument("--parallel", type=int,
-                       help="accepted and ignored, kept for compatibility")
-
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True,
                        help="JSON config (or a sidecar from a previous run)")
         p.add_argument("--out", required=True, help="output CSV path")
-        parallel_option(p)
         for name, option in OPTIONS.items():
             if command in option.commands:
                 p.add_argument("--" + name.replace("_", "-"), type=option.type,
@@ -405,7 +401,6 @@ def build_parser():
     p = sub.add_parser("reproduce", help="run the bundled scenarios")
     p.add_argument("scenario", choices=("fig2", "fig3", "fig4", "all"))
     p.add_argument("--out", required=True, help="output directory")
-    parallel_option(p)
 
     return parser
 

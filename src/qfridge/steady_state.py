@@ -101,7 +101,8 @@ def _solve_reducible(generator):
     of its rates are exactly zero: the GTH law on its closed class and 0
     elsewhere. Raises MultiplicityError when it has two or more closed
     classes."""
-    reach = (generator > 0.0) | np.eye(len(generator), dtype=bool)
+    # a NaN rate is the exchange of a coupled pair with Gamma = delta = 0
+    reach = (generator > 0.0) | np.isnan(generator) | np.eye(len(generator), dtype=bool)
     for _ in range(len(generator).bit_length()):
         reach = reach @ reach
     closed = np.unique(reach[(reach <= reach.T).all(axis=1)], axis=0)
@@ -144,8 +145,9 @@ def solve_coefficients(coefficients) -> SectorSolutions:
     errors = [None] * len(coefficients)
     with np.errstate(divide="ignore", invalid="ignore"):
         g_h = coupling / h
-        # Gamma (g/h)^2, in a form that does not overflow as h -> 0
-        kappa = 2.0 * coupling * g_h * (half_gamma / h)
+        # Gamma (g/h)^2, in a form that does not overflow as h -> 0; NaN,
+        # an edge of unknown rate, only where g > 0 and h = 0
+        kappa = np.where(coupling > 0.0, 2.0 * coupling * g_h * (half_gamma / h), 0.0)
         generators = np.zeros((len(coefficients), DIM, DIM))
         generators[:, _SOURCE, _TARGET] = rates[:, _RATE]
         generators[:, _LOW, _HIGH] = generators[:, _HIGH, _LOW] = kappa

@@ -11,13 +11,15 @@ that downstream CSV emission never sees an infinity or a NaN.
 
 The perfect-insulation limit (cooled qubit detached from its own bath) admits
 a closed form for its temperature, implemented in insulated_limit_temperature.
+
+Searches take T from temperature_from_population_ratio on qubit 1's summed
+populations; a QubitReadout is built only for a single solve
+(analysis.solve_for_readout) and by the test oracles.
 """
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .linalg import TOL
 
@@ -92,31 +94,6 @@ class QubitReadout:
             raise ThermometryError(
                 f"populations do not sum to 1: {self.p_ground} + {self.p_excited}"
             )
-
-
-def read_qubit1_stack(populations, gap: float):
-    """Readouts of qubit 1 from a stack (N, 8) of steady-state populations of
-    the sector: per row, its QubitReadout or the ThermometryError raised.
-
-    Qubit 1's reduced coherence sums rho[j, 4 + j], which the sector holds at
-    exactly 0. Its populations are summed as the partial trace over qubits 3
-    and then 2 sums them, so a row reads the same as the partial trace of its
-    8x8 state.
-    """
-    halves = np.asarray(populations).reshape(-1, 2, 2, 2).sum(axis=3).sum(axis=2)
-    readouts = []
-    for p_ground, p_excited in halves.tolist():
-        p_ground, p_excited = max(p_ground, 0.0), max(p_excited, 0.0)
-        try:
-            readouts.append(QubitReadout(
-                qubit_index=1, p_ground=p_ground, p_excited=p_excited,
-                coherence_magnitude=0.0,
-                effective_temperature=temperature_from_population_ratio(
-                    p_ground, p_excited, gap),
-            ))
-        except ThermometryError as exc:
-            readouts.append(exc)
-    return readouts
 
 
 def insulated_limit_temperature(t_c: float, t_h: float, e1: float, e3: float) -> float:

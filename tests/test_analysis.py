@@ -209,6 +209,23 @@ def test_stacked_plateau_search_is_the_serial_search(config, direction):
         _serial_plateau, config, direction)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(plateau_machines())
+@example(default_config())
+@example(default_config(tc=0.005))
+@example(default_config(gaps=(1.0, 1.0 + 1e-300, 1e-300)))
+def test_negative_best_case_is_the_plateau_bit_for_bit(config):
+    # best_case_t1 solves only the saturated row, which is the plateau
+    # find_plateau returns after its walk: the same float, bit for bit, or
+    # a failure where the search fails.
+    plateau = _outcome(find_plateau, config, Direction.NEGATIVE)
+    best = _outcome(best_case_t1, config, Direction.NEGATIVE)
+    if isinstance(plateau, PlateauResult):
+        assert best.hex() == plateau.plateau_t1.hex()
+    else:
+        assert isinstance(best, tuple) and issubclass(best[0], RuntimeError)
+
+
 @pytest.mark.parametrize("offset", [-2, 0, 1, 2])
 def test_a_failing_walk_row_counts_only_if_the_walk_reaches_it(
         reference_config, monkeypatch, offset):
@@ -234,6 +251,9 @@ def test_a_failing_walk_row_counts_only_if_the_walk_reaches_it(
         assert outcome == (ReservoirError, f"no rates at T_h = {failing}")
     else:
         assert outcome == plateau
+    # the value a threshold or calibration compares reads only the
+    # saturated row, so no walk row can fail it
+    assert best_case_t1(reference_config, Direction.NEGATIVE) == plateau.plateau_t1
 
 
 def test_the_negative_walk_is_solved_only_up_to_the_stack_where_it_stops(monkeypatch):
@@ -365,7 +385,7 @@ def test_insulation_limit_validates_sequence(reference_config):
 
 
 def test_calibration_single_candidate(reference_config):
-    result = calibrate_coupling(reference_config, search_grid=(1.0,), refine=False)
+    result = calibrate_coupling(reference_config, search_grid=(1.0,))
     assert result.coupling == 1.0
     assert result.max_relative_error < 0.01
     assert result.within_tolerance
@@ -373,12 +393,14 @@ def test_calibration_single_candidate(reference_config):
 
 
 def test_calibration_reports_failure_landscape(reference_config):
-    # A grid nowhere near the right coupling still returns a full report.
-    result = calibrate_coupling(reference_config, search_grid=(0.01, 0.02),
-                                refine=False)
+    # A grid nowhere near the right coupling still returns a full report,
+    # refined around its better point and still failing.
+    result = calibrate_coupling(reference_config, search_grid=(0.01, 0.02))
     assert not result.within_tolerance
     assert result.max_relative_error > 0.05
-    assert [g for g, _ in result.landscape] == [0.01, 0.02]
+    couplings = [g for g, _ in result.landscape]
+    assert {0.01, 0.02} <= set(couplings)
+    assert result.max_relative_error == min(err for _, err in result.landscape)
 
 
 def test_calibration_reuses_the_plateaus_of_the_chosen_coupling(
@@ -387,20 +409,19 @@ def test_calibration_reuses_the_plateaus_of_the_chosen_coupling(
     from qfridge.analysis import REFERENCE_PLATEAUS, _plateau_errors
 
     calls = []
-    original = analysis.find_plateau
+    original = analysis.best_case_t1
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "find_plateau", counted)
+    monkeypatch.setattr(analysis, "best_case_t1", counted)
     result = calibrate_coupling(reference_config, search_grid=(0.5, 1.0, 2.0))
     couplings = {g for g, _ in result.landscape}
-    # one search per target and coupling evaluated, none repeated at the end
+    # one plateau read per target and coupling evaluated, none repeated at the end
     assert len(calls) == len(couplings) * len(REFERENCE_PLATEAUS)
-    monkeypatch.setattr(analysis, "find_plateau", original)
-    worst, achieved = _plateau_errors(reference_config, result.coupling,
-                                      REFERENCE_PLATEAUS)
+    monkeypatch.setattr(analysis, "best_case_t1", original)
+    worst, achieved = _plateau_errors(reference_config, result.coupling)
     assert result.max_relative_error == worst
     assert result.achieved == achieved
     assert result.coupling in couplings

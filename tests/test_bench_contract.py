@@ -59,7 +59,7 @@ import tracing
 from qfridge import cli
 tracer = tracing.Tracer()
 with tracer.active(), contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["plateau", "--config", {config!r}, "--out", {out!r}])
+    code = cli.main({argv!r})
 print(json.dumps({{"exit_code": code, "spans": [span[2] for span in tracer.spans]}}))
 """
 
@@ -69,6 +69,15 @@ def _child(code):
     result = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                             capture_output=True, text=True, check=True)
     return json.loads(result.stdout)
+
+
+def _traced(argv):
+    """Span name -> count of a cli.main(argv) run under bench's tracer; the
+    run must exit 0."""
+    found = _child(TRACE_PROBE.format(src=os.path.join(ROOT, "src"),
+                                      bench=os.path.join(ROOT, "bench"), argv=argv))
+    assert found["exit_code"] == 0
+    return collections.Counter(found["spans"])
 
 
 def test_every_name_bench_looks_up_resolves():
@@ -93,14 +102,24 @@ def test_a_traced_cli_run_records_its_spans(tmp_path):
     # zero for cli.files_written and the CLI layer's times.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(default_config().to_dict()))
-    found = _child(TRACE_PROBE.format(src=os.path.join(ROOT, "src"),
-                                      bench=os.path.join(ROOT, "bench"),
-                                      config=str(config), out=str(tmp_path / "plateau.csv")))
-    assert found["exit_code"] == 0
-    spans = collections.Counter(found["spans"])
+    spans = _traced(["plateau", "--config", str(config),
+                     "--out", str(tmp_path / "plateau.csv")])
     assert spans["cli.main"] == 1
     assert spans["cli.write"] == 2
     assert spans["analysis.plateau"] == 1
+
+
+def test_a_negative_threshold_times_its_solves(tmp_path):
+    # Every single solve goes through analysis.solve_for_readout, the
+    # benchmark's latency hook: a negative plateau-mode threshold reads one
+    # saturated row per bisection step, and each is a traced solve.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(default_config().to_dict()))
+    spans = _traced(["threshold", "--config", str(config), "--direction", "negative",
+                     "--out", str(tmp_path / "threshold.csv")])
+    assert spans["analysis.threshold"] == 1
+    assert spans["analysis.solve_for_readout"] > 10
+    assert spans["analysis.plateau"] == 0
 
 
 def test_the_package_needs_only_numpy_at_runtime():

@@ -65,21 +65,10 @@ def test_sidecars_do_not_depend_on_the_output_directory(config_path, tmp_path):
         assert name in manifest["tolerances"]
 
 
-def test_sweep_parallel_flag_gives_identical_bytes(config_path, tmp_path):
-    out1 = str(tmp_path / "p1.csv")
-    out2 = str(tmp_path / "p2.csv")
-    base = ["sweep-th", "--config", config_path,
-            "--th-start", "1", "--th-stop", "5", "--th-points", "6"]
-    assert main(base + ["--out", out1, "--parallel", "1"]) == 0
-    assert main(base + ["--out", out2, "--parallel", "4"]) == 0
-    assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
-    # the flag is ignored, so it is not part of the manifest either
-    assert "parallel" not in json.loads((tmp_path / "p2.json").read_text())["options"]
-
-
 def test_sidecar_recording_parallel_still_reproduces(config_path, tmp_path):
     # Sidecars written while --parallel selected a thread count carry it in
-    # their options; they still run, and the rewritten sidecar drops it.
+    # their options; they still run, and the rewritten sidecar drops it. The
+    # flag itself is gone: like any unknown flag it is a usage error.
     out1 = str(tmp_path / "a.csv")
     assert main(["sweep-th", "--config", config_path, "--out", out1,
                  "--th-values", "2,6"]) == 0
@@ -90,6 +79,9 @@ def test_sidecar_recording_parallel_still_reproduces(config_path, tmp_path):
     assert main(["sweep-th", "--config", str(tmp_path / "old.json"), "--out", out2]) == 0
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
     assert "parallel" not in json.loads((tmp_path / "b.json").read_text())["options"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep-th", "--config", config_path, "--out", out2, "--parallel", "2"])
+    assert excinfo.value.code == 2
 
 
 def test_config_error_exit_code_and_stderr(tmp_path, capsys):
@@ -338,7 +330,7 @@ def test_plateau_command_negative(config_path, tmp_path):
 
 def test_reproduce_fig2_files(tmp_path):
     out_dir = str(tmp_path / "repro")
-    assert main(["reproduce", "fig2", "--out", out_dir, "--parallel", "2"]) == 0
+    assert main(["reproduce", "fig2", "--out", out_dir]) == 0
     for tc in ("1", "1.5", "2"):
         rows = read_rows(f"{out_dir}/fig2_tc{tc}.csv")
         assert rows[0] == list(CSV_COLUMNS)

@@ -41,7 +41,7 @@ from qfridge.steady_state import (
     solve_coefficients,
     solve_sectors,
 )
-from qfridge.thermometry import TemperatureSentinel, read_qubit1_stack
+from qfridge.thermometry import TemperatureSentinel
 from tests.conftest import exact_qubit1_populations, sector_solution
 from tests.oracles import (
     build_liouvillian,
@@ -305,18 +305,18 @@ def test_stacked_solve_matches_one_at_a_time(case):
     # residual, same status.
     config, hots = case
     solved = solve_sectors(config, hots)
-    good = [k for k, error in enumerate(solved.errors) if error is None]
-    readouts = iter(read_qubit1_stack(solved.coordinates[good, :DIM], config.gaps[0]))
-    for hot, residual, error in zip(hots, solved.residuals.tolist(), solved.errors):
+    for hot, residual, error, outcome in zip(hots, solved.residuals.tolist(), solved.errors,
+                                             _solve_hot_grid(config, hots)):
         try:
             single_residual, readout = solve_for_readout(config.with_hot_reservoir(hot))
         except (SteadyStateError, ValueError) as exc:
             assert error is not None and _status(error) == _status(exc)
+            assert _status(outcome) == _status(exc)
             continue
         assert error is None
         assert residual <= TOL.steady_residual_direct
         assert residual == single_residual
-        assert next(readouts).effective_temperature == readout.effective_temperature
+        assert outcome[3] == readout.effective_temperature
 
 
 @PROPERTY_SETTINGS
@@ -336,7 +336,8 @@ def test_one_row_stack_is_the_single_solve(case):
         if solved.errors[0] is not None:
             assert _status(solved.errors[0]) == _status(exc)
         return
-    assert outcome == (residual, readout)
+    assert outcome == (residual, readout.p_ground, readout.p_excited,
+                       readout.effective_temperature)
     assert solved.errors == [None]
     assert residual == float(solved.residuals[0])
     assert readout == read_qubit(DensityMatrix(sector_states(solved.coordinates)[0]), 1,
@@ -434,10 +435,8 @@ def test_decoupled_rows_are_the_thermal_product(data):
     for hot, state in zip(hots, states):
         expected = thermal_product(config.with_hot_reservoir(hot)).matrix
         np.testing.assert_allclose(state, expected, rtol=0, atol=1e-14)
-    populations = np.diagonal(states, axis1=1, axis2=2).real
-    for readout in read_qubit1_stack(populations, config.gaps[0]):
-        assert readout.effective_temperature == pytest.approx(
-            config.cold_temperature, rel=1e-9, abs=0.0)
+    for *_, t1 in _solve_hot_grid(config, hots):
+        assert t1 == pytest.approx(config.cold_temperature, rel=1e-9, abs=0.0)
 
 
 def fermionic_baths(role, gap, extreme=True):
@@ -516,6 +515,7 @@ def test_fermionic_mirror_symmetry(data):
     mirrored_hots = [_mirrored(h) for h in hots]
     solved = solve_sectors(config, hots)
     mirrored = solve_sectors(mirror, mirrored_hots)
+    read, mirrored_read = _solve_hot_grid(config, hots), _solve_hot_grid(mirror, mirrored_hots)
     rates = sector_coefficients(config, hots)[0]
     mirrored_rates = sector_coefficients(mirror, mirrored_hots)[0]
     for k, (error, mirrored_error) in enumerate(zip(solved.errors, mirrored.errors)):
@@ -533,14 +533,13 @@ def test_fermionic_mirror_symmetry(data):
         mirrored_populations = mirrored.coordinates[k, :DIM]
         np.testing.assert_allclose(mirrored_populations, populations[::-1],
                                    rtol=0, atol=1e-13)
-        readout = read_qubit1_stack(populations, e1)[0]
-        if min(readout.p_ground, readout.p_excited) < 1e-6:
+        _, p_ground, p_excited, t1 = read[k]
+        if min(p_ground, p_excited) < 1e-6:
             # deep cooling or inversion: the smaller population is set by
             # the smallest rates, which the two sides round differently (or
             # hold at exactly 0 on one side only), so T1 is not compared
             continue
-        t1 = readout.effective_temperature
-        mirrored_t1 = read_qubit1_stack(mirrored_populations, e1)[0].effective_temperature
+        mirrored_t1 = mirrored_read[k][3]
         if t1 is TemperatureSentinel.INFINITE:
             assert mirrored_t1 is t1
         else:
@@ -579,22 +578,29 @@ def _insulated_inverted(gaps):
 @given(machines(), st.sampled_from(list(Statistics)), st.sampled_from((1.0, -1.0)))
 @example(_insulated_inverted((1.0, 2.0, 1.0)), Statistics.BOSONIC, 1.0)
 @example(_insulated_inverted((1.0, 1.5, 0.5)), Statistics.BOSONIC, 1.0)
+@example(FridgeConfig(gaps=(1.0, 2.0, 1.0), gammas=(0.0, 1.0, 1.0),
+                      reservoirs=(ReservoirSpec(Statistics.BOSONIC, 1.0, Role.COLD),
+                                  ReservoirSpec(Statistics.BOSONIC, 2.0 / 699.0, Role.ROOM),
+                                  ReservoirSpec(Statistics.BOSONIC, 1.0, Role.HOT)),
+                      coupling=1.0), Statistics.BOSONIC, 1.0)
 def test_rows_straddling_the_exp_cutoff_agree(config, statistics, sign):
     # |E3/T_h| just below and just above 700, where the occupation switches
     # from its closed form to its limit: the two rows read the same T1. In
-    # the examples p_ground ~ 5e-305 (4.6022651305e-305 in the first, as a
-    # 400-digit solve gives).
+    # the first two examples p_ground ~ 5e-305 (4.6022651305e-305 in the
+    # first, as a 400-digit solve gives). In the third, qubit 1 has no bath
+    # and T1 tracks n3 ~ 1e-304 one to one, so the rows lie only 1e-14 from
+    # 700 on either side: their n3, and with it their exact T1, differ by
+    # 1.4e-11 relative (1.4e-9 at 1e-12 from 700).
     if statistics is Statistics.BOSONIC:
         sign = 1.0
     e3 = config.gaps[2]
     hots = [ReservoirSpec(statistics, sign * e3 / x, Role.HOT)
-            for x in (700.0 * (1.0 - 1e-12), 700.0 * (1.0 + 1e-12))]
+            for x in (700.0 * (1.0 - 1e-14), 700.0 * (1.0 + 1e-14))]
     below, above = _solve_hot_grid(config, hots)
     if isinstance(below, Exception):
         assert _status(above) == _status(below)
         return
-    t_below = below[1].effective_temperature
-    t_above = above[1].effective_temperature
+    t_below, t_above = below[3], above[3]
     if isinstance(t_below, float) and isinstance(t_above, float):
         assert t_above == pytest.approx(t_below, rel=1e-9, abs=0.0)
     else:

@@ -62,6 +62,15 @@ def test_degenerate_manifold_raises_multiplicity():
             solve_for_readout(config)
 
 
+def test_every_rate_zero_counts_the_coupled_pair_as_one_class():
+    # Gamma = delta = 0 makes the exchange rate kappa 0/0. With g > 0 the
+    # pair |g e g>, |e g e> is still coupled, so the eight states form 7
+    # closed classes; with g = 0 each state is its own.
+    for coupling, classes in ((1.0, 7), (0.0, 8)):
+        with pytest.raises(MultiplicityError, match=f"has {classes} closed classes"):
+            solve_for_readout(default_config(gammas=(0.0, 0.0, 0.0), coupling=coupling))
+
+
 def test_constraint_row_choice_is_immaterial(reference_config):
     liouvillian = build_liouvillian(reference_config)
     baseline = solve_direct(liouvillian).state.matrix
