@@ -202,8 +202,9 @@ def _solve_hot_grid(config: FridgeConfig, hot_reservoirs):
             outcomes.append(hot)
             continue
         error, residual, (p_ground, p_excited) = next(rows)
-        outcomes.append(error or (residual, p_ground, p_excited, temperature_from_population_ratio(
-            p_ground, p_excited, config.gaps[0])))
+        outcomes.append(error or (
+            residual, p_ground, p_excited,
+            temperature_from_population_ratio(p_ground, p_excited, config.gaps[0])))
     return outcomes
 
 

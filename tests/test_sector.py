@@ -588,9 +588,9 @@ def test_rows_straddling_the_exp_cutoff_agree(config, statistics, sign):
     # from its closed form to its limit: the two rows read the same T1. In
     # the first two examples p_ground ~ 5e-305 (4.6022651305e-305 in the
     # first, as a 400-digit solve gives). In the third, qubit 1 has no bath
-    # and T1 tracks n3 ~ 1e-304 one to one, so the rows lie only 1e-14 from
-    # 700 on either side: their n3, and with it their exact T1, differ by
-    # 1.4e-11 relative (1.4e-9 at 1e-12 from 700).
+    # and T1 tracks n3 ~ 1e-304 one to one, so the rows lie only 1e-14
+    # relative from 700 on either side: their n3, and with it their exact
+    # T1, differ by 1.4e-11 relative (1.4e-9 at 1e-12).
     if statistics is Statistics.BOSONIC:
         sign = 1.0
     e3 = config.gaps[2]
