@@ -16,13 +16,13 @@ The hot-bath temperature axis behaves differently on the two sides:
 
 Thresholds come in two modes because the bundled reference numbers mix two
 readings: the best case over the whole axis (plateau) and the sweep-window
-edge. Both are implemented; see cooling_threshold.
+edge. Both are read in closed form, with no solve; see cooling_threshold.
 
 Searches read qubit 1's T1 from the plain rows of _solve_hot_grid; only
 solve_for_readout, the one-row case and the unit of every single solve,
 builds a QubitReadout. best_case_t1 gives a search the value it compares.
-The negative plateau is T1 at the saturated hot bath, so thresholds, Fig. 4a
-and calibration solve that one row, and only find_plateau walks toward it.
+The negative plateau is T1 at the saturated hot bath, so Fig. 4a and
+calibration solve that one row, and only find_plateau walks toward it.
 """
 
 import math
@@ -33,9 +33,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import TOL
-from .liouvillian import DIM, FridgeConfig
+from .liouvillian import DIM, FridgeConfig, sector_coefficients
 from .reservoirs import ReservoirSpec, Role, Statistics
-from .steady_state import SteadyStateError, solve_sectors
+from .steady_state import SteadyStateError, solve_coefficients, solve_sectors
 from .thermometry import (
     QubitReadout,
     TemperatureSentinel,
@@ -60,7 +60,8 @@ class AnalysisError(RuntimeError):
 
 
 class BracketError(AnalysisError):
-    """Threshold bisection could not bracket a sign change."""
+    """The machine has no cooling threshold: it never cools, or it cools at
+    every T_c (see cooling_threshold)."""
 
 
 # Deepest fermionic inversion kept distinguishable from n = 1 in float64
@@ -83,8 +84,6 @@ NEGATIVE_WALK_SHRINK = 0.75
 # points to its floor, so it stays one stack with its saturation point; a
 # machine with a tiny E3 walks thousands of points but stops after a few.
 NEGATIVE_WALK_CHUNK = 16
-
-THRESHOLD_BRACKET = (1e-3, 5.0)
 
 
 class HotBaths(NamedTuple):
@@ -185,27 +184,23 @@ def _solve_hot_grid(config: FridgeConfig, hot_reservoirs):
     config's steady state with that hot bath, or the exception its solve
     raised: every point is solved in one stack and checked on its own. An
     entry of hot_reservoirs that is already an exception (a spec that could
-    not be built) is passed through.
+    not be built) is passed through."""
+    solved = solve_sectors(config, [h for h in hot_reservoirs if not isinstance(h, Exception)])
+    rows = iter(_qubit1_rows(solved, config.gaps[0]))
+    return [hot if isinstance(hot, Exception) else next(rows) for hot in hot_reservoirs]
 
-    Qubit 1's populations are summed as the partial trace over qubits 3 and
-    then 2 sums them, so a row reads the same as the partial trace of its
-    8x8 state; its reduced coherence sums rho[j, 4 + j], which the sector
-    holds at exactly 0.
+
+def _qubit1_rows(solved, e1: float):
+    """Per row of solved, its error or qubit 1's (residual, p_ground,
+    p_excited, T1) for the gap e1. The populations are summed as the partial
+    trace over qubits 3 and then 2 sums them, so a row reads the same as the
+    partial trace of its 8x8 state (whose rho[j, 4 + j] the sector holds at 0).
     """
-    solved = solve_sectors(config, [h for h in hot_reservoirs
-                                    if not isinstance(h, Exception)])
     halves = solved.coordinates[:, :DIM].reshape(-1, 2, 2, 2).sum(axis=3).sum(axis=2)
-    rows = iter(zip(solved.errors, solved.residuals.tolist(), halves.tolist()))
-    outcomes = []
-    for hot in hot_reservoirs:
-        if isinstance(hot, Exception):
-            outcomes.append(hot)
-            continue
-        error, residual, (p_ground, p_excited) = next(rows)
-        outcomes.append(error or (
-            residual, p_ground, p_excited,
-            temperature_from_population_ratio(p_ground, p_excited, config.gaps[0])))
-    return outcomes
+    return [error or (residual, p_ground, p_excited,
+                      temperature_from_population_ratio(p_ground, p_excited, e1))
+            for error, residual, (p_ground, p_excited)
+            in zip(solved.errors, solved.residuals.tolist(), halves.tolist())]
 
 
 def _t1_of(outcome) -> float:
@@ -226,6 +221,13 @@ def solve_for_readout(config: FridgeConfig):
     residual, p_ground, p_excited, t1 = outcome
     return residual, QubitReadout(qubit_index=1, p_ground=p_ground, p_excited=p_excited,
                                   coherence_magnitude=0.0, effective_temperature=t1)
+
+
+def _coldness(t1: float) -> float:
+    """t1 as the positive plateau ranks it: an inverted qubit (T1 < 0) is
+    hotter than any positive temperature, so it ranks +inf, as
+    temperature_as_float ranks zero_temp-."""
+    return math.inf if t1 < 0.0 else t1
 
 
 def _t1_value(config: FridgeConfig) -> float:
@@ -295,7 +297,7 @@ def _polish_minimum(f, bracket_lo, bracket_hi, tolerance, budget=40):
     d = a + inv_phi * (b - a)
     fc, fd = f(math.exp(c)), f(math.exp(d))
     for _ in range(budget):
-        if abs(fc - fd) < tolerance:
+        if abs(fc - fd) < tolerance or fc == fd == math.inf:
             break
         if fc < fd:
             b, d, fd = d, c, fc
@@ -339,7 +341,7 @@ def _find_plateau_positive(config):
         config = config.with_hot_reservoir(hot)
 
     def t1_at(th):
-        return _t1_value(config.with_hot_temperature(th))
+        return _coldness(_t1_value(config.with_hot_temperature(th)))
 
     grid = np.geomspace(PLATEAU_GRID_START, PLATEAU_GRID_CAP,
                         int(math.log(PLATEAU_GRID_CAP / PLATEAU_GRID_START)
@@ -348,13 +350,14 @@ def _find_plateau_positive(config):
     *values, saturation = [_t1_of(outcome) for outcome in _solve_hot_grid(
         config, [_hot_at(hot, th) for th in grid.tolist()]
         + [HOT_BATHS[Direction.POSITIVE].saturated])]
+    values = [_coldness(t1) for t1 in values]
     k = int(np.argmin(values))
     if k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step:
         # Still descending at the cap: no interior minimum; T1 creeps down
         # toward an infimum it only attains in the hot limit, so the pinned
         # saturation point is the best representable value.
         return PlateauResult(
-            plateau_t1=min(values[-1], saturation),
+            plateau_t1=min(values[-1], _coldness(saturation)),
             plateau_detected_at=float(BOSONIC_SATURATION_TEMPERATURE),
             tolerance_used=TOL.plateau_step,
             saturation_t1=saturation,
@@ -440,36 +443,52 @@ def best_case_t1(config: FridgeConfig, direction: Direction,
     return find_plateau(config, direction).plateau_t1
 
 
+def _log_rate_ratio(spec: ReservoirSpec, gap: float) -> float:
+    """ln(up/down) of the rates spec induces on a qubit of the given gap,
+    from its temperature or pinned occupation n, never from the rounded
+    rates: -E/T for a thermal bath of either statistics, -log1p(1/n) for a
+    bosonic and log(n) - log1p(-n) for a fermionic occupation."""
+    n = spec.occupation_override
+    if n is None:
+        return -gap / spec.temperature
+    if n == 0.0:
+        return -math.inf
+    if spec.statistics is Statistics.BOSONIC:
+        return -math.log1p(1.0 / n)
+    return math.log(n) - math.log1p(-n) if n < 1.0 else math.inf
+
+
 def cooling_threshold(config_template: FridgeConfig, direction: Direction,
                       mode: ThresholdMode = ThresholdMode.PLATEAU) -> float:
-    """Smallest cold-bath temperature at which the machine still cools.
+    """Smallest cold-bath temperature at which the machine still cools:
+    T_c* = E1 / (L3 - L2), with L_k = ln(up_k/down_k) of qubit k's rates and
+    the hot bath at its best case for the mode (saturated in PLATEAU mode,
+    at the reference window edge, T_h = 10 or -0.1, in GRID_EDGE mode).
 
-    Bisection on the sign of (best-case T1) - T_c over THRESHOLD_BRACKET,
-    down to a width of TOL.threshold_resolution. In PLATEAU mode the best
-    case is the plateau value (hot bath saturated); in GRID_EDGE mode it is
-    T1 at the reference window edge (T_h = 10, or -0.1 on the negative side).
+    Qubit 1 is colder than T_c exactly when the bath-thermal product weighs
+    |e g e> above |g e g>, i.e. when E1/T_c < L3 - L2, at every g > 0, set
+    of gammas and detuning: the virtual-qubit condition of Brunner et al.,
+    PRE 85, 051117 (2012). No steady state is solved. Raises BracketError
+    when L3 - L2 <= 0, or g, gamma_2 or gamma_3 is 0 (T1 = T_c): the machine
+    never cools; and when L3 - L2 = inf (a rate pinned at 0): it cools at
+    every T_c.
     """
     direction = Direction(direction)
-    mode = ThresholdMode(mode)
-
-    def objective(tc):
-        return best_case_t1(config_template.with_cold_temperature(tc),
-                            direction, mode) - tc
-
-    lo, hi = THRESHOLD_BRACKET
-    f_lo, f_hi = objective(lo), objective(hi)
-    if not (f_lo > 0.0 and f_hi < 0.0):
+    baths = HOT_BATHS[direction]
+    hot = baths.window_edge if ThresholdMode(mode) is ThresholdMode.GRID_EDGE else baths.saturated
+    e1, e2, e3 = config_template.gaps
+    _, gamma2, gamma3 = config_template.gammas
+    if 0.0 in (config_template.coupling, gamma2, gamma3):
         raise BracketError(
-            f"no sign change on T_c bracket {THRESHOLD_BRACKET}: "
-            f"objective({lo}) = {f_lo:.3e}, objective({hi}) = {f_hi:.3e}"
-        )
-    while hi - lo > TOL.threshold_resolution:
-        mid = 0.5 * (lo + hi)
-        if objective(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            f"the machine never cools: g = {config_template.coupling}, gamma_2 = "
+            f"{gamma2} and gamma_3 = {gamma3} leave T1 = T_c")
+    denominator = (_log_rate_ratio(hot, e3)
+                   - _log_rate_ratio(config_template.reservoirs[1], e2))
+    if not 0.0 < denominator < math.inf:
+        raise BracketError(
+            f"no cooling threshold: ln(up3/down3) - ln(up2/down2) = {denominator:.6e}, "
+            f"so the machine {'cools at every T_c' if denominator > 0.0 else 'never cools'}")
+    return e1 / denominator
 
 
 def insulation_limit(config: FridgeConfig,
@@ -480,9 +499,12 @@ def insulation_limit(config: FridgeConfig,
     The analytic value is evaluated with the room-bath temperature, because
     once gamma_1 -> 0 the cold bath drops out of the generator entirely and
     the qubit equilibrates against the (room, hot) pair alone.
+
+    All gamma_1 rows are one stack; the first row that fails with
+    SteadyStateError ends the sequence, and any other failure is raised.
     """
     sequence = tuple(float(g) for g in gamma1_sequence)
-    if not sequence or any(g <= 0.0 for g in sequence):
+    if not sequence or not all(g > 0.0 for g in sequence):
         raise AnalysisError("gamma1 sequence must be positive")
     if any(b >= a for a, b in zip(sequence, sequence[1:])):
         raise AnalysisError("gamma1 sequence must be strictly decreasing")
@@ -492,13 +514,16 @@ def insulation_limit(config: FridgeConfig,
         e1=config.gaps[0],
         e3=config.gaps[2],
     )
+    rows = [sector_coefficients(config.with_gamma1(gamma1)) for gamma1 in sequence]
+    solved = solve_coefficients(np.concatenate([coefficients for coefficients, _ in rows]))
+    solved = replace(solved, errors=[rate_errors[0] or error for (_, rate_errors), error
+                                     in zip(rows, solved.errors)])
     used, values = [], []
-    for gamma1 in sequence:
-        try:
-            values.append(_t1_value(config.with_gamma1(gamma1)))
-            used.append(gamma1)
-        except SteadyStateError:
+    for gamma1, outcome in zip(sequence, _qubit1_rows(solved, config.gaps[0])):
+        if isinstance(outcome, SteadyStateError):
             break
+        values.append(_t1_of(outcome))
+        used.append(gamma1)
     if not used:
         raise AnalysisError("no usable gamma1 in the sequence")
     gap = abs(values[-1] - analytic) / abs(analytic)

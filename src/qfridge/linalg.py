@@ -11,8 +11,9 @@ import numpy as np
 @dataclass(frozen=True)
 class Tolerances:
     """Single source of truth for the numerical tolerances used everywhere,
-    the test oracles' (the 64x64 solve and propagation) included, so that a
-    run's sidecar records every bound its numbers were checked against."""
+    the test oracles' (the 64x64 solve, propagation, the threshold
+    bisection) included, so that a run's sidecar records every bound its
+    numbers were checked against."""
 
     singular_value: float = 1e-14        # smallest / largest singular value
     solve_residual: float = 1e-10        # relative, for ||a x - b||_inf
@@ -28,7 +29,7 @@ class Tolerances:
     propagation_convergence: float = 1e-12   # ||drho/dt||_inf treated as stationary
     steady_coherence: float = 1e-6       # expected residual coherence of cooled qubit
     plateau_step: float = 1e-6           # successive-sample flatness for plateaus
-    threshold_resolution: float = 1e-4   # bisection width on T_c
+    threshold_resolution: float = 1e-4   # T_c width of the oracle's threshold bisection
     infinite_temperature_band: float = 1e-12   # |p_ground - 1/2| treated as T = inf
     resonance: float = 1e-12             # |E3 - (E2 - E1)| treated as resonant
     calibration_relative: float = 0.05   # worst plateau error a calibration accepts

@@ -13,6 +13,10 @@ disagreement. From qfridge these oracles take the configuration, the rates,
 the tolerances, the DensityMatrix checks, the readout record and the
 exception types; they take no solve code.
 
+The one exception is the cooling threshold by bisection, which checks the
+closed form of qfridge.analysis.cooling_threshold against the production
+solves it replaced: it bisects on the sign of analysis.best_case_t1 - T_c.
+
 Basis conventions are qfridge.liouvillian's:
 
   * single qubit: |g> = index 0, |e> = index 1, sigma_z |e> = +|e>;
@@ -27,6 +31,7 @@ from enum import Enum
 
 import numpy as np
 
+from qfridge.analysis import BracketError, ThresholdMode, best_case_t1
 from qfridge.linalg import TOL, LinalgError, as_matrix
 from qfridge.liouvillian import (
     DIM,
@@ -505,3 +510,35 @@ def coherence_is_negligible(state: DensityMatrix, qubit_index: int) -> bool:
     its off-diagonal entries are within TOL.steady_coherence."""
     reduced = reduced_qubit_state(state, qubit_index)
     return max_abs(reduced - np.diag(np.diagonal(reduced))) <= TOL.steady_coherence
+
+
+# --- the cooling threshold by bisection -------------------------------------
+
+THRESHOLD_BRACKET = (1e-3, 5.0)
+
+
+def threshold_bracket(config: FridgeConfig, direction, mode=ThresholdMode.PLATEAU):
+    """Final bracket (lo, hi) of the bisection on the sign of the best-case
+    T1 - T_c over THRESHOLD_BRACKET, down to a width of
+    TOL.threshold_resolution: T1 - T_c is >= 0 at lo and < 0 at hi, and hi
+    is the threshold the bisection returns. An inverted qubit 1 (T1 < 0) is
+    hotter than any T_c, so it ranks +inf. Raises BracketError when the
+    bracket's ends show no sign change."""
+    def objective(tc):
+        t1 = best_case_t1(config.with_cold_temperature(tc), direction, mode)
+        return (math.inf if t1 < 0.0 else t1) - tc
+
+    lo, hi = THRESHOLD_BRACKET
+    f_lo, f_hi = objective(lo), objective(hi)
+    if not (f_lo > 0.0 and f_hi < 0.0):
+        raise BracketError(
+            f"no sign change on T_c bracket {THRESHOLD_BRACKET}: "
+            f"objective({lo}) = {f_lo:.3e}, objective({hi}) = {f_hi:.3e}"
+        )
+    while hi - lo > TOL.threshold_resolution:
+        mid = 0.5 * (lo + hi)
+        if objective(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi

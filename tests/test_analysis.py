@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qfridge import (
@@ -31,9 +31,16 @@ from qfridge.analysis import (
 from qfridge.liouvillian import FridgeConfig
 from qfridge.linalg import TOL
 from qfridge.reservoirs import ReservoirError, ReservoirSpec, Role, Statistics
+from qfridge.steady_state import SteadyStateError
 from qfridge.thermometry import temperature_as_float
 from tests.conftest import exact_qubit1_populations
-from tests.oracles import build_liouvillian, read_qubit, solve_direct
+from tests.oracles import (
+    THRESHOLD_BRACKET,
+    build_liouvillian,
+    read_qubit,
+    solve_direct,
+    threshold_bracket,
+)
 
 
 def test_single_point_sweep_equals_direct_solve(reference_config):
@@ -148,16 +155,19 @@ def _serial_plateau(config, direction):
     grid = np.geomspace(analysis.PLATEAU_GRID_START, analysis.PLATEAU_GRID_CAP,
                         int(math.log(analysis.PLATEAU_GRID_CAP / analysis.PLATEAU_GRID_START)
                             / math.log(analysis.PLATEAU_GRID_RATIO)) + 1).tolist()
-    values = [_serial_t1(config, ReservoirSpec(Statistics.BOSONIC, th, Role.HOT))
+    def ranked(t1):   # an inverted qubit is hotter than any positive T1
+        return math.inf if t1 < 0.0 else t1
+
+    values = [ranked(_serial_t1(config, ReservoirSpec(Statistics.BOSONIC, th, Role.HOT)))
               for th in grid]
     saturation = _serial_t1(config, HOT_BATHS[direction].saturated)
     k = int(np.argmin(values))
     if k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step:
-        return PlateauResult(min(values[-1], saturation),
+        return PlateauResult(min(values[-1], ranked(saturation)),
                              analysis.BOSONIC_SATURATION_TEMPERATURE, TOL.plateau_step,
                              saturation, False)
     th_best, t1_best = analysis._polish_minimum(
-        lambda th: _serial_t1(config, ReservoirSpec(Statistics.BOSONIC, th, Role.HOT)),
+        lambda th: ranked(_serial_t1(config, ReservoirSpec(Statistics.BOSONIC, th, Role.HOT))),
         grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], TOL.plateau_step)
     if values[k] < t1_best:
         th_best, t1_best = grid[k], values[k]
@@ -224,6 +234,30 @@ def test_negative_best_case_is_the_plateau_bit_for_bit(config):
         assert best.hex() == plateau.plateau_t1.hex()
     else:
         assert isinstance(best, tuple) and issubclass(best[0], RuntimeError)
+
+
+@pytest.mark.parametrize("gamma1, inverted_at", [(0.01, 1.4), (0.0, 1.5)])
+def test_an_inverted_t1_does_not_win_the_positive_plateau(gamma1, inverted_at):
+    # With qubit 1 weakly tied to its bath (or not at all), the exchange
+    # heats it past infinite temperature at the low end of the grid: T1 < 0
+    # there, which is hotter than any positive T1, not colder. Ranked raw,
+    # the search returned -2.07e9 at T_h = 1.40 for gamma_1 = 0.01 and
+    # -1.2e9 at T_h = 1.6 for gamma_1 = 0, and a threshold bisection over it
+    # found no sign change. An insulated qubit 1 sits at the virtual
+    # temperature, so its plateau is the closed-form threshold.
+    config = default_config(gammas=(gamma1, 1.0, 1.0))
+    assert sweep_hot_temperature(config, [inverted_at])[0].t1 < 0.0
+    plateau = find_plateau(config, Direction.POSITIVE)
+    assert 0.0 < plateau.plateau_t1 < config.cold_temperature
+    assert plateau == _serial_plateau(config, Direction.POSITIVE)
+    threshold = cooling_threshold(config, Direction.POSITIVE)
+    assert threshold == pytest.approx(0.4000006, abs=1e-7)
+    if gamma1 == 0.0:
+        assert plateau.plateau_t1 == pytest.approx(threshold, rel=1e-12, abs=0.0)
+    else:
+        assert plateau.plateau_t1 == pytest.approx(0.49118, abs=1e-5)
+        lo, hi = threshold_bracket(config, Direction.POSITIVE)
+        assert threshold <= hi <= lo + TOL.threshold_resolution
 
 
 @pytest.mark.parametrize("offset", [-2, 0, 1, 2])
@@ -322,12 +356,13 @@ def test_threshold_sign_consistency(reference_config):
 
 
 def test_negative_grid_edge_threshold_is_tiny(reference_config):
-    # At T_h = -0.1 the hot occupation rounds to exactly 1, and in exact
-    # arithmetic the window-edge T1 stays below T_c at every T_c, so the
-    # bisection has no sign change to find. T1 is checked against the
-    # 60-digit solve down to T_c = 0.01, where p_e1 ~ 2.2e-44.
-    with pytest.raises(BracketError):
-        cooling_threshold(reference_config, Direction.NEGATIVE, ThresholdMode.GRID_EDGE)
+    # At T_h = -0.1 the closed form reads E1 / (E3/0.1 + E2/T_r) = 1/42.5
+    # from the temperatures. The float hot occupation rounds to exactly 1
+    # there, so a bisection on the solved T1 found no sign change. T1 is
+    # checked against the 60-digit solve of the same float rates down to
+    # T_c = 0.01, where p_e1 ~ 2.2e-44.
+    assert cooling_threshold(reference_config, Direction.NEGATIVE,
+                             ThresholdMode.GRID_EDGE) == 1.0 / 42.5
     for tc in (0.01, 0.02, 0.05, 0.1):
         config = reference_config.with_cold_temperature(tc)
         t1 = best_case_t1(config, Direction.NEGATIVE, ThresholdMode.GRID_EDGE)
@@ -344,6 +379,96 @@ def test_threshold_bracket_error_when_machine_never_cools(reference_config):
     # qubit 1 is heated at every cold temperature, so no sign change exists.
     config = default_config(tc=1.0, tr=20.0, th=10.0)
     with pytest.raises(BracketError):
+        cooling_threshold(config, Direction.POSITIVE, ThresholdMode.GRID_EDGE)
+
+
+@st.composite
+def threshold_machines(draw):
+    """Resonant or detuned machines with g > 0 and positive gammas whose
+    cold and room baths are bosonic, fermionic or inverted (the room)."""
+    e1 = draw(st.floats(0.5, 2.0))
+    e3 = draw(st.floats(0.5, 4.0))
+    e2 = e1 + e3 + draw(st.sampled_from((0.0, 0.0, -0.4, 0.4)))
+    room = draw(st.sampled_from(("bosonic", "fermionic", "inverted")))
+    tr = draw(st.floats(0.5, 10.0))
+    room = (ReservoirSpec(Statistics.BOSONIC, tr, Role.ROOM) if room == "bosonic" else
+            ReservoirSpec(Statistics.FERMIONIC, tr if room == "fermionic" else -tr, Role.ROOM))
+    cold = ReservoirSpec(draw(st.sampled_from(list(Statistics))), 1.0, Role.COLD)
+    return FridgeConfig(gaps=(e1, e2, e3),
+                        gammas=tuple(draw(st.floats(0.05, 2.0)) for _ in range(3)),
+                        reservoirs=(cold, room, HOT_BATHS[Direction.POSITIVE].window_edge),
+                        coupling=draw(st.floats(0.05, 2.0)))
+
+
+def _closed_form_at(config, hot):
+    """E1 / (L3 - L2) with the hot bath hot, or None where it is not positive."""
+    e1, e2, e3 = config.gaps
+    denominator = (analysis._log_rate_ratio(hot, e3)
+                   - analysis._log_rate_ratio(config.reservoirs[1], e2))
+    return e1 / denominator if denominator > 0.0 else None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(threshold_machines(), st.sampled_from(list(Direction)),
+       st.sampled_from(list(ThresholdMode)))
+@example(default_config(gammas=(0.01, 1.0, 1.0)), Direction.POSITIVE, ThresholdMode.PLATEAU)
+@example(default_config(coupling=0.0), Direction.POSITIVE, ThresholdMode.GRID_EDGE)
+@example(default_config(gammas=(1.0, 0.0, 1.0)), Direction.NEGATIVE, ThresholdMode.PLATEAU)
+@example(default_config(gammas=(1.0, 1.0, 0.0)), Direction.POSITIVE, ThresholdMode.PLATEAU)
+@example(default_config(tr=20.0), Direction.POSITIVE, ThresholdMode.GRID_EDGE)
+def test_closed_form_threshold_agrees_with_the_bisection(config, direction, mode):
+    # The bisection over the production solves (tests/oracles.py) is the
+    # oracle. Where it brackets a sign change, the closed form lies in its
+    # final bracket; where the closed form says the machine never cools, or
+    # lies outside THRESHOLD_BRACKET, the bisection finds no sign change. The
+    # positive plateau search reads T_h only up to PLATEAU_GRID_CAP (and the
+    # saturated point once T1 still descends there), so its threshold lies
+    # between the closed forms at the saturated bath and at the grid cap.
+    # With g, gamma_2 or gamma_3 at 0, T1 = T_c at every T_c, and the
+    # bisection would read the sign of rounding.
+    hot = HOT_BATHS[direction]
+    hot = hot.window_edge if mode is ThresholdMode.GRID_EDGE else hot.saturated
+    closed = _outcome(cooling_threshold, config, direction, mode)
+    if 0.0 in (config.coupling, config.gammas[1], config.gammas[2]):
+        assert closed[0] is BracketError
+        return
+    # The oracle solves the float rates, with the cold bath at 1 and the
+    # mode's hot bath. Skipped: a rate that rounds to 0, and a room or hot
+    # ratio up/down off its closed form by more than 1e-9, which the
+    # fermionic down-rate gamma (1 - n) of reservoirs.lindblad_rates is as
+    # n -> 1 (at T_h = -0.1 once E3 > 1.8 or so): there the oracle is off.
+    rates = liouvillian.sector_coefficients(config.with_hot_reservoir(hot))[0][0, :6]
+    assume(np.all(rates > 0.0))
+    for k, spec in ((1, config.reservoirs[1]), (2, hot)):
+        exact = analysis._log_rate_ratio(spec, config.gaps[k])
+        assume(abs(math.log(rates[2 * k + 1] / rates[2 * k]) - exact) <= 1e-9)
+    oracle = _outcome(threshold_bracket, config, direction, mode)
+    lo_end, hi_end = THRESHOLD_BRACKET
+    if direction is Direction.POSITIVE and mode is ThresholdMode.PLATEAU:
+        at_cap = _closed_form_at(
+            config, ReservoirSpec(Statistics.BOSONIC, analysis.PLATEAU_GRID_CAP, Role.HOT))
+        if isinstance(oracle[0], float):
+            assert closed <= oracle[1] <= at_cap + TOL.threshold_resolution
+        else:
+            assert oracle[0] is BracketError
+            assert (isinstance(closed, tuple) or closed < lo_end
+                    or at_cap is None or at_cap > hi_end - TOL.threshold_resolution)
+    elif isinstance(oracle[0], float):
+        lo, hi = oracle
+        assert lo <= closed <= hi
+    else:
+        assert oracle[0] is BracketError
+        assert isinstance(closed, tuple) or not lo_end < closed < hi_end
+
+
+def test_a_room_pinned_at_zero_has_no_threshold(reference_config):
+    # Qubit 2's room up-rate is exactly 0, so L2 = -inf: qubit 1 is cooled at
+    # every T_c > 0, and there is no positive T_c to solve the row at.
+    cold, _, hot = reference_config.reservoirs
+    room = ReservoirSpec.saturated(Statistics.BOSONIC, 0.0, Role.ROOM)
+    config = FridgeConfig(reference_config.gaps, reference_config.gammas,
+                          (cold, room, hot), reference_config.coupling)
+    with pytest.raises(BracketError, match="cools at every T_c"):
         cooling_threshold(config, Direction.POSITIVE, ThresholdMode.GRID_EDGE)
 
 
@@ -373,6 +498,42 @@ def test_insulation_limit_negative_hot_bath():
     result = insulation_limit(config, (1e-2, 1e-4, 1e-6, 1e-8))
     assert result.analytic_t1 == pytest.approx(1.0 / 12.0, rel=1e-12)
     assert result.final_relative_gap <= 1e-3
+
+
+def _serial_insulation(config, sequence):
+    """The gamma_1 values and T1s of insulation_limit, one solve per gamma_1
+    until the first that fails with SteadyStateError."""
+    used, values = [], []
+    for gamma1 in sequence:
+        try:
+            _, readout = solve_for_readout(config.with_gamma1(gamma1))
+        except SteadyStateError:
+            break
+        values.append(temperature_as_float(readout.effective_temperature))
+        used.append(gamma1)
+    return used, values
+
+
+@pytest.mark.parametrize("config, sequence", [
+    (default_config(), analysis.DEFAULT_GAMMA1_SEQUENCE),
+    (default_config(tc=1.0, tr=1.0, th=-0.1, coupling=2.0, gaps=(1.0, 2.3, 1.0),
+                    hot_statistics="fermionic"), (1e-2, 1e-4, 1e-6, 1e-8)),
+    # qubit 2 free with g = 0: every row fails, so none is usable
+    (default_config(coupling=0.0, gammas=(1.0, 0.0, 1.0)), (1e-1, 1e-2)),
+], ids=["reference", "detuned-fermionic", "no-usable-row"])
+def test_insulation_stack_is_the_one_at_a_time_loop(config, sequence):
+    # All gamma_1 rows are solved as one stack, and a stacked row equals its
+    # one-row solve bit for bit, so the result is the serial loop's.
+    result = _outcome(insulation_limit, config, sequence)
+    used, values = _serial_insulation(config, sequence)
+    if not used:
+        assert result == (AnalysisError, "no usable gamma1 in the sequence")
+        return
+    assert result.gamma1_values == tuple(used) == tuple(sequence)
+    assert [v.hex() for v in result.t1_values] == [v.hex() for v in values]
+    gap = abs(values[-1] - result.analytic_t1) / abs(result.analytic_t1)
+    assert result.final_relative_gap.hex() == gap.hex()
+    assert result.smallest_usable_gamma1 == used[-1]
 
 
 def test_insulation_limit_validates_sequence(reference_config):

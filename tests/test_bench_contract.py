@@ -111,14 +111,15 @@ def test_a_traced_cli_run_records_its_spans(tmp_path):
 
 def test_a_negative_threshold_times_its_solves(tmp_path):
     # Every single solve goes through analysis.solve_for_readout, the
-    # benchmark's latency hook: a negative plateau-mode threshold reads one
-    # saturated row per bisection step, and each is a traced solve.
+    # benchmark's latency hook. The threshold itself is a closed form that
+    # solves nothing; the command then solves the one saturated row whose T1
+    # it writes, and that solve is traced.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(default_config().to_dict()))
     spans = _traced(["threshold", "--config", str(config), "--direction", "negative",
                      "--out", str(tmp_path / "threshold.csv")])
     assert spans["analysis.threshold"] == 1
-    assert spans["analysis.solve_for_readout"] > 10
+    assert spans["analysis.solve_for_readout"] == 1
     assert spans["analysis.plateau"] == 0
 
 

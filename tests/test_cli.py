@@ -276,10 +276,11 @@ def test_threshold_command_grid_edge(config_path, tmp_path):
     rows = read_rows(out)
     threshold, t1, t1_minus_tc = (float(v) for v in rows[1][:3])
     assert threshold == pytest.approx(0.476, abs=5e-3)
-    # the row carries the window-edge T1 the bisection compared, not the plateau
+    # the row carries the window-edge T1 at the threshold, not the plateau;
+    # at T_c* = 1/2.1 the exchange carries no flux (p2 = p5), so T1 = T_c
     at_threshold = default_config().with_cold_temperature(threshold)
     assert t1 == best_case_t1(at_threshold, Direction.POSITIVE, ThresholdMode.GRID_EDGE)
-    assert t1 == pytest.approx(0.476213, abs=1e-6)
+    assert t1 == pytest.approx(1.0 / 2.1, rel=1e-12, abs=0.0)
     assert t1_minus_tc == t1 - threshold
     sidecar = json.loads((tmp_path / "thr.json").read_text())
     assert sidecar["result"]["mode"] == "grid-edge"
