@@ -179,15 +179,13 @@ class CalibrationResult:
         return lines
 
 
-def _solve_hot_grid(config: FridgeConfig, hot_reservoirs):
-    """Per hot reservoir, qubit 1's (residual, p_ground, p_excited, T1) in
+def _solve_hot_grid(config: FridgeConfig, temperatures=None, occupations=None):
+    """Per hot-bath point, qubit 1's (residual, p_ground, p_excited, T1) in
     config's steady state with that hot bath, or the exception its solve
-    raised: every point is solved in one stack and checked on its own. An
-    entry of hot_reservoirs that is already an exception (a spec that could
-    not be built) is passed through."""
-    solved = solve_sectors(config, [h for h in hot_reservoirs if not isinstance(h, Exception)])
-    rows = iter(_qubit1_rows(solved, config.gaps[0]))
-    return [hot if isinstance(hot, Exception) else next(rows) for hot in hot_reservoirs]
+    raised: one point per temperature, then one per pinned occupation, of a
+    hot bath of config's hot statistics (default: config's own hot bath).
+    Every point is solved in one stack and checked on its own."""
+    return _qubit1_rows(solve_sectors(config, temperatures, occupations), config.gaps[0])
 
 
 def _qubit1_rows(solved, e1: float):
@@ -215,7 +213,7 @@ def solve_for_readout(config: FridgeConfig):
     """(residual, cooled-qubit readout) of config's steady state, the unit of
     every single solve: the one-row case of _solve_hot_grid. Raises the
     failure."""
-    outcome, = _solve_hot_grid(config, config.reservoirs[2:])
+    outcome, = _solve_hot_grid(config)
     if isinstance(outcome, Exception):
         raise outcome
     residual, p_ground, p_excited, t1 = outcome
@@ -232,14 +230,6 @@ def _coldness(t1: float) -> float:
 
 def _t1_value(config: FridgeConfig) -> float:
     return temperature_as_float(solve_for_readout(config)[1].effective_temperature)
-
-
-def _hot_at(hot: ReservoirSpec, th):
-    """hot at temperature th, or the ValueError that spec raises."""
-    try:
-        return replace(hot, temperature=th, occupation_override=None)
-    except ValueError as exc:
-        return exc
 
 
 def _record(th, tc, outcome):
@@ -275,7 +265,7 @@ def sweep_hot_temperature(config: FridgeConfig, th_values):
             raise AnalysisError(
                 f"T_h = {v} invalid for a {hot.statistics.value} hot reservoir"
             )
-    outcomes = _solve_hot_grid(config, [_hot_at(hot, th) for th in th_values])
+    outcomes = _solve_hot_grid(config, th_values)
     return [_record(th, config.cold_temperature, outcome)
             for th, outcome in zip(th_values, outcomes)]
 
@@ -335,10 +325,8 @@ def find_plateau(config: FridgeConfig, direction: Direction) -> PlateauResult:
 
 
 def _find_plateau_positive(config):
-    hot = config.reservoirs[2]
-    if hot.statistics is not Statistics.BOSONIC:
-        hot = HOT_BATHS[Direction.POSITIVE].window_edge
-        config = config.with_hot_reservoir(hot)
+    if config.reservoirs[2].statistics is not Statistics.BOSONIC:
+        config = config.with_hot_reservoir(HOT_BATHS[Direction.POSITIVE].window_edge)
 
     def t1_at(th):
         return _coldness(_t1_value(config.with_hot_temperature(th)))
@@ -348,8 +336,7 @@ def _find_plateau_positive(config):
                             / math.log(PLATEAU_GRID_RATIO)) + 1)
     # the saturation point rides along as the stack's last row
     *values, saturation = [_t1_of(outcome) for outcome in _solve_hot_grid(
-        config, [_hot_at(hot, th) for th in grid.tolist()]
-        + [HOT_BATHS[Direction.POSITIVE].saturated])]
+        config, grid.tolist() + [HOT_BATHS[Direction.POSITIVE].saturated.temperature])]
     values = [_coldness(t1) for t1 in values]
     k = int(np.argmin(values))
     if k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step:
@@ -398,13 +385,14 @@ def _find_plateau_negative(config):
     # row is raised only if the walk reaches it.
     walk = _negative_walk(config)
     hot = HOT_BATHS[Direction.NEGATIVE]
+    config = config.with_hot_reservoir(hot.window_edge)
     previous = saturated = None
     detected_at = walk[0]
     flattened = False
     for start in range(0, len(walk), NEGATIVE_WALK_CHUNK):
         chunk = walk[start:start + NEGATIVE_WALK_CHUNK]
-        outcomes = _solve_hot_grid(config, [_hot_at(hot.window_edge, th) for th in chunk]
-                                   + ([hot.saturated] if start == 0 else []))
+        outcomes = _solve_hot_grid(
+            config, chunk, [hot.saturated.occupation_override] if start == 0 else [])
         if start == 0:
             saturated = outcomes.pop()
         for th, outcome in zip(chunk, outcomes):

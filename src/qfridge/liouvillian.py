@@ -30,7 +30,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import TOL, LinalgError, as_matrix
-from .reservoirs import ReservoirSpec, Role, lindblad_rates
+from .reservoirs import (
+    ReservoirError,
+    ReservoirSpec,
+    Role,
+    check_temperature,
+    lindblad_rates,
+    rate_pair,
+    thermal_occupation,
+)
 
 NUM_QUBITS = 3
 DIM = 2 ** NUM_QUBITS
@@ -38,7 +46,6 @@ DIM = 2 ** NUM_QUBITS
 SECTOR_PAIR = (2, 5)
 # Sector coordinates: the DIM populations, then Re and Im of rho[SECTOR_PAIR].
 SECTOR_DIM = DIM + 2
-_OUTSIDE_PAIR = np.array([i for i in range(DIM) if i not in SECTOR_PAIR])
 
 
 class ConfigError(ValueError):
@@ -160,18 +167,35 @@ def default_config(tc=1.0, tr=2.0, th=10.0, coupling=1.0,
     )
 
 
-def sector_coefficients(config: FridgeConfig, hot_reservoirs=None):
-    """Coefficient rows (N, 8) of the sector generator, one per hot reservoir
-    in hot_reservoirs (default: the config's own), the config supplying
-    everything else: (down_k, up_k) for k = 1..3, g, the detuning.
+def sector_coefficients(config: FridgeConfig, hot_temperatures=None, hot_occupations=None):
+    """Coefficient rows (N, 8) of the sector generator: (down_k, up_k) for
+    k = 1..3, g, the detuning. There is one row per hot-bath temperature in
+    hot_temperatures, then one per pinned hot occupation in hot_occupations,
+    the hot bath keeping the statistics of config's, and config supplies
+    everything else. With neither given, the one row is config's own hot
+    bath.
 
     Only the hot pair of columns differs between rows, so the cold and room
     rates are evaluated once. Returns (coefficients, errors): errors[i] is
-    None or the ValueError row i's rates raised, and that row is NaN.
+    None or the ValueError row i's rates raised, and that row is NaN. A hot
+    temperature the bath cannot have (see check_temperature) is that row's
+    error first.
     """
-    if hot_reservoirs is None:
-        hot_reservoirs = (config.reservoirs[2],)
-    rows = len(hot_reservoirs)
+    hot = config.reservoirs[2]
+    if hot_temperatures is None and hot_occupations is None:
+        if hot.occupation_override is None:
+            hot_temperatures = (hot.temperature,)
+        else:
+            hot_occupations = (hot.occupation_override,)
+    temperatures = () if hot_temperatures is None else hot_temperatures
+    occupations = () if hot_occupations is None else hot_occupations
+    rows = len(temperatures) + len(occupations)
+    errors = [None] * rows
+    for i, temperature in enumerate(temperatures):
+        try:
+            check_temperature(hot.statistics, temperature)
+        except ReservoirError as exc:
+            errors[i] = exc
     base = []
     try:
         for k in range(NUM_QUBITS - 1):
@@ -181,28 +205,30 @@ def sector_coefficients(config: FridgeConfig, hot_reservoirs=None):
             rates = lindblad_rates(config.reservoirs[k], config.gaps[k], config.gammas[k])
             base += (rates.gamma_down, rates.gamma_up)
     except ValueError as exc:
-        return np.full((rows, 2 * NUM_QUBITS + 2), np.nan), [exc] * rows
+        return (np.full((rows, 2 * NUM_QUBITS + 2), np.nan),
+                [error or exc for error in errors])
     e1, e2, e3 = config.gaps
     base += (0.0, 0.0, config.coupling, e1 - e2 + e3)
     coefficients = np.empty((rows, len(base)))
     coefficients[:] = base
-    errors = [None] * rows
     gamma = config.gammas[2]
     if gamma != 0.0:
-        hot_rates = []
-        for i, spec in enumerate(hot_reservoirs):
-            try:
-                rates = lindblad_rates(spec, e3, gamma)
-            except ValueError as exc:
-                errors[i] = exc
-                hot_rates.append((np.nan, np.nan))
-                continue
-            hot_rates.append((rates.gamma_down, rates.gamma_up))
-        hot = 2 * (NUM_QUBITS - 1)
-        coefficients[:, hot:hot + 2] = np.reshape(hot_rates, (rows, 2))
-        failed = [i for i, error in enumerate(errors) if error is not None]
-        if failed:
-            coefficients[failed] = np.nan
+        # math.exp and math.expm1 per point: numpy's differ from them in the
+        # last bit on some arguments
+        hot_rates = [(np.nan, np.nan)] * rows
+        for i, point in enumerate((*temperatures, *occupations)):
+            if errors[i] is None:
+                try:
+                    n = (point if i >= len(temperatures)
+                         else thermal_occupation(hot.statistics, e3, point))
+                    hot_rates[i] = rate_pair(hot.statistics, n, gamma)
+                except ValueError as exc:
+                    errors[i] = exc
+        column = 2 * (NUM_QUBITS - 1)
+        coefficients[:, column:column + 2] = np.array(hot_rates).reshape(rows, 2)
+    failed = [i for i, error in enumerate(errors) if error is not None]
+    if failed:
+        coefficients[failed] = np.nan
     return coefficients, errors
 
 
@@ -234,18 +260,19 @@ def sector_state_errors(x):
     trace is the sum of the populations. Its eigenvalues are the
     populations outside SECTOR_PAIR and the two of the pair's 2x2 block
     [[p2, c], [conj(c), p5]], the smaller being
-    (p2 + p5)/2 - sqrt(((p2 - p5)/2)^2 + |c|^2).
+    (p2 + p5)/2 - sqrt(((p2 - p5)/2)^2 + |c|^2), which is at most p2 and p5:
+    so the smallest eigenvalue is the smaller of it and every population.
     """
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        x = np.where(finite[:, None], x, 0.0)
     populations = x[:, :DIM]
-    low, high = populations[:, SECTOR_PAIR[0]], populations[:, SECTOR_PAIR[1]]
-    pair_smallest = (low + high) / 2.0 - np.hypot((low - high) / 2.0,
-                                                  np.hypot(x[:, DIM], x[:, DIM + 1]))
-    smallest = np.minimum(populations[:, _OUTSIDE_PAIR].min(axis=1), pair_smallest)
-    return _state_errors(finite, np.zeros(len(x)), np.abs(populations.sum(axis=1) - 1.0),
-                         smallest)
+    low, high = x[:, SECTOR_PAIR[0]], x[:, SECTOR_PAIR[1]]
+    with np.errstate(invalid="ignore"):    # a non-finite row, which fails
+        pair_smallest = (low + high) / 2.0 - np.hypot((low - high) / 2.0,
+                                                      np.hypot(x[:, DIM], x[:, DIM + 1]))
+        trace_error = np.abs(np.add.reduce(populations, axis=1) - 1.0)
+    smallest = np.minimum(np.minimum.reduce(populations, axis=1), pair_smallest)
+    if ((trace_error <= TOL.density_trace) & (smallest >= TOL.density_min_eigenvalue)).all():
+        return {}
+    return _state_errors(np.isfinite(x).all(axis=1), np.zeros(len(x)), trace_error, smallest)
 
 
 def _state_errors(finite, hermiticity, trace_error, smallest):

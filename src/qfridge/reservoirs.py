@@ -65,13 +65,7 @@ class ReservoirSpec:
             raise ReservoirError(f"invalid reservoir field: {exc}") from exc
         object.__setattr__(self, "statistics", statistics)
         object.__setattr__(self, "role", role)
-        if not math.isfinite(t) or t == 0.0:
-            raise ReservoirError(f"temperature must be finite and nonzero, got {t}")
-        if self.statistics is Statistics.BOSONIC and t < 0.0:
-            raise ReservoirError(
-                "bosonic reservoirs cannot be population inverted: negative "
-                f"temperature {t} is invalid"
-            )
+        check_temperature(statistics, t)
         object.__setattr__(self, "temperature", t)
         if n is not None:
             if self.statistics is Statistics.FERMIONIC and not 0.0 <= n <= 1.0:
@@ -122,28 +116,45 @@ class LindbladRates:
     gamma_up: float
 
     def __post_init__(self):
-        for name, value in (("gamma_down", self.gamma_down), ("gamma_up", self.gamma_up)):
-            if not math.isfinite(value) or value < 0.0:
-                raise ReservoirError(f"{name} must be finite and >= 0, got {value}")
+        _check_rates(self.gamma_down, self.gamma_up)
+
+
+def check_temperature(statistics: Statistics, temperature: float):
+    """Raise the ReservoirError of a temperature no bath of these statistics
+    can have: not finite, 0, or negative for a bosonic bath."""
+    if not math.isfinite(temperature) or temperature == 0.0:
+        raise ReservoirError(f"temperature must be finite and nonzero, got {temperature}")
+    if statistics is Statistics.BOSONIC and temperature < 0.0:
+        raise ReservoirError(
+            "bosonic reservoirs cannot be population inverted: negative "
+            f"temperature {temperature} is invalid"
+        )
 
 
 def occupation(spec: ReservoirSpec, gap: float) -> float:
-    """Mean reservoir excitation at the given energy gap.
-
-    Uses exp-of-negative forms so that sweeps probing T -> 0 on either side
-    never overflow: large |E/T| collapses smoothly onto the physical limit.
-    """
+    """Mean reservoir excitation at the given energy gap: the pinned
+    occupation, or thermal_occupation at the spec's temperature."""
     if gap <= 0.0 or not math.isfinite(gap):
         raise ReservoirError(f"gap must be positive and finite, got {gap}")
     if spec.occupation_override is not None:
         return spec.occupation_override
-    x = gap / spec.temperature
-    if spec.statistics is Statistics.BOSONIC:
+    return thermal_occupation(spec.statistics, gap, spec.temperature)
+
+
+def thermal_occupation(statistics: Statistics, gap: float, temperature: float) -> float:
+    """Mean excitation at a gap E > 0 of a bath at a valid temperature (see
+    check_temperature).
+
+    Uses exp-of-negative forms so that sweeps probing T -> 0 on either side
+    never overflow: large |E/T| collapses smoothly onto the physical limit.
+    """
+    x = gap / temperature
+    if statistics is Statistics.BOSONIC:
         if x > _EXP_ARG_LIMIT:
             return math.exp(-x)               # n -> exp(-E/T) as T -> 0+
         if x == 0.0:
             raise ReservoirError(
-                f"E/T = {gap}/{spec.temperature} underflows to 0: the bosonic "
+                f"E/T = {gap}/{temperature} underflows to 0: the bosonic "
                 "occupation is unbounded"
             )
         return 1.0 / math.expm1(x)
@@ -156,14 +167,30 @@ def occupation(spec: ReservoirSpec, gap: float) -> float:
     return 1.0 / (1.0 + e)
 
 
+def rate_pair(statistics: Statistics, n: float, gamma: float):
+    """(down, up) = (gamma (1 +/- n), gamma n), the rates a bath of occupation
+    n induces on a qubit, checked as LindbladRates checks them."""
+    if statistics is Statistics.BOSONIC:
+        down = gamma * (1.0 + n)
+    else:
+        down = gamma * (1.0 - n)
+    up = gamma * n
+    _check_rates(down, up)
+    return down, up
+
+
+def _check_rates(down: float, up: float):
+    """Raise the ReservoirError of a rate that is not finite or is negative."""
+    for name, value in (("gamma_down", down), ("gamma_up", up)):
+        if not math.isfinite(value) or value < 0.0:
+            raise ReservoirError(f"{name} must be finite and >= 0, got {value}")
+
+
 def lindblad_rates(spec: ReservoirSpec, gap: float, gamma: float) -> LindbladRates:
     """Rates induced on a qubit: down = gamma (1 +/- n), up = gamma n."""
     if gamma < 0.0 or not math.isfinite(gamma):
         raise ReservoirError(f"dissipation rate must be finite and >= 0, got {gamma}")
-    n = occupation(spec, gap)
-    if spec.statistics is Statistics.BOSONIC:
-        return LindbladRates(gamma_down=gamma * (1.0 + n), gamma_up=gamma * n)
-    return LindbladRates(gamma_down=gamma * (1.0 - n), gamma_up=gamma * n)
+    return LindbladRates(*rate_pair(spec.statistics, occupation(spec, gap), gamma))
 
 
 def temperature_from_occupation(statistics, gap: float, n: float) -> float:

@@ -7,13 +7,17 @@ dp2/dt = -dp5/dt = -2 g Im c. At the steady state, with h = hypot(Gamma/2,
 delta), Re c = -g delta (p2 - p5) / h^2 and Im c = g (Gamma/2) (p2 - p5) / h^2,
 so the populations are the stationary law of an 8-state Markov chain: the
 Pauli rates plus one symmetric edge 2 <-> 5 of rate kappa = Gamma (g/h)^2.
-solve_coefficients finds that law by the elimination of Grassmann, Taksar
-and Heyman (Oper. Res. 33, 1107 (1985)), which makes no subtraction and
-gives each probability to small relative error (O'Cinneide, Numer. Math.
-65, 109 (1993)). The sector generator and the 64x64 oracles it is checked
-against live in tests/oracles.py.
+solve_coefficients censors the chain's four odd states and finds the law of
+the four even ones as a sum over their spanning trees (the Markov chain tree
+theorem), with each row scaled by exact powers of two. Like the elimination
+of Grassmann, Taksar and Heyman (Oper. Res. 33, 1107 (1985)), the sum makes
+no subtraction, so each probability comes out to small relative error
+(O'Cinneide, Numer. Math. 65, 109 (1993)). GTH elimination remains for the
+closed class of a chain that is not irreducible. The sector generator and
+the 64x64 oracles it is checked against live in tests/oracles.py.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,13 +67,69 @@ _SOURCE, _TARGET, _RATE = (np.array(column) for column in zip(*[
     for k, bit in enumerate((4, 2, 1)) for state in range(DIM)]))
 
 
+def _in_trees(n):
+    """Index table (edge, tree, root) of the spanning trees of n states
+    directed to each root: entry [e, t, r] is the flat index n i + j of the
+    e-th edge i -> j of root r's t-th tree, which leaves the e-th state other
+    than r. Each root has n^(n-2) trees (Cayley)."""
+    table = []
+    for root in range(n):
+        others = [i for i in range(n) if i != root]
+        trees = []
+        for parents in itertools.product(range(n), repeat=n - 1):
+            step = [*parents[:root], root, *parents[root:]]
+            ends = step
+            for _ in range(n - 2):
+                ends = [step[i] for i in ends]
+            if ends == [root] * n:     # every state reaches root: no cycle
+                trees.append([n * i + step[i] for i in others])
+        table.append(trees)
+    return np.array(table).transpose(2, 1, 0)
+
+
+_TREES = _in_trees(_EVEN)
+# The exponent a zero rate is given, so that no tree through it sets a row's
+# scale; three of them still fit an int32.
+_ZERO_EXPONENT = np.int32(-(1 << 28))
+
+
+def _tree_weights(censored):
+    """Stationary weights (N, 4) of a stack of 4-state rate matrices
+    (N, 4, 4), censored[:, i, j] the rate from i to j: each row is its
+    stationary law times a factor in [2^-9, 1). By the Markov chain tree
+    theorem (Leighton and Rivest, IEEE Trans. Inf. Theory 32, 733 (1986)),
+    state r weighs the sum over the spanning trees directed to r of the
+    product of their rates. The diagonal is not read.
+
+    The sum makes no subtraction, so each probability has small relative
+    error, as by GTH elimination. Each rate is split by frexp into a
+    mantissa and a power of two, so no product under- or overflows, and
+    each row's products are scaled by powers of two (ldexp, exact unless
+    the result is subnormal) that put the row's sum in [2^-9, 1). Reductions run over the outer (edge,
+    tree) axes, whose order does not depend on N, so a row solves bit for
+    bit as on its own. A row with two or more closed classes has no tree of
+    nonzero rates: its weights are all 0. With one, the states outside it
+    weigh exactly 0.
+    """
+    n = len(censored)
+    mantissas, exponents = np.frexp(censored.reshape(n, _EVEN * _EVEN).T)
+    np.copyto(exponents, _ZERO_EXPONENT, where=mantissas == 0.0)
+    # take, unlike fancy indexing, returns C order even for n = 1
+    products = np.multiply.reduce(mantissas.take(_TREES, axis=0), axis=0)
+    scales = np.add.reduce(exponents.take(_TREES, axis=0), axis=0, dtype=np.int32)
+    # 2^-6 below the largest product, which is < 1: the 4 x 16 products sum
+    # to < 1, so the odd step's inflow stays below the largest rate
+    scales -= np.maximum.reduce(scales.reshape(_TREES[0].size, n), axis=0) + 6
+    return np.add.reduce(np.ldexp(products, scales), axis=0).T
+
+
 def _eliminate(generators):
     """Stationary laws (N, n) of a stack of rate matrices (N, n, n) by GTH
-    elimination; generators[:, i, j] is the rate from i to j, and the
-    diagonal is not read. Nothing overflows, however far apart the
-    probabilities lie. A row that is not irreducible meets a zero pivot,
-    which makes its law NaN, unless only the last pivot is 0 and the row
-    has one closed class: then its law is still exact."""
+    elimination, which solves the closed class of _solve_reducible;
+    generators[:, i, j] is the rate from i to j, and the diagonal is not
+    read. A row that is not irreducible meets a zero pivot, which makes its
+    law NaN, unless only the last pivot is 0 and the row has one closed
+    class: then its law is still exact."""
     q = generators.copy()
     n = q.shape[-1]
     for k in range(n - 1, 0, -1):
@@ -128,8 +188,10 @@ def _invalid_state(exc):
 def solve_coefficients(coefficients) -> SectorSolutions:
     """Steady states of a stack of sector_coefficients rows, which may come
     from different machines. The chain's odd states lead only to even ones,
-    so they are censored in one step; the even states are eliminated in
-    turn, and each odd state gets its inflow over its out-rate.
+    so they are censored in one step; the 4-state chain left on the even
+    states is weighed by _tree_weights, and each odd state gets its inflow
+    over its out-rate. A row that is then not finite (a zero or subnormal
+    out-rate, or two closed classes) is classified by _solve_reducible.
 
     Each row is checked on its own, in this order: a unique steady state,
     the state invariants (in closed form, sector_state_errors) and the
@@ -144,22 +206,26 @@ def solve_coefficients(coefficients) -> SectorSolutions:
     h = np.hypot(half_gamma, detuning)
     errors = [None] * len(coefficients)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_h = coupling / h
+        g_h, gamma_h = coupling / h, half_gamma / h
         # Gamma (g/h)^2, in a form that does not overflow as h -> 0; NaN,
         # an edge of unknown rate, only where g > 0 and h = 0
-        kappa = np.where(coupling > 0.0, 2.0 * coupling * g_h * (half_gamma / h), 0.0)
+        kappa = np.where(coupling > 0.0, 2.0 * coupling * g_h * gamma_h, 0.0)
         generators = np.zeros((len(coefficients), DIM, DIM))
         generators[:, _SOURCE, _TARGET] = rates[:, _RATE]
         generators[:, _LOW, _HIGH] = generators[:, _HIGH, _LOW] = kappa
         to_odd, to_even = generators[:, :_EVEN, _EVEN:], generators[:, _EVEN:, :_EVEN]
         exits = np.add.reduce(to_even, axis=2, keepdims=True)
         law = np.empty((len(coefficients), DIM))
-        law[:, :_EVEN] = _eliminate(to_odd @ (to_even / exits))
-        np.divide(law[:, None, :_EVEN] @ to_odd, exits.transpose(0, 2, 1),
-                  out=law[:, None, _EVEN:])
+        law[:, :_EVEN] = _tree_weights(to_odd @ (to_even / exits))
+        # The inflow over an odd state's subnormal out-rate can overflow; its
+        # row is then not finite and is solved by _solve_reducible, exactly
+        # (test_sector.py::test_an_overflowing_odd_step_is_solved_exactly).
+        with np.errstate(over="ignore"):
+            np.divide(law[:, None, :_EVEN] @ to_odd, exits.transpose(0, 2, 1),
+                      out=law[:, None, _EVEN:])
         law /= np.add.reduce(law, axis=1, keepdims=True)
         if not np.isfinite(law).all():
-            # a zero pivot or out-rate: the chain is not irreducible
+            # a zero or subnormal out-rate, or no tree of nonzero rates
             unsolved = ~np.isfinite(law).all(axis=1) & np.isfinite(coefficients).all(axis=1)
             for i in np.flatnonzero(unsolved).tolist():
                 try:
@@ -174,21 +240,23 @@ def solve_coefficients(coefficients) -> SectorSolutions:
         x[:, _ORDER] = law
         exchange = g_h * (law[:, _LOW] - law[:, _HIGH])
         x[:, DIM] = -exchange * (detuning / h)
-        x[:, DIM + 1] = exchange * (half_gamma / h)
+        x[:, DIM + 1] = exchange * gamma_h
     for i, invalid in sector_state_errors(x).items():
         errors[i] = errors[i] or _invalid_state(invalid)
-    for i in np.nonzero(residuals > TOL.steady_residual_direct)[0].tolist():
+    for i in (residuals > TOL.steady_residual_direct).nonzero()[0].tolist():
         errors[i] = errors[i] or SteadyStateError(
             f"steady-state residual {residuals[i]:.3e} exceeds "
             f"{TOL.steady_residual_direct:.0e} for solver direct")
     return SectorSolutions(coordinates=x, residuals=residuals, errors=errors)
 
 
-def solve_sectors(config: FridgeConfig, hot_reservoirs=None) -> SectorSolutions:
-    """Steady states of config with its hot reservoir replaced by each of
-    hot_reservoirs in turn (default: its own), as one stacked solve. A row
-    whose rates raise carries that error first (see solve_coefficients)."""
-    coefficients, rate_errors = sector_coefficients(config, hot_reservoirs)
+def solve_sectors(config: FridgeConfig, hot_temperatures=None,
+                  hot_occupations=None) -> SectorSolutions:
+    """Steady states of config with its hot bath at each of hot_temperatures,
+    then pinned at each of hot_occupations (default: its own hot bath; see
+    sector_coefficients), as one stacked solve. A row whose rates raise
+    carries that error first (see solve_coefficients)."""
+    coefficients, rate_errors = sector_coefficients(config, hot_temperatures, hot_occupations)
     solved = solve_coefficients(coefficients)
     errors = [rates or solve for rates, solve in zip(rate_errors, solved.errors)]
     return SectorSolutions(coordinates=solved.coordinates, residuals=solved.residuals,

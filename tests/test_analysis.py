@@ -271,14 +271,14 @@ def test_a_failing_walk_row_counts_only_if_the_walk_reaches_it(
     stop = walk.index(plateau.plateau_detected_at)
     assert plateau.walk_flattened and stop + 2 < len(walk)
     failing = walk[stop + offset]
-    rates = liouvillian.lindblad_rates
+    occupation = liouvillian.thermal_occupation    # of the hot bath only
 
-    def rates_failing_at(spec, gap, gamma):
-        if spec.role is Role.HOT and spec.temperature == failing:
+    def occupation_failing_at(statistics, gap, temperature):
+        if temperature == failing:
             raise ReservoirError(f"no rates at T_h = {failing}")
-        return rates(spec, gap, gamma)
+        return occupation(statistics, gap, temperature)
 
-    monkeypatch.setattr(liouvillian, "lindblad_rates", rates_failing_at)
+    monkeypatch.setattr(liouvillian, "thermal_occupation", occupation_failing_at)
     outcome = _outcome(find_plateau, reference_config, Direction.NEGATIVE)
     assert outcome == _outcome(_serial_plateau, reference_config, Direction.NEGATIVE)
     if offset <= 0:
@@ -300,9 +300,10 @@ def test_the_negative_walk_is_solved_only_up_to_the_stack_where_it_stops(monkeyp
     stacks = []
     solve = analysis.solve_sectors
 
-    def counted(config, hot_reservoirs=None):
-        stacks.append(len(hot_reservoirs))
-        return solve(config, hot_reservoirs)
+    def counted(config, hot_temperatures=None, hot_occupations=None):
+        solved = solve(config, hot_temperatures, hot_occupations)
+        stacks.append(len(solved.errors))
+        return solved
 
     monkeypatch.setattr(analysis, "solve_sectors", counted)
     tiny = default_config(gaps=(1.0, 1.0 + 1e-300, 1e-300))

@@ -123,6 +123,15 @@ def test_a_negative_threshold_times_its_solves(tmp_path):
     assert spans["analysis.plateau"] == 0
 
 
+def test_a_traced_reproduce_all_times_25_single_solves(tmp_path):
+    # The latency metrics sample every analysis.solve_for_readout call. A
+    # reproduce all makes 25: the golden-section polishes of the three
+    # positive plateaus and the three negative saturated rows. Stacked
+    # solves (sweeps, plateau grids, the negative walk) are not sampled.
+    spans = _traced(["reproduce", "all", "--out", str(tmp_path)])
+    assert spans["analysis.solve_for_readout"] == 25
+
+
 def test_the_package_needs_only_numpy_at_runtime():
     # Importing the package and its CLI loads none of the test-only
     # dependencies and none of the test oracles.

@@ -1,15 +1,21 @@
-"""The sector solve, a rate chain eliminated by GTH, against the sector
-generator and the 64x64 oracle, the stacked solve against one-at-a-time
-solves, and the stacked solve against closed forms: the g = 0 thermal
-product and the fermionic mirror symmetry. Chains that are not irreducible
-against their closed classes, and deep-cooled populations against mpmath.
+"""The sector solve, a rate chain whose even states are solved by the tree
+sum, against the exact law of random 4-state chains and GTH elimination,
+the sector generator and the 64x64 oracle; the stacked solve against
+one-at-a-time solves, at any stack size, and against closed forms: the
+g = 0 thermal product and the fermionic mirror symmetry. Chains that are
+not irreducible against their closed classes, deep-cooled populations
+against mpmath, and README's extreme rows on the main path, not the
+closed-class fallback.
 
 Property tests over resonant and detuned machines, including the decoupled
 machine (g = 0), a bath switched off (gamma_k = 0), saturated hot baths and
 baths whose |E/T| straddles the exp cutoff of the occupation formulas.
 """
 
+import itertools
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,15 +40,19 @@ from qfridge.liouvillian import (
     sector_coefficients,
     sector_state_errors,
 )
+from qfridge import steady_state
 from qfridge.reservoirs import ReservoirError
 from qfridge.steady_state import (
     MultiplicityError,
     SteadyStateError,
+    _eliminate,
+    _solve_reducible,
+    _tree_weights,
     solve_coefficients,
     solve_sectors,
 )
 from qfridge.thermometry import TemperatureSentinel
-from tests.conftest import exact_qubit1_populations, sector_solution
+from tests.conftest import exact_qubit1_populations, random_valid_config, sector_solution
 from tests.oracles import (
     build_liouvillian,
     read_qubit,
@@ -250,7 +260,7 @@ def test_closed_form_state_check_is_the_density_matrix_check(rows):
 def test_deep_cooled_population_is_resolved():
     # An inverted hot bath at T_h = -0.1 (n3 rounds to 1) cools qubit 1 so
     # deeply that p_e1 sits 22 and 44 orders below the largest populations at
-    # T_c = 0.02 and 0.01. GTH elimination makes no subtraction, so it
+    # T_c = 0.02 and 0.01. The tree sum makes no subtraction, so it
     # resolves p_e1 to full relative precision all the same.
     for tc, p_excited in ((0.02, 1.1378e-22), (0.01, 2.1946e-44)):
         config = default_config(tc=tc, th=-0.1, hot_statistics="fermionic")
@@ -287,15 +297,30 @@ def _status(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
+def _in_stack_order(hots):
+    """hots with the thermal baths first and the pinned ones after them, in
+    the order a stacked solve takes them."""
+    return sorted(hots, key=lambda hot: hot.occupation_override is not None)
+
+
+def _stacked(hots):
+    """The hot baths hots, in stack order, as the arguments of a stacked
+    solve: the temperatures of the thermal ones and the occupations of the
+    pinned ones."""
+    return ([hot.temperature for hot in hots if hot.occupation_override is None],
+            [hot.occupation_override for hot in hots if hot.occupation_override is not None])
+
+
 @st.composite
 def hot_stacks(draw):
-    """A machine and the hot reservoirs to stack under it: any mix of
-    bosonic, fermionic, inverted, near-cutoff and saturated baths."""
+    """A machine and the hot baths of one statistics to stack under it, in
+    stack order: thermal, inverted, near-cutoff and pinned baths. The
+    machine's own hot bath is the first of them."""
     config = draw(machines())
-    saturated = ReservoirSpec.saturated(Statistics.FERMIONIC, 1.0 - 1e-15)
-    hots = draw(st.lists(st.one_of(reservoirs(Role.HOT, config.gaps[2]), st.just(saturated)),
-                         min_size=1, max_size=6))
-    return config, hots
+    statistics = draw(st.sampled_from(list(Statistics)))
+    hots = _in_stack_order(draw(st.lists(hot_baths(statistics, config.gaps[2]),
+                                         min_size=1, max_size=6)))
+    return config.with_hot_reservoir(hots[0]), hots
 
 
 @PROPERTY_SETTINGS
@@ -304,9 +329,9 @@ def test_stacked_solve_matches_one_at_a_time(case):
     # A row of a stack is solved bit for bit as on its own: same T1, same
     # residual, same status.
     config, hots = case
-    solved = solve_sectors(config, hots)
+    solved = solve_sectors(config, *_stacked(hots))
     for hot, residual, error, outcome in zip(hots, solved.residuals.tolist(), solved.errors,
-                                             _solve_hot_grid(config, hots)):
+                                             _solve_hot_grid(config, *_stacked(hots))):
         try:
             single_residual, readout = solve_for_readout(config.with_hot_reservoir(hot))
         except (SteadyStateError, ValueError) as exc:
@@ -328,7 +353,7 @@ def test_one_row_stack_is_the_single_solve(case):
     config, hots = case
     config = config.with_hot_reservoir(hots[0])
     solved = solve_sectors(config)
-    outcome, = _solve_hot_grid(config, hots[:1])
+    outcome, = _solve_hot_grid(config, *_stacked(hots[:1]))
     try:
         residual, readout = solve_for_readout(config)
     except (SteadyStateError, ValueError) as exc:
@@ -345,10 +370,7 @@ def test_one_row_stack_is_the_single_solve(case):
 
 
 def test_an_empty_stack_solves_to_nothing(reference_config):
-    # _solve_hot_grid passes hot baths that could not be built through
-    # unsolved; when none could, the stack it solves is empty.
-    error = ValueError("no bath")
-    assert _solve_hot_grid(reference_config, [error]) == [error]
+    assert _solve_hot_grid(reference_config, [], []) == []
     solved = solve_sectors(reference_config, [])
     assert solved.coordinates.shape == (0, SECTOR_DIM)
     assert solved.errors == []
@@ -408,15 +430,17 @@ def test_sweep_row_failure_keeps_the_one_at_a_time_status(reference_config):
         assert record.t1 == pytest.approx(readout.effective_temperature, rel=1e-12, abs=0.0)
 
 
-PINNED_HOT = [ReservoirSpec.saturated(Statistics.FERMIONIC, n)
-              for n in (0.0, 1e-15, 1.0 - 1e-15, 1.0)]
-PINNED_HOT.append(ReservoirSpec.saturated(Statistics.BOSONIC, 0.0))
-
-
-def hot_baths(gap):
-    """Any hot bath of `reservoirs`, or an occupation pinned at or next to
-    its limits (the saturated overrides)."""
-    return st.one_of(reservoirs(Role.HOT, gap), st.sampled_from(PINNED_HOT))
+def hot_baths(statistics, gap):
+    """Hot baths of the given statistics: thermal (of either sign when
+    fermionic), with |E/T| near the exp cutoff, or with the occupation
+    pinned at or next to its limits (the saturated overrides)."""
+    if statistics is Statistics.FERMIONIC:
+        return fermionic_baths(Role.HOT, gap)
+    return st.one_of(
+        st.builds(lambda t: ReservoirSpec(Statistics.BOSONIC, t, Role.HOT), temperatures),
+        st.builds(lambda x: ReservoirSpec(Statistics.BOSONIC, gap / x, Role.HOT),
+                  st.floats(650.0, 750.0)),
+        st.just(ReservoirSpec.saturated(Statistics.BOSONIC, 0.0)))
 
 
 @PROPERTY_SETTINGS
@@ -428,14 +452,17 @@ def test_decoupled_rows_are_the_thermal_product(data):
     drawn = data.draw(machines())
     config = FridgeConfig(gaps=drawn.gaps, gammas=tuple(g or 1.0 for g in drawn.gammas),
                           reservoirs=drawn.reservoirs, coupling=0.0)
-    hots = data.draw(st.lists(hot_baths(config.gaps[2]), min_size=1, max_size=6))
-    solved = solve_sectors(config, hots)
+    statistics = data.draw(st.sampled_from(list(Statistics)))
+    hots = _in_stack_order(data.draw(st.lists(hot_baths(statistics, config.gaps[2]),
+                                              min_size=1, max_size=6)))
+    config = config.with_hot_reservoir(hots[0])
+    solved = solve_sectors(config, *_stacked(hots))
     assert solved.errors == [None] * len(hots)
     states = sector_states(solved.coordinates)
     for hot, state in zip(hots, states):
         expected = thermal_product(config.with_hot_reservoir(hot)).matrix
         np.testing.assert_allclose(state, expected, rtol=0, atol=1e-14)
-    for *_, t1 in _solve_hot_grid(config, hots):
+    for *_, t1 in _solve_hot_grid(config, *_stacked(hots)):
         assert t1 == pytest.approx(config.cold_temperature, rel=1e-9, abs=0.0)
 
 
@@ -503,7 +530,8 @@ def test_fermionic_mirror_symmetry(data):
     # with two or more closed classes, solved with one.
     drawn = data.draw(machines())
     e1, e2, e3 = drawn.gaps
-    hots = data.draw(st.lists(fermionic_baths(Role.HOT, e3), min_size=1, max_size=6))
+    hots = _in_stack_order(data.draw(st.lists(fermionic_baths(Role.HOT, e3),
+                                              min_size=1, max_size=6)))
     baths = (data.draw(fermionic_baths(Role.COLD, e1, extreme=False)),
              data.draw(fermionic_baths(Role.ROOM, e2)),
              hots[0])
@@ -513,11 +541,12 @@ def test_fermionic_mirror_symmetry(data):
                           reservoirs=tuple(_mirrored(b) for b in baths),
                           coupling=drawn.coupling)
     mirrored_hots = [_mirrored(h) for h in hots]
-    solved = solve_sectors(config, hots)
-    mirrored = solve_sectors(mirror, mirrored_hots)
-    read, mirrored_read = _solve_hot_grid(config, hots), _solve_hot_grid(mirror, mirrored_hots)
-    rates = sector_coefficients(config, hots)[0]
-    mirrored_rates = sector_coefficients(mirror, mirrored_hots)[0]
+    solved = solve_sectors(config, *_stacked(hots))
+    mirrored = solve_sectors(mirror, *_stacked(mirrored_hots))
+    read = _solve_hot_grid(config, *_stacked(hots))
+    mirrored_read = _solve_hot_grid(mirror, *_stacked(mirrored_hots))
+    rates = sector_coefficients(config, *_stacked(hots))[0]
+    mirrored_rates = sector_coefficients(mirror, *_stacked(mirrored_hots))[0]
     for k, (error, mirrored_error) in enumerate(zip(solved.errors, mirrored.errors)):
         if np.array_equal(mirrored_rates[k, [1, 0, 3, 2, 5, 4]], rates[k, :6]):
             assert type(error) is type(mirrored_error)
@@ -556,8 +585,11 @@ def test_a_free_qubit_fails_every_row_alone(data):
     gammas = tuple(0.0 if k == off else (g or 1.0) for k, g in enumerate(drawn.gammas))
     config = FridgeConfig(gaps=drawn.gaps, gammas=gammas, reservoirs=drawn.reservoirs,
                           coupling=0.0)
-    hots = data.draw(st.lists(hot_baths(config.gaps[2]), min_size=1, max_size=6))
-    for hot, outcome in zip(hots, _solve_hot_grid(config, hots)):
+    statistics = data.draw(st.sampled_from(list(Statistics)))
+    hots = _in_stack_order(data.draw(st.lists(hot_baths(statistics, config.gaps[2]),
+                                              min_size=1, max_size=6)))
+    config = config.with_hot_reservoir(hots[0])
+    for hot, outcome in zip(hots, _solve_hot_grid(config, *_stacked(hots))):
         assert isinstance(outcome, MultiplicityError)
         with pytest.raises(MultiplicityError) as excinfo:
             solve_for_readout(config.with_hot_reservoir(hot))
@@ -594,9 +626,9 @@ def test_rows_straddling_the_exp_cutoff_agree(config, statistics, sign):
     if statistics is Statistics.BOSONIC:
         sign = 1.0
     e3 = config.gaps[2]
-    hots = [ReservoirSpec(statistics, sign * e3 / x, Role.HOT)
-            for x in (700.0 * (1.0 - 1e-14), 700.0 * (1.0 + 1e-14))]
-    below, above = _solve_hot_grid(config, hots)
+    temperatures = [sign * e3 / x for x in (700.0 * (1.0 - 1e-14), 700.0 * (1.0 + 1e-14))]
+    config = config.with_hot_reservoir(ReservoirSpec(statistics, temperatures[0], Role.HOT))
+    below, above = _solve_hot_grid(config, temperatures)
     if isinstance(below, Exception):
         assert _status(above) == _status(below)
         return
@@ -605,3 +637,163 @@ def test_rows_straddling_the_exp_cutoff_agree(config, statistics, sign):
         assert t_above == pytest.approx(t_below, rel=1e-9, abs=0.0)
     else:
         assert t_above == t_below
+
+
+def _exact_weights(chain):
+    """Stationary weights of a 4-state chain (4, 4), rates off the diagonal,
+    in exact rational arithmetic: state r weighs the determinant of the
+    chain's Laplacian (out-rates on the diagonal, minus the rates off it)
+    without row and column r, by the matrix-tree theorem. All are 0 when the
+    chain has two or more closed classes."""
+    n = len(chain)
+    rates = [[Fraction(0) if i == j else Fraction(float(chain[i, j])) for j in range(n)]
+             for i in range(n)]
+    laplacian = [[sum(rates[i]) if i == j else -rates[i][j] for j in range(n)]
+                 for i in range(n)]
+    weights = []
+    for root in range(n):
+        (a, b, c), (d, e, f), (g, h, k) = ([laplacian[i][j] for j in range(n) if j != root]
+                                           for i in range(n) if i != root)
+        weights.append(a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g))
+    return weights
+
+
+@st.composite
+def four_state_chains(draw):
+    """Rate matrices (4, 4) whose off-diagonal rates are log-uniform within
+    1e-30 and 1e30, or within 1e-300 and 1e300, about one in eight exactly 0.
+    The diagonal is NaN: no solve reads it."""
+    span = draw(st.sampled_from((30.0, 300.0)))
+    chain = np.full((4, 4), np.nan)
+    for i, j in itertools.permutations(range(4), 2):
+        zero = draw(st.integers(0, 7)) == 0
+        chain[i, j] = 0.0 if zero else 10.0 ** draw(st.floats(-span, span))
+    return chain
+
+
+def _chain(rates):
+    """The 4-state chain with the given off-diagonal rates, row by row."""
+    chain = np.full((4, 4), np.nan)
+    chain[~np.eye(4, dtype=bool)] = rates
+    return chain
+
+
+@PROPERTY_SETTINGS
+@given(four_state_chains())
+@example(_chain([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]))
+@example(_chain([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 0.0, 0.0, 0.0]))
+@example(_chain([1e-200, 1e-200, 1e-200, 1.0, 1e-200, 1e-200,
+                 1e-200, 1e-200, 1e-200, 1e-200, 1e-200, 1.0]))
+@example(_chain([1e-300, 5e108, 4e16, 0.0, 7e286, 5e-99,
+                 0.0, 0.0, 4e222, 0.0, 1e-101, 8e-74]))
+def test_tree_weights_are_the_stationary_law(chain):
+    # The tree sum against the exact law, from determinants in rational
+    # arithmetic: 1e-13 relative wherever the law is a normal float, exactly
+    # 0 wherever the chain's structure makes it 0. A chain with two or more
+    # closed classes weighs 0 everywhere, so solve_coefficients hands its
+    # row to _solve_reducible, which raises MultiplicityError. Where the
+    # rates lie within 1e-30 and 1e30 and GTH elimination is finite, the two
+    # agree to 1e-13 and have the same zeros. Over the wider range GTH
+    # itself loses digits where its products of rates go subnormal: 6% of
+    # such draws miss 1e-13 against the exact law, some by many orders.
+    weights = _tree_weights(chain[None])[0]
+    exact = _exact_weights(chain)
+    total = sum(exact)
+    if total == 0:
+        assert np.all(weights == 0.0)
+        with pytest.raises(MultiplicityError):
+            _solve_reducible(chain)
+        return
+    assert 2.0 ** -9 <= weights.sum() < 1.0
+    law = weights / weights.sum()
+    np.testing.assert_allclose(law, [float(w / total) for w in exact],
+                               rtol=1e-13, atol=np.finfo(float).tiny)
+    assert all(p == 0.0 for p, w in zip(law, exact) if w == 0)
+    rates = chain[~np.eye(4, dtype=bool)]
+    moderate = np.all((rates == 0.0) | ((rates >= 1e-30) & (rates <= 1e30)))
+    with np.errstate(divide="ignore", invalid="ignore"):    # a zero pivot
+        gth = _eliminate(chain[None])[0]
+    if moderate and np.isfinite(gth).all():
+        np.testing.assert_allclose(law, gth, rtol=1e-13, atol=0.0)
+        assert np.array_equal(law == 0.0, gth == 0.0)
+
+
+def _insulated_inverted_row():
+    """README's insulated, inverted qubit 1: p_ground = 4.6023e-305."""
+    return _insulated_inverted((1.0, 2.0, 1.0)).with_hot_reservoir(
+        ReservoirSpec(Statistics.BOSONIC, 1.0 / (700.0 * (1.0 - 1e-14)), Role.HOT))
+
+
+def _counting_reducible(monkeypatch):
+    """The list of the chains solve_coefficients hands to _solve_reducible."""
+    chains = []
+    reducible = steady_state._solve_reducible
+
+    def counted(generator):
+        chains.append(generator)
+        return reducible(generator)
+
+    monkeypatch.setattr(steady_state, "_solve_reducible", counted)
+    return chains
+
+
+@pytest.mark.parametrize("row, population, expected", [
+    (lambda: default_config(th=1e308), None, None),
+    (lambda: default_config(gammas=(1e-150,) * 3, coupling=1e-150), None, None),
+    (lambda: default_config(tc=0.01, th=-0.1, hot_statistics="fermionic"),
+     "p_excited", 2.1946e-44),
+    (_insulated_inverted_row, "p_ground", 4.6023e-305),
+], ids=["hot-1e308", "rates-1e-150", "p_e1-2e-44", "p_ground-5e-305"])
+def test_readme_extreme_rows_are_solved_on_the_main_path(monkeypatch, row, population,
+                                                         expected):
+    # README's huge-rate, tiny-rate and tiny-population rows are irreducible
+    # chains: the power-of-two scaling of the tree sum solves them, and none
+    # falls to _solve_reducible.
+    chains = _counting_reducible(monkeypatch)
+    _, readout = solve_for_readout(row())
+    assert chains == []
+    if population is not None:
+        assert getattr(readout, population) == pytest.approx(expected, rel=1e-4, abs=0.0)
+
+
+def test_an_overflowing_odd_step_is_solved_exactly(monkeypatch):
+    # Every bath fermionic and gamma_1 = 0: qubit 2's up-rate of 2e-313
+    # (room bath at T = 2/720) is the only way out of |g g e>, so the odd
+    # step's inflow over that out-rate overflows. The row then falls to
+    # _solve_reducible, whose law is exact: qubit 1's populations are those
+    # of a 400-digit solve from the same rates. No RuntimeWarning is raised.
+    # test_fermionic_mirror_symmetry met this machine with the room bath at
+    # T = 2/710, which overflowed GTH's normalized even law but not the
+    # tree weights.
+    config = FridgeConfig(
+        gaps=(1.0, 2.0, 1.0), gammas=(0.0, 1.0, 1.0),
+        reservoirs=(ReservoirSpec(Statistics.FERMIONIC, -1.0, Role.COLD),
+                    ReservoirSpec(Statistics.FERMIONIC, 2.0 / 720.0, Role.ROOM),
+                    ReservoirSpec(Statistics.FERMIONIC, -1.0 / 650.0, Role.HOT)),
+        coupling=1.0)
+    chains = _counting_reducible(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, readout = solve_for_readout(config)
+    assert len(chains) == 1
+    p_ground, p_excited = exact_qubit1_populations(config, dps=400)
+    assert (readout.p_ground, readout.p_excited) == (float(p_ground), float(p_excited))
+
+
+def test_a_row_solves_bit_for_bit_whatever_the_stack_size(rng):
+    # A stack's reductions run over axes whose order does not depend on its
+    # size, so every row of stacks of 1, 2, 9, 64 and 1000 rows has the
+    # coordinates and residual of its one-row solve, bit for bit. The rows
+    # are README's extreme rows and random machines.
+    extreme = [default_config(th=1e308),
+               default_config(gammas=(1e-150,) * 3, coupling=1e-150),
+               default_config(tc=0.01, th=-0.1, hot_statistics="fermionic"),
+               _insulated_inverted_row()]
+    configs = extreme + [random_valid_config(rng) for _ in range(1000 - len(extreme))]
+    rows = np.concatenate([sector_coefficients(config)[0] for config in configs])
+    alone = [solve_coefficients(rows[i:i + 1]) for i in range(len(rows))]
+    for size in (1, 2, 9, 64, 1000):
+        solved = solve_coefficients(rows[:size])
+        for i in range(size):
+            assert solved.coordinates[i].tobytes() == alone[i].coordinates[0].tobytes()
+            assert solved.residuals[i].tobytes() == alone[i].residuals[0].tobytes()
