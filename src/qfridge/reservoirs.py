@@ -175,7 +175,8 @@ def rate_pair(statistics: Statistics, n: float, gamma: float):
     else:
         down = gamma * (1.0 - n)
     up = gamma * n
-    _check_rates(down, up)
+    if not (0.0 <= down < math.inf and 0.0 <= up < math.inf):     # or NaN
+        _check_rates(down, up)
     return down, up
 
 
