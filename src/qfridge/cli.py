@@ -25,6 +25,7 @@ Exit codes: 0 success, 2 config error, 3 solver failure, 4 non-convergence.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -379,7 +380,10 @@ def _resolve(args, recorded):
     return {name: value for name, value in options.items() if value is not None}
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: argparse parses
+    each call into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="qfridge",
         description="Steady states and cooling curves of the three-qubit "

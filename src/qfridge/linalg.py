@@ -1,9 +1,8 @@
 """The tolerances every check is made against, and the matrix input check.
 
 The package solves no linear system: its steady states come from a rate
-chain, solved by the Markov chain tree theorem on its four even states and
-by GTH elimination on the closed class of a chain that is not irreducible
-(qfridge.steady_state).
+chain, solved by the Markov chain tree theorem on the four states of one
+parity after the other four are censored (qfridge.steady_state).
 """
 
 from dataclasses import dataclass

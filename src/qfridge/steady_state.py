@@ -12,11 +12,14 @@ the four even ones as a sum over their spanning trees (the Markov chain tree
 theorem), with each row scaled by exact powers of two. Like the elimination
 of Grassmann, Taksar and Heyman (Oper. Res. 33, 1107 (1985)), the sum makes
 no subtraction, so each probability comes out to small relative error
-(O'Cinneide, Numer. Math. 65, 109 (1993)). GTH elimination remains for the
-closed class of a chain that is not irreducible. The sector generator and
-the 64x64 oracles it is checked against live in tests/oracles.py.
+(O'Cinneide, Numer. Math. 65, 109 (1993)). Where a step under- or
+overflows, the same solve is made with every number split into a mantissa
+and an integer exponent, and where an odd state is absorbing, the even
+states are censored instead. The sector generator and the 64x64 oracles it
+is checked against live in tests/oracles.py.
 """
 
+import io
 import itertools
 from dataclasses import dataclass
 
@@ -41,7 +44,9 @@ class SteadyStateError(RuntimeError):
 
 class MultiplicityError(SteadyStateError):
     """The steady state is not unique: the rate chain has two or more closed
-    classes, e.g. when g = 0 with some gamma_k = 0, or every rate is 0."""
+    classes, e.g. when g = 0 with some gamma_k = 0, or every rate is 0. It
+    then has no spanning tree, or an odd and an even state are absorbing,
+    so censoring neither parity solves it."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,11 @@ _LOW, _HIGH = (int(_POSITION[state]) for state in SECTOR_PAIR)
 _SOURCE, _TARGET, _RATE = (np.array(column) for column in zip(*[
     (_POSITION[state], _POSITION[state ^ bit], 2 * k + (not state & bit))
     for k, bit in enumerate((4, 2, 1)) for state in range(DIM)]))
+# The flips out of |g e g> (sign 1) and into it (sign -1), by the chain
+# position of the state they leave and their rate column.
+_FLIP_STATE, _FLIP_RATE, _FLIP_SIGN = (np.concatenate(pair) for pair in zip(
+    (_SOURCE[_SOURCE == _LOW], _RATE[_SOURCE == _LOW], np.ones(NUM_QUBITS)),
+    (_SOURCE[_TARGET == _LOW], _RATE[_TARGET == _LOW], -np.ones(NUM_QUBITS))))
 
 
 def _in_trees(n):
@@ -88,92 +98,122 @@ def _in_trees(n):
 
 
 _TREES = _in_trees(_EVEN)
-# The exponent a zero rate is given, so that no tree through it sets a row's
+# The exponent a zero rate is given, so that no product through it sets a
 # scale; three of them still fit an int32.
 _ZERO_EXPONENT = np.int32(-(1 << 28))
 
 
+def _split(x, dtype=np.int32):
+    """x as mantissas in [1/2, 1) and exponents (frexp), a 0 with
+    _ZERO_EXPONENT."""
+    mantissas, exponents = np.frexp(x)
+    exponents = exponents.astype(dtype, copy=False)
+    np.copyto(exponents, _ZERO_EXPONENT, where=mantissas == 0.0)
+    return mantissas, exponents
+
+
+def _wide_sum(mantissas, exponents):
+    """The sum over axis 0 of the numbers mantissas * 2^exponents, as a
+    mantissa and an exponent: each term is scaled by the largest exponent
+    first, so the sum neither under- nor overflows."""
+    top = np.maximum.reduce(exponents, axis=0)
+    return np.add.reduce(np.ldexp(mantissas, exponents - top), axis=0), top
+
+
+def _tree_terms(mantissas, exponents):
+    """The products of the mantissas and the sums of the exponents of the
+    rates of each spanning tree (16, 4, N) of a stack of 4-state chains,
+    given as (16, N) flat rates i -> j at index 4 i + j. By the Markov chain
+    tree theorem (Leighton and Rivest, IEEE Trans. Inf. Theory 32, 733
+    (1986)), state r weighs the sum over the trees directed to r of the
+    product of their rates. The sum makes no subtraction, so each
+    probability has small relative error. Reductions run over the outer
+    (edge, tree) axes, whose order does not depend on N, so a row solves
+    bit for bit as on its own."""
+    # take, unlike fancy indexing, returns C order even for N = 1
+    products = np.multiply.reduce(mantissas.take(_TREES, axis=0), axis=0)
+    scales = np.add.reduce(exponents.take(_TREES, axis=0), axis=0, dtype=exponents.dtype)
+    return products, scales
+
+
 def _tree_weights(censored):
     """Stationary weights (N, 4) of a stack of 4-state rate matrices
-    (N, 4, 4), censored[:, i, j] the rate from i to j: each row is its
-    stationary law times a factor in [2^-9, 1). By the Markov chain tree
-    theorem (Leighton and Rivest, IEEE Trans. Inf. Theory 32, 733 (1986)),
-    state r weighs the sum over the spanning trees directed to r of the
-    product of their rates. The diagonal is not read.
+    (N, 4, 4), censored[:, i, j] the rate from i to j, by _tree_terms: each
+    row is its stationary law times a factor in [2^-9, 1). The diagonal is
+    not read.
 
-    The sum makes no subtraction, so each probability has small relative
-    error, as by GTH elimination. Each rate is split by frexp into a
-    mantissa and a power of two, so no product under- or overflows, and
-    each row's products are scaled by powers of two (ldexp, exact unless
-    the result is subnormal) that put the row's sum in [2^-9, 1). Reductions run over the outer (edge,
-    tree) axes, whose order does not depend on N, so a row solves bit for
-    bit as on its own. A row with two or more closed classes has no tree of
-    nonzero rates: its weights are all 0. With one, the states outside it
-    weigh exactly 0.
+    Each row's products are scaled by powers of two (ldexp, exact unless
+    the result is subnormal) that put its sum in [2^-9, 1). A row with two
+    or more closed classes has no tree of nonzero rates: its weights are all
+    0. With one, the states outside it weigh exactly 0.
     """
     n = len(censored)
-    mantissas, exponents = np.frexp(censored.reshape(n, _EVEN * _EVEN).T)
-    np.copyto(exponents, _ZERO_EXPONENT, where=mantissas == 0.0)
-    # take, unlike fancy indexing, returns C order even for n = 1
-    products = np.multiply.reduce(mantissas.take(_TREES, axis=0), axis=0)
-    scales = np.add.reduce(exponents.take(_TREES, axis=0), axis=0, dtype=np.int32)
+    products, scales = _tree_terms(*_split(censored.reshape(n, _EVEN * _EVEN).T))
     # 2^-6 below the largest product, which is < 1: the 4 x 16 products sum
     # to < 1, so the odd step's inflow stays below the largest rate
     scales -= np.maximum.reduce(scales.reshape(_TREES[0].size, n), axis=0) + 6
     return np.add.reduce(np.ldexp(products, scales), axis=0).T
 
 
-def _eliminate(generators):
-    """Stationary laws (N, n) of a stack of rate matrices (N, n, n) by GTH
-    elimination, which solves the closed class of _solve_reducible;
-    generators[:, i, j] is the rate from i to j, and the diagonal is not
-    read. A row that is not irreducible meets a zero pivot, which makes its
-    law NaN, unless only the last pivot is 0 and the row has one closed
-    class: then its law is still exact."""
-    q = generators.copy()
-    n = q.shape[-1]
-    for k in range(n - 1, 0, -1):
-        # Censor state k: its rates to the lower states sum to its pivot,
-        # kept on the diagonal; divided by it they become the law of where
-        # it goes, and every path through it becomes a direct rate.
-        row = q[:, k:k + 1, :k]
-        pivot = q[:, k:k + 1, k:k + 1]
-        np.add.reduce(row, axis=2, out=pivot, keepdims=True)
-        if k > 1:     # below, state 0 is left alone: nothing to update
-            row /= pivot
-            block = q[:, :k, :k]
-            block += q[:, :k, k:k + 1] * row
-    law = np.ones(q.shape[:2])
-    for k in range(1, n):
-        # law[:, :k] sums to 1, and state k's odds against those states are
-        # their inflow to it over its pivot
-        inflow = np.add.reduce(law[:, :k] * q[:, :k, k], axis=1, keepdims=True)
-        pivot = q[:, k:k + 1, k]
-        total = inflow + pivot
-        head = law[:, :k]
-        head *= pivot / total
-        np.divide(inflow, total, out=law[:, k:k + 1])
+def _censored_law(to_other, to_root):
+    """Stationary laws (N, 8) of a stack of bipartite 8-state chains, its
+    four root states first: to_other[:, i, j] (N, 4, 4) is the rate from
+    root state i to other state j, and to_root[:, j, i] the rate back. The
+    other states lead only to root states, so they are censored in one step;
+    the 4-state chain left on the root states is weighed by _tree_weights,
+    and each other state gets its inflow over its out-rate. Where no step
+    under- or overflows, each probability has small relative error. A row
+    is not finite where an other state's out-rate is 0, where its inflow
+    overflows, or where the chain has no spanning tree.
+    """
+    exits = np.add.reduce(to_root, axis=2, keepdims=True)
+    law = np.empty((len(to_other), DIM))
+    law[:, :_EVEN] = _tree_weights(to_other @ (to_root / exits))
+    np.divide(law[:, None, :_EVEN] @ to_other, exits.transpose(0, 2, 1),
+              out=law[:, None, _EVEN:])
+    law /= np.add.reduce(law, axis=1, keepdims=True)
     return law
 
 
-def _solve_reducible(generator):
-    """Stationary law of one chain (n, n) that is not irreducible, from which
-    of its rates are exactly zero: the GTH law on its closed class and 0
-    elsewhere. Raises MultiplicityError when it has two or more closed
-    classes."""
+def _wide_law(mantissas, exponents, root=0):
+    """_censored_law's laws (N, 8) of a stack of chains given as mantissas
+    and int64 exponents (N, 8, 8) of their rates, rooted at the four states
+    from chain position root (0, the even ones, or _EVEN, the odd ones) and
+    returned in chain order. Every sum is taken by _wide_sum, so no step
+    under- or overflows. A row is not finite only where an other state's
+    out-rate is 0, or where the chain has no spanning tree."""
+    n = len(mantissas)
+    roots, others = slice(root, root + _EVEN), slice(_EVEN - root, 2 * _EVEN - root)
+    # [j, i, row]: the rate from root state i to other state j, and back
+    rates_m, rates_e = (a[:, roots, others].transpose(2, 1, 0) for a in (mantissas, exponents))
+    back_m, back_e = (a[:, others, roots].transpose(2, 1, 0) for a in (mantissas, exponents))
+    exits_m, exits_e = _wide_sum(back_m, back_e)
+    steps_m, steps_e = back_m / exits_m, back_e - exits_e
+    # the censored rate i -> k sums, over j, the rate i -> j times the step j -> k
+    censored_m, censored_e = _wide_sum(
+        rates_m[:, :, None] * steps_m.transpose(1, 0, 2)[:, None],
+        rates_e[:, :, None] + steps_e.transpose(1, 0, 2)[:, None])
+    tree_m, tree_e = _split(censored_m.reshape(_EVEN * _EVEN, n), np.int64)
+    tree_e += censored_e.reshape(_EVEN * _EVEN, n)
+    weights_m, weights_e = _wide_sum(*_tree_terms(tree_m, tree_e))
+    inflow_m, inflow_e = _wide_sum(weights_m[:, None] * rates_m.transpose(1, 0, 2),
+                                   weights_e[:, None] + rates_e.transpose(1, 0, 2))
+    law_e = np.concatenate([weights_e, inflow_e - exits_e])
+    law = np.ldexp(np.concatenate([weights_m, inflow_m / exits_m]),
+                   law_e - np.maximum.reduce(law_e, axis=0)).T.copy()
+    # summed along rows in C order, as by _censored_law, whatever N
+    law /= np.add.reduce(law, axis=1, keepdims=True)
+    return np.roll(law, root, axis=1)
+
+
+def _closed_classes(generator):
+    """Number of closed classes of one chain (n, n), from which of its rates
+    are exactly zero."""
     # a NaN rate is the exchange of a coupled pair with Gamma = delta = 0
     reach = (generator > 0.0) | np.isnan(generator) | np.eye(len(generator), dtype=bool)
     for _ in range(len(generator).bit_length()):
         reach = reach @ reach
-    closed = np.unique(reach[(reach <= reach.T).all(axis=1)], axis=0)
-    if len(closed) > 1:
-        raise MultiplicityError(
-            f"the rate chain has {len(closed)} closed classes: the steady state "
-            "is not unique")
-    members = np.flatnonzero(closed[0])
-    law = np.zeros(len(generator))
-    law[members] = _eliminate(generator[np.ix_(members, members)][None])[0]
-    return law
+    return len(np.unique(reach[(reach <= reach.T).all(axis=1)], axis=0))
 
 
 def _invalid_state(exc):
@@ -190,8 +230,12 @@ def solve_coefficients(coefficients) -> SectorSolutions:
     from different machines. The chain's odd states lead only to even ones,
     so they are censored in one step; the 4-state chain left on the even
     states is weighed by _tree_weights, and each odd state gets its inflow
-    over its out-rate. A row that is then not finite (a zero or subnormal
-    out-rate, or two closed classes) is classified by _solve_reducible.
+    over its out-rate (_censored_law). Where a step of that under- or
+    overflows, every row is solved again by _wide_law, in integer-exponent
+    arithmetic, and takes that law where the two differ by more than 2^-44
+    relative; a row with an absorbing odd state is solved there with the
+    parities swapped. A row that is still not finite gets MultiplicityError
+    when its chain has two or more closed classes.
 
     Each row is checked on its own, in this order: a unique steady state,
     the state invariants (in closed form, sector_state_errors) and the
@@ -205,7 +249,10 @@ def solve_coefficients(coefficients) -> SectorSolutions:
     half_gamma = np.add.reduce(rates, axis=1) / 2.0
     h = np.hypot(half_gamma, detuning)
     errors = [None] * len(coefficients)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # numpy writes a line to events for each step that under- or overflows,
+    # divides by zero or makes a NaN: only then can a row have lost digits
+    events = io.StringIO()
+    with np.errstate(all="log", call=events):
         g_h, gamma_h = coupling / h, half_gamma / h
         # Gamma (g/h)^2, in a form that does not overflow as h -> 0; NaN,
         # an edge of unknown rate, only where g > 0 and h = 0
@@ -213,32 +260,54 @@ def solve_coefficients(coefficients) -> SectorSolutions:
         generators = np.zeros((len(coefficients), DIM, DIM))
         generators[:, _SOURCE, _TARGET] = rates[:, _RATE]
         generators[:, _LOW, _HIGH] = generators[:, _HIGH, _LOW] = kappa
-        to_odd, to_even = generators[:, :_EVEN, _EVEN:], generators[:, _EVEN:, :_EVEN]
-        exits = np.add.reduce(to_even, axis=2, keepdims=True)
-        law = np.empty((len(coefficients), DIM))
-        law[:, :_EVEN] = _tree_weights(to_odd @ (to_even / exits))
-        # The inflow over an odd state's subnormal out-rate can overflow; its
-        # row is then not finite and is solved by _solve_reducible, exactly
-        # (test_sector.py::test_an_overflowing_odd_step_is_solved_exactly).
-        with np.errstate(over="ignore"):
-            np.divide(law[:, None, :_EVEN] @ to_odd, exits.transpose(0, 2, 1),
-                      out=law[:, None, _EVEN:])
-        law /= np.add.reduce(law, axis=1, keepdims=True)
-        if not np.isfinite(law).all():
-            # a zero or subnormal out-rate, or no tree of nonzero rates
-            unsolved = ~np.isfinite(law).all(axis=1) & np.isfinite(coefficients).all(axis=1)
-            for i in np.flatnonzero(unsolved).tolist():
-                try:
-                    law[i] = _solve_reducible(generators[i])
-                except MultiplicityError as exc:
-                    errors[i] = exc
-                    law[i] = np.nan
+        law = _censored_law(generators[:, :_EVEN, _EVEN:], generators[:, _EVEN:, :_EVEN])
+        if events.tell():
+            # Solve every row again by _wide_law, kappa included, which is
+            # taken from the mantissas and exponents of Gamma / 2, g and h,
+            # and keep a row's law where the two agree to 2^-44 relative
+            # (or below the normal floats).
+            mantissas, exponents = _split(generators, np.int64)
+            (half_m, half_e), (g_m, g_e), (h_m, h_e) = (
+                np.frexp(a) for a in (half_gamma, coupling, h))
+            kappa_m, kappa_e = _split(
+                np.where(coupling > 0.0, 2.0 * half_m * (g_m / h_m) ** 2, 0.0), np.int64)
+            kappa_e += half_e + 2 * (g_e - h_e)
+            mantissas[:, _LOW, _HIGH] = mantissas[:, _HIGH, _LOW] = kappa_m
+            exponents[:, _LOW, _HIGH] = exponents[:, _HIGH, _LOW] = kappa_e
+            wide = _wide_law(mantissas, exponents)
+            # An odd state is absorbing, or the chain has no spanning tree.
+            # Censoring the even states solves the first unless an even
+            # state is absorbing too, and then the chain has two closed
+            # classes.
+            swap = ~np.isfinite(wide).all(axis=1)
+            if swap.any():
+                wide[swap] = _wide_law(mantissas[swap], exponents[swap], _EVEN)
+            off = ~(np.abs(law - wide) <= 2.0 ** -44 * wide + np.finfo(float).tiny).all(axis=1)
+            off &= np.isfinite(coefficients).all(axis=1)
+            law[off] = wide[off]
+            for i in np.flatnonzero(off & ~np.isfinite(wide).all(axis=1)).tolist():
+                law[i] = np.nan
+                classes = _closed_classes(mantissas[i])
+                if classes > 1:
+                    errors[i] = MultiplicityError(
+                        f"the rate chain has {classes} closed classes: the steady "
+                        "state is not unique")
         balance = (law[:, None, :] @ generators)[:, 0] - law * np.add.reduce(generators, axis=2)
         largest = np.maximum.reduce(generators.reshape(len(law), DIM * DIM), axis=1)
         residuals = np.maximum.reduce(np.abs(balance), axis=1) / np.maximum(largest, 1.0)
         x = np.empty((len(law), SECTOR_DIM))
         x[:, _ORDER] = law
         exchange = g_h * (law[:, _LOW] - law[:, _HIGH])
+        strong = g_h > 4096.0
+        if strong.any():
+            # There p2 - p5 cancels, as kappa = Gamma (g/h)^2 dwarfs the other
+            # out-rates of |g e g>, and leaves the coherence more than 2^-41
+            # p2 off. The exchange flux kappa (p5 - p2) is their net outflow,
+            # and g/h (p2 - p5) = -outflow / (Gamma g/h) is within a few ulps
+            # of p2 / (g/h).
+            outflow = np.add.reduce(law[:, _FLIP_STATE] * rates[:, _FLIP_RATE] * _FLIP_SIGN,
+                                    axis=1)
+            exchange[strong] = (-outflow / (2.0 * half_gamma * g_h))[strong]
         x[:, DIM] = -exchange * (detuning / h)
         x[:, DIM + 1] = exchange * gamma_h
     for i, invalid in sector_state_errors(x).items():

@@ -8,7 +8,7 @@ chain the sector reduces to once its coherence is eliminated
 by term from the sector coefficients, and the 64x64 generator is assembled by
 Kronecker products from the Hamiltonians and the collapse operators and
 solved by a constrained solve of its own, so a fault in the production
-chain, its rates, its elimination or its closed-class analysis shows up as a
+chain, its rates, its censoring or its closed-class count shows up as a
 disagreement. From qfridge these oracles take the configuration, the rates,
 the tolerances, the DensityMatrix checks, the readout record and the
 exception types; they take no solve code.

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from qfridge.analysis import Direction, ThresholdMode, best_case_t1, find_plateau
-from qfridge.cli import CSV_COLUMNS, RunManifest, main
+from qfridge.cli import CSV_COLUMNS, RunManifest, build_parser, main
 from qfridge.liouvillian import default_config
 
 
@@ -63,6 +63,22 @@ def test_sidecars_do_not_depend_on_the_output_directory(config_path, tmp_path):
     for name in ("population_sum", "direct_asymmetry", "calibration_relative",
                  "sweep_failed_fraction"):
         assert name in manifest["tolerances"]
+
+
+def test_one_parser_serves_every_command_of_a_process(config_path, tmp_path):
+    # main parses with one cached parser: no command's options reach the
+    # sidecar of the next command run in the same process.
+    runs = {"first": ["plateau", "--direction", "negative"],
+            "sweep": ["sweep-th", "--th-values", "2,6"],
+            "again": ["plateau"]}
+    for name, argv in runs.items():
+        assert main(argv + ["--config", config_path, "--out", str(tmp_path / f"{name}.csv")]) == 0
+    options = {name: json.loads((tmp_path / f"{name}.json").read_text())["options"]
+               for name in runs}
+    assert options == {"first": {"direction": "negative"},
+                       "sweep": {"th_values": "2,6", "th_spacing": "linear"},
+                       "again": {"direction": "positive"}}
+    assert build_parser() is build_parser()
 
 
 def test_sidecar_recording_parallel_still_reproduces(config_path, tmp_path):

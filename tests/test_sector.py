@@ -1,11 +1,11 @@
 """The sector solve, a rate chain whose even states are solved by the tree
-sum, against the exact law of random 4-state chains and GTH elimination,
-the sector generator and the 64x64 oracle; the stacked solve against
-one-at-a-time solves, at any stack size, and against closed forms: the
-g = 0 thermal product and the fermionic mirror symmetry. Chains that are
-not irreducible against their closed classes, deep-cooled populations
-against mpmath, and README's extreme rows on the main path, not the
-closed-class fallback.
+sum, against the exact law of random 4-state chains, of raw coefficient
+rows over the whole float range (in rational arithmetic), the sector
+generator and the 64x64 oracle; the stacked solve against one-at-a-time
+solves, at any stack size, and against closed forms: the g = 0 thermal
+product and the fermionic mirror symmetry. Chains that are not irreducible
+against their closed classes, deep-cooled populations against mpmath, and
+README's extreme rows, which keep the law of the main path.
 
 Property tests over resonant and detuned machines, including the decoupled
 machine (g = 0), a bath switched off (gamma_k = 0), saturated hot baths and
@@ -45,8 +45,7 @@ from qfridge.reservoirs import ReservoirError
 from qfridge.steady_state import (
     MultiplicityError,
     SteadyStateError,
-    _eliminate,
-    _solve_reducible,
+    _ORDER,
     _tree_weights,
     solve_coefficients,
     solve_sectors,
@@ -639,23 +638,39 @@ def test_rows_straddling_the_exp_cutoff_agree(config, statistics, sign):
         assert t_above == t_below
 
 
+def _determinant(matrix):
+    """Determinant of a square matrix of Fractions, by exact elimination."""
+    rows = [list(row) for row in matrix]
+    determinant = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            determinant = -determinant
+        determinant *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            if factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return determinant
+
+
 def _exact_weights(chain):
-    """Stationary weights of a 4-state chain (4, 4), rates off the diagonal,
-    in exact rational arithmetic: state r weighs the determinant of the
-    chain's Laplacian (out-rates on the diagonal, minus the rates off it)
-    without row and column r, by the matrix-tree theorem. All are 0 when the
-    chain has two or more closed classes."""
+    """Stationary weights of an n-state chain (n, n), rates off the diagonal
+    as floats or Fractions, in exact rational arithmetic: state r weighs the
+    determinant of the chain's Laplacian (out-rates on the diagonal, minus
+    the rates off it) without row and column r, by the matrix-tree theorem.
+    All are 0 when the chain has two or more closed classes."""
     n = len(chain)
-    rates = [[Fraction(0) if i == j else Fraction(float(chain[i, j])) for j in range(n)]
+    rates = [[Fraction(0) if i == j else Fraction(chain[i][j]) for j in range(n)]
              for i in range(n)]
     laplacian = [[sum(rates[i]) if i == j else -rates[i][j] for j in range(n)]
                  for i in range(n)]
-    weights = []
-    for root in range(n):
-        (a, b, c), (d, e, f), (g, h, k) = ([laplacian[i][j] for j in range(n) if j != root]
-                                           for i in range(n) if i != root)
-        weights.append(a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g))
-    return weights
+    return [_determinant([[laplacian[i][j] for j in range(n) if j != root]
+                          for i in range(n) if i != root])
+            for root in range(n)]
 
 
 @st.composite
@@ -690,32 +705,102 @@ def test_tree_weights_are_the_stationary_law(chain):
     # The tree sum against the exact law, from determinants in rational
     # arithmetic: 1e-13 relative wherever the law is a normal float, exactly
     # 0 wherever the chain's structure makes it 0. A chain with two or more
-    # closed classes weighs 0 everywhere, so solve_coefficients hands its
-    # row to _solve_reducible, which raises MultiplicityError. Where the
-    # rates lie within 1e-30 and 1e30 and GTH elimination is finite, the two
-    # agree to 1e-13 and have the same zeros. Over the wider range GTH
-    # itself loses digits where its products of rates go subnormal: 6% of
-    # such draws miss 1e-13 against the exact law, some by many orders.
+    # closed classes weighs 0 everywhere.
     weights = _tree_weights(chain[None])[0]
     exact = _exact_weights(chain)
     total = sum(exact)
     if total == 0:
         assert np.all(weights == 0.0)
-        with pytest.raises(MultiplicityError):
-            _solve_reducible(chain)
         return
     assert 2.0 ** -9 <= weights.sum() < 1.0
     law = weights / weights.sum()
     np.testing.assert_allclose(law, [float(w / total) for w in exact],
                                rtol=1e-13, atol=np.finfo(float).tiny)
     assert all(p == 0.0 for p, w in zip(law, exact) if w == 0)
-    rates = chain[~np.eye(4, dtype=bool)]
-    moderate = np.all((rates == 0.0) | ((rates >= 1e-30) & (rates <= 1e30)))
-    with np.errstate(divide="ignore", invalid="ignore"):    # a zero pivot
-        gth = _eliminate(chain[None])[0]
-    if moderate and np.isfinite(gth).all():
-        np.testing.assert_allclose(law, gth, rtol=1e-13, atol=0.0)
-        assert np.array_equal(law == 0.0, gth == 0.0)
+
+
+def _exact_chain(row):
+    """The rate chain (8, 8) of one sector_coefficients row in Fractions,
+    states in basis order, with the exchange rate kappa = Gamma g^2 / h^2
+    exact; None where g > 0 and Gamma = delta = 0, as kappa has no value."""
+    rates = [Fraction(rate) for rate in row[:6]]
+    coupling, detuning = Fraction(row[6]), Fraction(row[7])
+    chain = [[Fraction(0)] * DIM for _ in range(DIM)]
+    for k, bit in enumerate((4, 2, 1)):
+        for state in range(DIM):
+            chain[state][state ^ bit] = rates[2 * k if state & bit else 2 * k + 1]
+    square = sum(rates) ** 2 / 4 + detuning ** 2
+    if coupling > 0 and square == 0:
+        return None
+    low, high = SECTOR_PAIR
+    chain[low][high] = chain[high][low] = sum(rates) * coupling ** 2 / square if coupling else 0
+    return chain
+
+
+@st.composite
+def coefficient_rows(draw):
+    """sector_coefficients rows as no bath makes them: the six rates
+    log-uniform within 1e-300 and 1e300, about three in ten exactly 0, and
+    g and |detuning| in the same range, each 0 about one in four."""
+    def drawn(zero_odds):
+        if draw(st.floats(0.0, 1.0)) < zero_odds:
+            return 0.0
+        return 10.0 ** draw(st.floats(-300.0, 300.0))
+    rates = [drawn(0.3) for _ in range(6)]
+    return [*rates, drawn(0.25), draw(st.sampled_from((1.0, -1.0))) * drawn(0.25)]
+
+
+@PROPERTY_SETTINGS
+@given(coefficient_rows())
+@example([0.0, 9.657171966891714e+33, 1.0987342805635986e-42, 0.0, 1.7133449736250057e+298,
+          2.3511636050655244e-110, 0.0010131150463451191, 0.0])
+@example([7.739929279306277e+274, 2.6750389200018263e-190, 3.5339770770079556e-239,
+          6.947619889817935e-207, 2.552906431075961e+267, 3.426503666563138e-111,
+          0.0, 7.434071134944375e-49])
+@example([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1e160, 1e10])
+@example([0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 1e160, 0.0])
+@example([0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1e-162, 0.0])
+@example([0.0, 3.483163008164078e+185, 4.142895133382766e+27, 1.834015092615934e-253, 0.0,
+          4.3649303050936745e-186, 1.0886419642837694e-125, 0.0])
+@example([2.8380898470074557e-31, 1.7398459041706714e-169, 0.0, 4.958852809978572e-120,
+          3.353069834464445e-46, 3.4027352249906346e-245, 3.555095821793097e+276,
+          -2.5649698877662004e+290])
+@example([0.0, 0.0, 0.0, 1.3141326380236135e-240, 6.493540290270078e-299, 0.0,
+          8.869386122359343e+236, 4.83459155323805e+223])
+@example([0.0, 0.0, 5.73222602962064e-167, 1.7437470899511875e-153, 0.0033349628945444185,
+          6.042775939978553e+47, 1.0248586741850907e+129, 0.0])
+def test_coefficient_rows_solve_to_the_exact_law(row):
+    # Any row against the exact law of its chain: 1e-13 relative wherever
+    # the law is a normal float and exactly 0 wherever the chain makes it 0,
+    # or MultiplicityError when the chain has two or more closed classes,
+    # also where the exact exchange rate kappa lies outside the normal
+    # floats. Each example failed before _wide_law and its kappa:
+    # - all mass on the odd state |e g g>, whose only exit has rate 2.4e-110:
+    #   its inflow overflows. GTH elimination of the chain gave NaN;
+    # - the law is all on |g e g>, but the weight of the even state that
+    #   feeds it, 1e-378 of the others, underflowed: the main path put all
+    #   the mass on |g g g>;
+    # - kappa is 3e300, but 2 g^2 / h overflows (LinalgError);
+    # - kappa is 1.3e320, beyond the floats (LinalgError);
+    # - kappa is 2e-324 and rounds to 0, which leaves qubit 1 free
+    #   (MultiplicityError);
+    # - kappa is 1.4e-435 and rounds to 0: |e g g>, 3.1e-250 of the law,
+    #   came out 0;
+    # - (Gamma/2) / h is subnormal (2.0e-4 off), then 0 (MultiplicityError);
+    # - g/h is 3e81 and p2 - p5 cancels, so that the coherence made the
+    #   state fail its eigenvalue check.
+    solved = solve_coefficients(np.array([row]))
+    chain = _exact_chain(row)
+    exact = [0] * DIM if chain is None else _exact_weights(chain)
+    total = sum(exact)
+    if total == 0:
+        assert isinstance(solved.errors[0], MultiplicityError)
+        return
+    assert solved.errors == [None]
+    law = solved.coordinates[0, :DIM]
+    np.testing.assert_allclose(law, [float(w / total) for w in exact],
+                               rtol=1e-13, atol=np.finfo(float).tiny)
+    assert all(p == 0.0 for p, w in zip(law, exact) if w == 0)
 
 
 def _insulated_inverted_row():
@@ -724,17 +809,18 @@ def _insulated_inverted_row():
         ReservoirSpec(Statistics.BOSONIC, 1.0 / (700.0 * (1.0 - 1e-14)), Role.HOT))
 
 
-def _counting_reducible(monkeypatch):
-    """The list of the chains solve_coefficients hands to _solve_reducible."""
-    chains = []
-    reducible = steady_state._solve_reducible
+def _main_path_laws(monkeypatch):
+    """The list of the laws (N, 8) of solve_coefficients' main path,
+    _censored_law, one stack per call, in chain order."""
+    laws = []
+    censored_law = steady_state._censored_law
 
-    def counted(generator):
-        chains.append(generator)
-        return reducible(generator)
+    def recorded(to_other, to_root):
+        laws.append(censored_law(to_other, to_root))
+        return laws[-1].copy()
 
-    monkeypatch.setattr(steady_state, "_solve_reducible", counted)
-    return chains
+    monkeypatch.setattr(steady_state, "_censored_law", recorded)
+    return laws
 
 
 @pytest.mark.parametrize("row, population, expected", [
@@ -747,11 +833,15 @@ def _counting_reducible(monkeypatch):
 def test_readme_extreme_rows_are_solved_on_the_main_path(monkeypatch, row, population,
                                                          expected):
     # README's huge-rate, tiny-rate and tiny-population rows are irreducible
-    # chains: the power-of-two scaling of the tree sum solves them, and none
-    # falls to _solve_reducible.
-    chains = _counting_reducible(monkeypatch)
+    # chains: the power-of-two scaling of the tree sum solves them, and each
+    # keeps the law of the main path bit for bit. In the first, the step
+    # out of |g e g> along kappa underflows, and in the last, the weight of
+    # an even state; _wide_law agrees with both to 2^-44.
+    laws = _main_path_laws(monkeypatch)
+    solved = solve_sectors(row())
+    assert solved.errors == [None]
+    assert solved.coordinates[0, _ORDER].tobytes() == laws[0][0].tobytes()
     _, readout = solve_for_readout(row())
-    assert chains == []
     if population is not None:
         assert getattr(readout, population) == pytest.approx(expected, rel=1e-4, abs=0.0)
 
@@ -760,8 +850,8 @@ def test_an_overflowing_odd_step_is_solved_exactly(monkeypatch):
     # Every bath fermionic and gamma_1 = 0: qubit 2's up-rate of 2e-313
     # (room bath at T = 2/720) is the only way out of |g g e>, so the odd
     # step's inflow over that out-rate overflows. The row then falls to
-    # _solve_reducible, whose law is exact: qubit 1's populations are those
-    # of a 400-digit solve from the same rates. No RuntimeWarning is raised.
+    # _wide_law, whose law is exact: qubit 1's populations are those of a
+    # 400-digit solve from the same rates. No RuntimeWarning is raised.
     # test_fermionic_mirror_symmetry met this machine with the room bath at
     # T = 2/710, which overflowed GTH's normalized even law but not the
     # tree weights.
@@ -771,11 +861,11 @@ def test_an_overflowing_odd_step_is_solved_exactly(monkeypatch):
                     ReservoirSpec(Statistics.FERMIONIC, 2.0 / 720.0, Role.ROOM),
                     ReservoirSpec(Statistics.FERMIONIC, -1.0 / 650.0, Role.HOT)),
         coupling=1.0)
-    chains = _counting_reducible(monkeypatch)
+    laws = _main_path_laws(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, readout = solve_for_readout(config)
-    assert len(chains) == 1
+    assert not np.isfinite(laws[0]).all()
     p_ground, p_excited = exact_qubit1_populations(config, dps=400)
     assert (readout.p_ground, readout.p_excited) == (float(p_ground), float(p_excited))
 
