@@ -34,7 +34,8 @@ import numpy as np
 
 from .linalg import TOL
 from .liouvillian import DIM, FridgeConfig, sector_coefficients
-from .reservoirs import ReservoirSpec, Role, Statistics
+from .reservoirs import (ReservoirSpec, Role, Statistics, log_rate_ratio,
+                         temperature_from_occupation)
 from .steady_state import SteadyStateError, solve_coefficients, solve_sectors
 from .thermometry import (
     QubitReadout,
@@ -272,9 +273,8 @@ def sweep_hot_temperature(config: FridgeConfig, th_values):
 
 def _negative_walk_floor(config: FridgeConfig) -> float:
     """|T_h| below which the fermionic occupation would round to exactly 1."""
-    e3 = config.gaps[2]
-    return e3 / math.log((1.0 - FERMIONIC_SATURATION_DEFICIT)
-                         / FERMIONIC_SATURATION_DEFICIT)
+    return temperature_from_occupation(Statistics.FERMIONIC, config.gaps[2],
+                                       FERMIONIC_SATURATION_DEFICIT)
 
 
 def _polish_minimum(f, bracket_lo, bracket_hi, tolerance, budget=40):
@@ -431,21 +431,6 @@ def best_case_t1(config: FridgeConfig, direction: Direction,
     return find_plateau(config, direction).plateau_t1
 
 
-def _log_rate_ratio(spec: ReservoirSpec, gap: float) -> float:
-    """ln(up/down) of the rates spec induces on a qubit of the given gap,
-    from its temperature or pinned occupation n, never from the rounded
-    rates: -E/T for a thermal bath of either statistics, -log1p(1/n) for a
-    bosonic and log(n) - log1p(-n) for a fermionic occupation."""
-    n = spec.occupation_override
-    if n is None:
-        return -gap / spec.temperature
-    if n == 0.0:
-        return -math.inf
-    if spec.statistics is Statistics.BOSONIC:
-        return -math.log1p(1.0 / n)
-    return math.log(n) - math.log1p(-n) if n < 1.0 else math.inf
-
-
 def cooling_threshold(config_template: FridgeConfig, direction: Direction,
                       mode: ThresholdMode = ThresholdMode.PLATEAU) -> float:
     """Smallest cold-bath temperature at which the machine still cools:
@@ -470,8 +455,7 @@ def cooling_threshold(config_template: FridgeConfig, direction: Direction,
         raise BracketError(
             f"the machine never cools: g = {config_template.coupling}, gamma_2 = "
             f"{gamma2} and gamma_3 = {gamma3} leave T1 = T_c")
-    denominator = (_log_rate_ratio(hot, e3)
-                   - _log_rate_ratio(config_template.reservoirs[1], e2))
+    denominator = log_rate_ratio(hot, e3) - log_rate_ratio(config_template.reservoirs[1], e2)
     if not 0.0 < denominator < math.inf:
         raise BracketError(
             f"no cooling threshold: ln(up3/down3) - ln(up2/down2) = {denominator:.6e}, "
@@ -502,10 +486,8 @@ def insulation_limit(config: FridgeConfig,
         e1=config.gaps[0],
         e3=config.gaps[2],
     )
-    rows = [sector_coefficients(config.with_gamma1(gamma1)) for gamma1 in sequence]
-    solved = solve_coefficients(np.concatenate([coefficients for coefficients, _ in rows]))
-    solved = replace(solved, errors=[rate_errors[0] or error for (_, rate_errors), error
-                                     in zip(rows, solved.errors)])
+    coefficients, errors = zip(*[sector_coefficients(config.with_gamma1(g)) for g in sequence])
+    solved = solve_coefficients(np.concatenate(coefficients), [e for row in errors for e in row])
     used, values = [], []
     for gamma1, outcome in zip(sequence, _qubit1_rows(solved, config.gaps[0])):
         if isinstance(outcome, SteadyStateError):

@@ -30,15 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import TOL, LinalgError, as_matrix
-from .reservoirs import (
-    ReservoirError,
-    ReservoirSpec,
-    Role,
-    check_temperature,
-    lindblad_rates,
-    rate_pair,
-    thermal_occupation,
-)
+from .reservoirs import ReservoirSpec, Role, bath_rates, lindblad_rates
 
 NUM_QUBITS = 3
 DIM = 2 ** NUM_QUBITS
@@ -175,57 +167,38 @@ def sector_coefficients(config: FridgeConfig, hot_temperatures=None, hot_occupat
     everything else. With neither given, the one row is config's own hot
     bath.
 
-    Only the hot pair of columns differs between rows, so the cold and room
-    rates are evaluated once. Returns (coefficients, errors): errors[i] is
-    None or the ValueError row i's rates raised, and that row is NaN. A hot
-    temperature the bath cannot have (see check_temperature) is that row's
-    error first.
+    The cold and room rates are evaluated once, by lindblad_rates, and each
+    row's hot pair by bath_rates. Returns (coefficients, errors): errors[i]
+    is None or the ValueError row i's rates raised, its own hot-bath error
+    first, then the cold or room rates' error that every row shares; that
+    row is NaN.
     """
     hot = config.reservoirs[2]
-    if hot_temperatures is None and hot_occupations is None:
-        if hot.occupation_override is None:
-            hot_temperatures = (hot.temperature,)
-        else:
-            hot_occupations = (hot.occupation_override,)
     temperatures = () if hot_temperatures is None else hot_temperatures
     occupations = () if hot_occupations is None else hot_occupations
-    rows = len(temperatures) + len(occupations)
-    errors = [None] * rows
-    for i, temperature in enumerate(temperatures):
+    points = [(t, None) for t in temperatures] + [(hot.temperature, n) for n in occupations]
+    if hot_temperatures is None and hot_occupations is None:
+        points = [(hot.temperature, hot.occupation_override)]
+    (e1, e2, e3), statistics, gamma = config.gaps, hot.statistics, config.gammas[2]
+    errors, hot_rates = [None] * len(points), [(np.nan, np.nan)] * len(points)
+    # math.exp and math.expm1 per point: numpy's differ from them in the
+    # last bit on some arguments
+    for i, (temperature, n) in enumerate(points):
         try:
-            check_temperature(hot.statistics, temperature)
-        except ReservoirError as exc:
+            hot_rates[i] = bath_rates(statistics, e3, gamma, temperature, n)
+        except ValueError as exc:
             errors[i] = exc
-    base = []
+    base, column = [], 2 * (NUM_QUBITS - 1)
     try:
         for k in range(NUM_QUBITS - 1):
-            if config.gammas[k] == 0.0:
-                base += (0.0, 0.0)
-                continue
             rates = lindblad_rates(config.reservoirs[k], config.gaps[k], config.gammas[k])
             base += (rates.gamma_down, rates.gamma_up)
     except ValueError as exc:
-        return (np.full((rows, 2 * NUM_QUBITS + 2), np.nan),
-                [error or exc for error in errors])
-    e1, e2, e3 = config.gaps
+        base, errors = [np.nan] * column, [error or exc for error in errors]
     base += (0.0, 0.0, config.coupling, e1 - e2 + e3)
-    coefficients = np.empty((rows, len(base)))
+    coefficients = np.empty((len(points), len(base)))
     coefficients[:] = base
-    gamma = config.gammas[2]
-    if gamma != 0.0:
-        # math.exp and math.expm1 per point: numpy's differ from them in the
-        # last bit on some arguments
-        hot_rates = [(np.nan, np.nan)] * rows
-        for i, point in enumerate((*temperatures, *occupations)):
-            if errors[i] is None:
-                try:
-                    n = (point if i >= len(temperatures)
-                         else thermal_occupation(hot.statistics, e3, point))
-                    hot_rates[i] = rate_pair(hot.statistics, n, gamma)
-                except ValueError as exc:
-                    errors[i] = exc
-        column = 2 * (NUM_QUBITS - 1)
-        coefficients[:, column:column + 2] = np.array(hot_rates).reshape(rows, 2)
+    coefficients[:, column:column + 2] = np.array(hot_rates).reshape(len(points), 2)
     failed = [i for i, error in enumerate(errors) if error is not None]
     if failed:
         coefficients[failed] = np.nan

@@ -12,6 +12,9 @@ invert, so negative T is rejected for them. The induced Lindblad rates are
 
     down = gamma * (1 + n)   bosonic      up = gamma * n
     down = gamma * (1 - n)   fermionic
+
+bath_rates is the one place they are formed, and log_rate_ratio gives
+their ln(up/down) from the bath's numbers, not from the rounded rates.
 """
 
 import math
@@ -167,13 +170,17 @@ def thermal_occupation(statistics: Statistics, gap: float, temperature: float) -
     return 1.0 / (1.0 + e)
 
 
-def rate_pair(statistics: Statistics, n: float, gamma: float):
-    """(down, up) = (gamma (1 +/- n), gamma n), the rates a bath of occupation
-    n induces on a qubit, checked as LindbladRates checks them."""
-    if statistics is Statistics.BOSONIC:
-        down = gamma * (1.0 + n)
-    else:
-        down = gamma * (1.0 - n)
+def bath_rates(statistics, gap, gamma, temperature, occupation=None):
+    """(down, up) = (gamma (1 +/- n), gamma n) a bath induces on a qubit of
+    the given gap: n is the pinned occupation, else thermal_occupation at
+    the temperature, checked first (check_temperature). Both are 0 at
+    gamma = 0, with no n. Raises as LindbladRates does on a bad rate."""
+    if occupation is None:
+        check_temperature(statistics, temperature)
+    if gamma == 0.0:
+        return 0.0, 0.0
+    n = thermal_occupation(statistics, gap, temperature) if occupation is None else occupation
+    down = gamma * (1.0 + n) if statistics is Statistics.BOSONIC else gamma * (1.0 - n)
     up = gamma * n
     if not (0.0 <= down < math.inf and 0.0 <= up < math.inf):     # or NaN
         _check_rates(down, up)
@@ -188,10 +195,28 @@ def _check_rates(down: float, up: float):
 
 
 def lindblad_rates(spec: ReservoirSpec, gap: float, gamma: float) -> LindbladRates:
-    """Rates induced on a qubit: down = gamma (1 +/- n), up = gamma n."""
+    """The rates spec induces on a qubit (see bath_rates)."""
     if gamma < 0.0 or not math.isfinite(gamma):
         raise ReservoirError(f"dissipation rate must be finite and >= 0, got {gamma}")
-    return LindbladRates(*rate_pair(spec.statistics, occupation(spec, gap), gamma))
+    if gap <= 0.0 or not math.isfinite(gap):
+        raise ReservoirError(f"gap must be positive and finite, got {gap}")
+    return LindbladRates(*bath_rates(spec.statistics, gap, gamma, spec.temperature,
+                                     spec.occupation_override))
+
+
+def log_rate_ratio(spec: ReservoirSpec, gap: float) -> float:
+    """ln(up/down) of the rates spec induces on a qubit of the given gap,
+    from its temperature or pinned occupation n, never from the rounded
+    rates: -E/T for a thermal bath of either statistics, -log1p(1/n) for a
+    bosonic and log(n) - log1p(-n) for a fermionic occupation."""
+    n = spec.occupation_override
+    if n is None:
+        return -gap / spec.temperature
+    if n == 0.0:
+        return -math.inf
+    if spec.statistics is Statistics.BOSONIC:
+        return -math.log1p(1.0 / n)
+    return math.log(n) - math.log1p(-n) if n < 1.0 else math.inf
 
 
 def temperature_from_occupation(statistics, gap: float, n: float) -> float:

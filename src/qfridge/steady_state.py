@@ -225,7 +225,14 @@ def _invalid_state(exc):
     return error
 
 
-def solve_coefficients(coefficients) -> SectorSolutions:
+def _residuals(law, generators, unit):
+    """max |pi Q| of each row's chain over max(unit, its largest rate)."""
+    balance = (law[:, None, :] @ generators)[:, 0] - law * np.add.reduce(generators, axis=2)
+    largest = np.maximum.reduce(generators.reshape(len(law), DIM * DIM), axis=1)
+    return np.maximum.reduce(np.abs(balance), axis=1) / np.maximum(largest, unit)
+
+
+def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
     """Steady states of a stack of sector_coefficients rows, which may come
     from different machines. The chain's odd states lead only to even ones,
     so they are censored in one step; the 4-state chain left on the even
@@ -237,18 +244,20 @@ def solve_coefficients(coefficients) -> SectorSolutions:
     parities swapped. A row that is still not finite gets MultiplicityError
     when its chain has two or more closed classes.
 
-    Each row is checked on its own, in this order: a unique steady state,
-    the state invariants (in closed form, sector_state_errors) and the
-    balance defect max |pi Q| of its chain over max(1, its largest rate). A
-    row that fails one carries that exception in errors and leaves the other
-    rows solved.
+    Each row is checked on its own, in this order: the error its rates
+    raised (errors, as sector_coefficients gives them), a unique steady
+    state, the state invariants (in closed form, sector_state_errors) and
+    the balance defect max |pi Q| of its chain over max(1, its largest
+    rate), <= TOL.steady_residual_direct; where that is not finite, it is
+    the wide chain's, scaled by 2^-top for top its largest exponent. A row
+    that fails one carries that exception in errors.
     """
     rates = coefficients[:, :2 * NUM_QUBITS]
     coupling, detuning = coefficients[:, -2], coefficients[:, -1]
     # the pair's summed out-rate Gamma counts each of the six rates once
     half_gamma = np.add.reduce(rates, axis=1) / 2.0
     h = np.hypot(half_gamma, detuning)
-    errors = [None] * len(coefficients)
+    errors = [None] * len(coefficients) if errors is None else list(errors)
     # numpy writes a line to events for each step that under- or overflows,
     # divides by zero or makes a NaN: only then can a row have lost digits
     events = io.StringIO()
@@ -261,7 +270,7 @@ def solve_coefficients(coefficients) -> SectorSolutions:
         generators[:, _SOURCE, _TARGET] = rates[:, _RATE]
         generators[:, _LOW, _HIGH] = generators[:, _HIGH, _LOW] = kappa
         law = _censored_law(generators[:, :_EVEN, _EVEN:], generators[:, _EVEN:, :_EVEN])
-        if events.tell():
+        if lossy := events.tell():
             # Solve every row again by _wide_law, kappa included, which is
             # taken from the mantissas and exponents of Gamma / 2, g and h,
             # and keep a row's law where the two agree to 2^-44 relative
@@ -292,9 +301,13 @@ def solve_coefficients(coefficients) -> SectorSolutions:
                     errors[i] = MultiplicityError(
                         f"the rate chain has {classes} closed classes: the steady "
                         "state is not unique")
-        balance = (law[:, None, :] @ generators)[:, 0] - law * np.add.reduce(generators, axis=2)
-        largest = np.maximum.reduce(generators.reshape(len(law), DIM * DIM), axis=1)
-        residuals = np.maximum.reduce(np.abs(balance), axis=1) / np.maximum(largest, 1.0)
+        residuals = _residuals(law, generators, 1.0)
+        if lossy and not np.isfinite(residuals).all():
+            # kappa, say, overflowed: the defect of the wide chain scaled by 2^-top
+            over = np.flatnonzero(~np.isfinite(residuals) & np.isfinite(law).all(axis=1))
+            top = np.maximum.reduce(exponents[over].reshape(len(over), DIM * DIM), axis=1)
+            residuals[over] = _residuals(law[over], np.ldexp(
+                mantissas[over], exponents[over] - top[:, None, None]), np.ldexp(1.0, -top))
         x = np.empty((len(law), SECTOR_DIM))
         x[:, _ORDER] = law
         exchange = g_h * (law[:, _LOW] - law[:, _HIGH])
@@ -312,7 +325,7 @@ def solve_coefficients(coefficients) -> SectorSolutions:
         x[:, DIM + 1] = exchange * gamma_h
     for i, invalid in sector_state_errors(x).items():
         errors[i] = errors[i] or _invalid_state(invalid)
-    for i in (residuals > TOL.steady_residual_direct).nonzero()[0].tolist():
+    for i in (~(residuals <= TOL.steady_residual_direct)).nonzero()[0].tolist():
         errors[i] = errors[i] or SteadyStateError(
             f"steady-state residual {residuals[i]:.3e} exceeds "
             f"{TOL.steady_residual_direct:.0e} for solver direct")
@@ -324,9 +337,5 @@ def solve_sectors(config: FridgeConfig, hot_temperatures=None,
     """Steady states of config with its hot bath at each of hot_temperatures,
     then pinned at each of hot_occupations (default: its own hot bath; see
     sector_coefficients), as one stacked solve. A row whose rates raise
-    carries that error first (see solve_coefficients)."""
-    coefficients, rate_errors = sector_coefficients(config, hot_temperatures, hot_occupations)
-    solved = solve_coefficients(coefficients)
-    errors = [rates or solve for rates, solve in zip(rate_errors, solved.errors)]
-    return SectorSolutions(coordinates=solved.coordinates, residuals=solved.residuals,
-                           errors=errors)
+    carries that error (see solve_coefficients)."""
+    return solve_coefficients(*sector_coefficients(config, hot_temperatures, hot_occupations))

@@ -15,7 +15,7 @@ from qfridge import (
     insulation_limit,
     sweep_hot_temperature,
 )
-from qfridge import analysis, liouvillian
+from qfridge import analysis, liouvillian, reservoirs
 from qfridge.analysis import (
     AnalysisError,
     BracketError,
@@ -271,14 +271,14 @@ def test_a_failing_walk_row_counts_only_if_the_walk_reaches_it(
     stop = walk.index(plateau.plateau_detected_at)
     assert plateau.walk_flattened and stop + 2 < len(walk)
     failing = walk[stop + offset]
-    occupation = liouvillian.thermal_occupation    # of the hot bath only
+    occupation = reservoirs.thermal_occupation    # fails at a walk point only
 
     def occupation_failing_at(statistics, gap, temperature):
         if temperature == failing:
             raise ReservoirError(f"no rates at T_h = {failing}")
         return occupation(statistics, gap, temperature)
 
-    monkeypatch.setattr(liouvillian, "thermal_occupation", occupation_failing_at)
+    monkeypatch.setattr(reservoirs, "thermal_occupation", occupation_failing_at)
     outcome = _outcome(find_plateau, reference_config, Direction.NEGATIVE)
     assert outcome == _outcome(_serial_plateau, reference_config, Direction.NEGATIVE)
     if offset <= 0:
@@ -404,8 +404,8 @@ def threshold_machines(draw):
 def _closed_form_at(config, hot):
     """E1 / (L3 - L2) with the hot bath hot, or None where it is not positive."""
     e1, e2, e3 = config.gaps
-    denominator = (analysis._log_rate_ratio(hot, e3)
-                   - analysis._log_rate_ratio(config.reservoirs[1], e2))
+    denominator = (reservoirs.log_rate_ratio(hot, e3)
+                   - reservoirs.log_rate_ratio(config.reservoirs[1], e2))
     return e1 / denominator if denominator > 0.0 else None
 
 
@@ -436,12 +436,12 @@ def test_closed_form_threshold_agrees_with_the_bisection(config, direction, mode
     # The oracle solves the float rates, with the cold bath at 1 and the
     # mode's hot bath. Skipped: a rate that rounds to 0, and a room or hot
     # ratio up/down off its closed form by more than 1e-9, which the
-    # fermionic down-rate gamma (1 - n) of reservoirs.lindblad_rates is as
+    # fermionic down-rate gamma (1 - n) of reservoirs.bath_rates is as
     # n -> 1 (at T_h = -0.1 once E3 > 1.8 or so): there the oracle is off.
     rates = liouvillian.sector_coefficients(config.with_hot_reservoir(hot))[0][0, :6]
     assume(np.all(rates > 0.0))
     for k, spec in ((1, config.reservoirs[1]), (2, hot)):
-        exact = analysis._log_rate_ratio(spec, config.gaps[k])
+        exact = reservoirs.log_rate_ratio(spec, config.gaps[k])
         assume(abs(math.log(rates[2 * k + 1] / rates[2 * k]) - exact) <= 1e-9)
     oracle = _outcome(threshold_bracket, config, direction, mode)
     lo_end, hi_end = THRESHOLD_BRACKET

@@ -1,10 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from qfridge import steady_state
 from qfridge.analysis import Direction, ThresholdMode, best_case_t1, find_plateau
 from qfridge.cli import CSV_COLUMNS, RunManifest, build_parser, main
+from qfridge.linalg import TOL
 from qfridge.liouvillian import default_config
 
 
@@ -270,6 +273,56 @@ def test_failed_points_keep_csv_clean(tmp_path):
         assert "MultiplicityError" in row[5]
     text = open(out).read()
     assert "nan" not in text and "inf" not in text
+
+
+def test_an_overflowing_exchange_rate_writes_its_residual(tmp_path):
+    # g = 1e160 overflows kappa in the float chain; the residual cell holds
+    # the wide chain's defect, not an empty cell next to status ok.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(default_config(coupling=1e160).to_dict()))
+    out = str(tmp_path / "solve.csv")
+    assert main(["solve", "--config", str(path), "--out", out]) == 0
+    row = read_rows(out)[1]
+    assert row[5] == "ok"
+    assert 0.0 <= float(row[3]) <= TOL.steady_residual_direct
+
+
+def test_a_residual_that_is_not_finite_fails_its_row(config_path, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(steady_state, "_residuals",
+                        lambda law, generators, unit: np.full(len(law), np.nan))
+    out = str(tmp_path / "sweep.csv")
+    assert main(["sweep-th", "--config", config_path, "--out", out,
+                 "--th-values", "2,5"]) == 3
+    for row in read_rows(out)[1:]:
+        assert row[3] == ""
+        assert row[5].startswith("SteadyStateError: steady-state residual nan exceeds")
+    assert main(["solve", "--config", config_path, "--out", str(tmp_path / "x.csv")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "SteadyStateError"
+
+
+def test_the_benchmark_commands_solve_no_row_wide(config_path, tmp_path, monkeypatch, capsys):
+    # reproduce all and README's grid-edge threshold and insulation
+    # commands, which the benchmark's reproduce workload runs, solve every
+    # stack on the main path: _wide_law, which re-solves a whole stack when
+    # any of its rows under- or overflows, is never called.
+    calls = []
+    wide_law = steady_state._wide_law
+
+    def counted(mantissas, exponents, root=0):
+        calls.append(len(mantissas))
+        return wide_law(mantissas, exponents, root)
+
+    monkeypatch.setattr(steady_state, "_wide_law", counted)
+    assert main(["reproduce", "all", "--out", str(tmp_path)]) == 0
+    assert main(["threshold", "--config", config_path, "--out", str(tmp_path / "t.csv"),
+                 "--direction", "positive", "--threshold-mode", "grid-edge"]) == 0
+    assert main(["insulation", "--config", config_path, "--out", str(tmp_path / "i.csv"),
+                 "--gamma1", "1e-1,1e-2,1e-3,1e-4"]) == 0
+    assert calls == []
+    # the hook counts: a row whose kappa overflows is solved wide
+    steady_state.solve_sectors(default_config(coupling=1e160))
+    assert calls == [1]
 
 
 def test_sentinel_emission_for_frozen_qubit(tmp_path):

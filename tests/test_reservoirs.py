@@ -10,6 +10,7 @@ from qfridge.reservoirs import (
     ReservoirSpec,
     Role,
     Statistics,
+    bath_rates,
     lindblad_rates,
     occupation,
     temperature_from_occupation,
@@ -107,6 +108,45 @@ def test_rates_sum_and_difference_invariants(rng):
         sign = 1.0 if rng.random() < 0.5 else -1.0
         f = lindblad_rates(fermionic(sign * t), gap, gamma)
         assert abs((f.gamma_down + f.gamma_up) - gamma) <= 1e-14 * max(1.0, gamma)
+
+
+@pytest.mark.parametrize("spec", [
+    bosonic(2.0),
+    fermionic(2.0),
+    fermionic(-2.0),
+    ReservoirSpec.saturated(Statistics.BOSONIC, 0.3),
+    ReservoirSpec.saturated(Statistics.FERMIONIC, 0.3),     # nominal T > 0
+    ReservoirSpec.saturated(Statistics.FERMIONIC, 0.9),     # nominal T < 0
+], ids=["bosonic", "fermionic+", "fermionic-", "bosonic-pinned", "fermionic-pinned+",
+        "fermionic-pinned-"])
+@pytest.mark.parametrize("gamma", [0.0, 0.7])
+def test_bath_rates_are_lindblad_rates(spec, gamma):
+    # bath_rates takes the bath's numbers, lindblad_rates its spec: the same
+    # pair, which is gamma (1 +/- n) and gamma n for the occupation of the
+    # spec, exactly 0 at gamma = 0.
+    rates = bath_rates(spec.statistics, 1.5, gamma, spec.temperature, spec.occupation_override)
+    induced = lindblad_rates(spec, 1.5, gamma)
+    assert rates == (induced.gamma_down, induced.gamma_up)
+    n = occupation(spec, 1.5)
+    sign = 1.0 if spec.statistics is Statistics.BOSONIC else -1.0
+    assert rates == (gamma * (1.0 + sign * n), gamma * n)
+
+
+def test_bath_rates_at_gamma_zero_skip_the_occupation_not_the_temperature():
+    # E/T = 5e-324 / 1e300 underflows, so the occupation raises; a bath
+    # switched off needs none. A temperature no bath can have still raises.
+    with pytest.raises(ReservoirError, match="underflows"):
+        occupation(bosonic(1e300), 5e-324)
+    assert bath_rates(Statistics.BOSONIC, 5e-324, 0.0, 1e300) == (0.0, 0.0)
+    assert lindblad_rates(bosonic(1e300), 5e-324, 0.0) == LindbladRates(0.0, 0.0)
+    for statistics, temperature in ((Statistics.BOSONIC, -1.0), (Statistics.FERMIONIC, 0.0),
+                                    (Statistics.FERMIONIC, math.inf)):
+        with pytest.raises(ReservoirError, match="temperature"):
+            bath_rates(statistics, 1.0, 0.0, temperature)
+    # a pinned occupation is taken as it is, whatever the temperature
+    assert bath_rates(Statistics.BOSONIC, 1.0, 2.0, math.nan, 0.5) == (3.0, 1.0)
+    with pytest.raises(ReservoirError, match="gamma_up"):
+        bath_rates(Statistics.FERMIONIC, 1.0, 1.0, 1.0, -0.5)
 
 
 def test_rates_reject_negative_gamma():

@@ -4,8 +4,10 @@ rows over the whole float range (in rational arithmetic), the sector
 generator and the 64x64 oracle; the stacked solve against one-at-a-time
 solves, at any stack size, and against closed forms: the g = 0 thermal
 product and the fermionic mirror symmetry. Chains that are not irreducible
-against their closed classes, deep-cooled populations against mpmath, and
-README's extreme rows, which keep the law of the main path.
+against their closed classes, deep-cooled populations against mpmath,
+README's extreme rows, which keep the law of the main path, the order of a
+row's rate errors, and the residual check of a row whose float chain
+overflows.
 
 Property tests over resonant and detuned machines, including the decoupled
 machine (g = 0), a bath switched off (gamma_k = 0), saturated hot baths and
@@ -41,7 +43,7 @@ from qfridge.liouvillian import (
     sector_state_errors,
 )
 from qfridge import steady_state
-from qfridge.reservoirs import ReservoirError
+from qfridge.reservoirs import ReservoirError, occupation
 from qfridge.steady_state import (
     MultiplicityError,
     SteadyStateError,
@@ -373,6 +375,76 @@ def test_an_empty_stack_solves_to_nothing(reference_config):
     solved = solve_sectors(reference_config, [])
     assert solved.coordinates.shape == (0, SECTOR_DIM)
     assert solved.errors == []
+
+
+def test_a_switched_off_bath_needs_no_occupation(reference_config):
+    # gamma_1 = 0: the cold pair is (0, 0) and no error, though the cold
+    # bath's occupation raises (E1/T = 5e-324 / 1e300 underflows).
+    cold = ReservoirSpec(Statistics.BOSONIC, 1e300, Role.COLD)
+    config = FridgeConfig(gaps=(5e-324, 1.0, 1.0), gammas=(0.0, 1.0, 1.0),
+                          reservoirs=(cold, *reference_config.reservoirs[1:]), coupling=1.0)
+    with pytest.raises(ReservoirError, match="underflows"):
+        occupation(cold, 5e-324)
+    coefficients, errors = sector_coefficients(config)
+    assert errors == [None]
+    assert coefficients[0, :2].tolist() == [0.0, 0.0]
+    assert solve_sectors(config).errors == [None]
+
+
+def test_a_temperature_no_hot_bath_can_have_fails_its_row_at_gamma3_zero():
+    # gamma_3 = 0 switches the hot bath off, but a T_h it cannot have is
+    # still that row's error, and the row is NaN.
+    config = default_config(gammas=(1.0, 1.0, 0.0))
+    temperatures = [2.0, -1.0, 0.0, math.inf]
+    coefficients, errors = sector_coefficients(config, temperatures)
+    assert errors[0] is None and coefficients[0, 4:6].tolist() == [0.0, 0.0]
+    assert all(isinstance(error, ReservoirError) for error in errors[1:])
+    assert np.isnan(coefficients[1:]).all()
+    solved = solve_sectors(config, temperatures)
+    assert [_status(e) for e in solved.errors[1:]] == [_status(e) for e in errors[1:]]
+    assert solved.errors[0] is None
+
+
+def test_a_rows_own_hot_bath_error_comes_before_the_shared_one():
+    # The cold rates raise for every row (E1/T = 1e-20 / 1e308 underflows).
+    # A row whose hot rates raise too (E3/T_h = 1e-30 / 1e308), or whose
+    # T_h no bosonic bath can have, carries its own error instead.
+    config = FridgeConfig(
+        gaps=(1e-20, 1.0, 1e-30), gammas=(1.0, 1.0, 1.0),
+        reservoirs=(ReservoirSpec(Statistics.BOSONIC, 1e308, Role.COLD),
+                    ReservoirSpec(Statistics.BOSONIC, 2.0, Role.ROOM),
+                    ReservoirSpec(Statistics.BOSONIC, 10.0, Role.HOT)),
+        coupling=1.0)
+    temperatures = [2.0, 1e308, -1.0]
+    coefficients, errors = sector_coefficients(config, temperatures)
+    assert np.isnan(coefficients).all()
+    messages = [str(error) for error in errors]
+    assert "E/T = 1e-20/1e+308 underflows" in messages[0]
+    assert "E/T = 1e-30/1e+308 underflows" in messages[1]
+    assert "cannot be population inverted" in messages[2]
+    assert [str(error) for error in solve_sectors(config, temperatures).errors] == messages
+
+
+def test_an_overflowing_exchange_rate_keeps_a_finite_residual():
+    # At g = 1e160, kappa = Gamma (g/h)^2 overflows the float chain, whose
+    # balance defect is then NaN: the defect is read on the wide chain
+    # scaled by 2^-top. The law is that of g = 1e150, where kappa is a
+    # float.
+    solved = solve_sectors(default_config(coupling=1e160))
+    assert solved.errors == [None]
+    assert 0.0 <= solved.residuals[0] <= TOL.steady_residual_direct
+    np.testing.assert_allclose(solved.coordinates[0, :DIM],
+                               solve_sectors(default_config(coupling=1e150)).coordinates[0, :DIM],
+                               rtol=1e-14, atol=0.0)
+
+
+def test_a_residual_that_is_not_finite_fails_its_row(monkeypatch):
+    # Only a defect <= TOL.steady_residual_direct passes: a NaN fails.
+    monkeypatch.setattr(steady_state, "_residuals",
+                        lambda law, generators, unit: np.full(len(law), np.nan))
+    solved = solve_sectors(default_config(), [2.0, 5.0])
+    assert [_status(error) for error in solved.errors] == [
+        "SteadyStateError: steady-state residual nan exceeds 1e-10 for solver direct"] * 2
 
 
 @PROPERTY_SETTINGS
