@@ -34,8 +34,8 @@ import numpy as np
 
 from .linalg import TOL
 from .liouvillian import DIM, FridgeConfig, sector_coefficients
-from .reservoirs import (ReservoirSpec, Role, Statistics, log_rate_ratio,
-                         temperature_from_occupation)
+from .reservoirs import (ReservoirSpec, Role, Statistics, check_temperature,
+                         log_rate_ratio, temperature_from_occupation)
 from .steady_state import SteadyStateError, solve_coefficients, solve_sectors
 from .thermometry import (
     QubitReadout,
@@ -123,16 +123,28 @@ DEFAULT_COUPLING_GRID = (0.05, 0.1, 0.2, 0.5, 1.0)
 DEFAULT_GAMMA1_SEQUENCE = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One sweep point; t1 fields may hold a TemperatureSentinel."""
+class SweepRecord(NamedTuple):
+    """One row of a sweep-like command's CSV, its fields the columns; t1
+    fields may hold a TemperatureSentinel. coherence is qubit 1's reduced
+    coherence, which sums rho[j, 4 + j]: the sector holds those at exactly 0,
+    so a solved row carries 0.0."""
 
     swept_value: float
     t1: object
     t1_minus_tc: object
-    residual: float
-    coherence_magnitude: float
+    residual: object = None
+    coherence: object = None
     status: str = "ok"
+
+
+def sweep_record(swept_value, t1, tc, residual=None, coherence=None) -> SweepRecord:
+    """The row of T1 at swept_value against the cold temperature tc. A T1
+    that is a number but not a finite one (an infinite or inverted
+    temperature collapsed onto +inf) is written empty, and its status says
+    why."""
+    status = "non-finite t1" if isinstance(t1, float) and not math.isfinite(t1) else "ok"
+    return SweepRecord(swept_value, t1, t1 if isinstance(t1, TemperatureSentinel) else t1 - tc,
+                       residual, coherence, status)
 
 
 @dataclass(frozen=True)
@@ -218,8 +230,7 @@ def solve_for_readout(config: FridgeConfig):
     if isinstance(outcome, Exception):
         raise outcome
     residual, p_ground, p_excited, t1 = outcome
-    return residual, QubitReadout(qubit_index=1, p_ground=p_ground, p_excited=p_excited,
-                                  coherence_magnitude=0.0, effective_temperature=t1)
+    return residual, QubitReadout(p_ground, p_excited, t1)
 
 
 def _coldness(t1: float) -> float:
@@ -233,42 +244,24 @@ def _t1_value(config: FridgeConfig) -> float:
     return temperature_as_float(solve_for_readout(config)[1].effective_temperature)
 
 
-def _record(th, tc, outcome):
-    if isinstance(outcome, Exception):
-        return SweepRecord(
-            swept_value=th, t1=math.nan, t1_minus_tc=math.nan,
-            residual=math.nan, coherence_magnitude=math.nan,
-            status=f"{type(outcome).__name__}: {outcome}",
-        )
-    residual, _, _, t1 = outcome
-    return SweepRecord(
-        swept_value=th,
-        t1=t1,
-        t1_minus_tc=t1 if isinstance(t1, TemperatureSentinel) else t1 - tc,
-        residual=residual,
-        coherence_magnitude=0.0,
-        status="ok",
-    )
-
-
 def sweep_hot_temperature(config: FridgeConfig, th_values):
     """One steady state per hot-bath temperature, ordered as given, all solved
-    as one stack.
+    as one stack. A temperature no hot bath of config's statistics can have
+    raises ReservoirError before any solve.
 
     Per-point failures are recorded in the row status, not raised.
     """
     th_values = [float(v) for v in th_values]
     if not th_values:
         raise AnalysisError("empty sweep list")
-    hot = config.reservoirs[2]
     for v in th_values:
-        if v == 0.0 or (hot.statistics is Statistics.BOSONIC and v < 0.0):
-            raise AnalysisError(
-                f"T_h = {v} invalid for a {hot.statistics.value} hot reservoir"
-            )
-    outcomes = _solve_hot_grid(config, th_values)
-    return [_record(th, config.cold_temperature, outcome)
-            for th, outcome in zip(th_values, outcomes)]
+        check_temperature(config.reservoirs[2].statistics, v)
+    tc = config.cold_temperature
+    return [sweep_record(th, outcome[-1], tc, outcome[0], coherence=0.0)
+            if not isinstance(outcome, Exception)
+            else SweepRecord(th, math.nan, math.nan, math.nan, math.nan,
+                             f"{type(outcome).__name__}: {outcome}")
+            for th, outcome in zip(th_values, _solve_hot_grid(config, th_values))]
 
 
 def _negative_walk_floor(config: FridgeConfig) -> float:

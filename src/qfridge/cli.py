@@ -5,15 +5,16 @@ fully resolved manifest (command, config, options, tool version, tolerances).
 The sidecar closes the loop: passing it back through --config reproduces the
 CSV byte for byte.
 
-Sweep-like commands (solve, sweep-th, plateau, threshold, insulation) share
-the column set
+Sweep-like commands (solve, sweep-th, plateau, threshold, insulation) write
+analysis.SweepRecord rows, whose fields are the columns
 
     swept_value, t1, t1_minus_tc, residual, coherence, status
 
 with sentinel strings for the singular temperature cases. calibrate and
 reproduce-fig4 emit their natural tables instead. No NaN or infinity reaches a
 file: a number that is not finite is written as an empty cell and as null in
-the sidecar, and a sweep-like row whose t1 is not finite says so in its status.
+the sidecar (a row whose t1 is not finite says so in its status; see
+analysis.sweep_record).
 
 Each command's options resolve in one place, main: the defaults of the OPTIONS
 table, then the options a sidecar passed as --config recorded, then explicit
@@ -40,8 +41,8 @@ from .analysis import (
     CALIBRATED_COUPLING,
     Direction,
     REFERENCE_THRESHOLDS,
+    SweepRecord,
     ThresholdMode,
-    _record,
     best_case_t1,
     calibrate_coupling,
     cooling_threshold,
@@ -49,6 +50,7 @@ from .analysis import (
     insulation_limit,
     solve_for_readout,
     sweep_hot_temperature,
+    sweep_record,
 )
 from .linalg import TOL, LinalgError
 from .liouvillian import ConfigError, FridgeConfig, default_config
@@ -60,8 +62,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_NONCONVERGENCE = 4
-
-CSV_COLUMNS = ("swept_value", "t1", "t1_minus_tc", "residual", "coherence", "status")
 
 REPRODUCE_TCS = (1.0, 1.5, 2.0)
 FIG2_TH_GRID = [1.0 + 0.2 * k for k in range(46)]              # 1 .. 10
@@ -156,20 +156,6 @@ def _load_config(path):
     return FridgeConfig.from_dict(document), {}
 
 
-def _row(swept_value, t1, t1_minus_tc, residual=None, coherence=None, status="ok"):
-    """One row of CSV_COLUMNS. A T1 that is a number but not a finite one
-    (an infinite or inverted temperature collapsed onto +inf) is written
-    empty, and its status says why."""
-    if status == "ok" and isinstance(t1, float) and not math.isfinite(t1):
-        status = "non-finite t1"
-    return (swept_value, t1, t1_minus_tc, residual, coherence, status)
-
-
-def _record_to_row(record):
-    return _row(record.swept_value, record.t1, record.t1_minus_tc,
-                record.residual, record.coherence_magnitude, record.status)
-
-
 def _parse_float_list(text):
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
@@ -207,31 +193,23 @@ def _sweep_values(options):
 
 def _cmd_solve(config, options):
     residual, readout = solve_for_readout(config)
-    record = _record(config.reservoirs[2].temperature, config.cold_temperature,
-                     (residual, readout.p_ground, readout.p_excited,
-                      readout.effective_temperature))
-    return CSV_COLUMNS, [_record_to_row(record)], None, EXIT_OK
+    record = sweep_record(config.reservoirs[2].temperature, readout.effective_temperature,
+                          config.cold_temperature, residual, coherence=0.0)
+    return SweepRecord._fields, [record], None, EXIT_OK
 
 
 def _cmd_sweep(config, options):
-    rows = [_record_to_row(r)
-            for r in sweep_hot_temperature(config, _sweep_values(options))]
-    failed = sum(1 for row in rows if row[-1] != "ok")
-    code = EXIT_SOLVER if failed > TOL.sweep_failed_fraction * len(rows) else EXIT_OK
-    return CSV_COLUMNS, rows, None, code
+    records = sweep_hot_temperature(config, _sweep_values(options))
+    failed = sum(1 for record in records if record.status != "ok")
+    code = EXIT_SOLVER if failed > TOL.sweep_failed_fraction * len(records) else EXIT_OK
+    return SweepRecord._fields, records, None, code
 
 
 def _cmd_plateau(config, options):
     plateau = find_plateau(config, Direction(options["direction"]))
-    row = _row(plateau.plateau_detected_at, plateau.plateau_t1,
-               plateau.plateau_t1 - config.cold_temperature)
-    return CSV_COLUMNS, [row], {
-        "plateau_t1": plateau.plateau_t1,
-        "plateau_detected_at": plateau.plateau_detected_at,
-        "tolerance_used": plateau.tolerance_used,
-        "saturation_t1": plateau.saturation_t1,
-        "walk_flattened": plateau.walk_flattened,
-    }, EXIT_OK
+    record = sweep_record(plateau.plateau_detected_at, plateau.plateau_t1,
+                          config.cold_temperature)
+    return SweepRecord._fields, [record], dataclasses.asdict(plateau), EXIT_OK
 
 
 def _cmd_threshold(config, options):
@@ -239,7 +217,7 @@ def _cmd_threshold(config, options):
     mode = ThresholdMode(options["threshold_mode"])
     threshold = cooling_threshold(config, direction, mode)
     t1 = best_case_t1(config.with_cold_temperature(threshold), direction, mode)
-    return CSV_COLUMNS, [_row(threshold, t1, t1 - threshold)], {
+    return SweepRecord._fields, [sweep_record(threshold, t1, threshold)], {
         "threshold": threshold,
         "direction": direction.value,
         "mode": mode.value,
@@ -248,9 +226,9 @@ def _cmd_threshold(config, options):
 
 def _cmd_insulation(config, options):
     result = insulation_limit(config, _parse_float_list(options["gamma1"]))
-    tc = config.cold_temperature
-    rows = [_row(g, t1, t1 - tc) for g, t1 in zip(result.gamma1_values, result.t1_values)]
-    return CSV_COLUMNS, rows, {
+    records = [sweep_record(g, t1, config.cold_temperature)
+               for g, t1 in zip(result.gamma1_values, result.t1_values)]
+    return SweepRecord._fields, records, {
         "analytic_t1": result.analytic_t1,
         "final_relative_gap": result.final_relative_gap,
         "smallest_usable_gamma1": result.smallest_usable_gamma1,
@@ -277,13 +255,13 @@ def _reproduce_sweep_figure(name, th_grid, hot_statistics, out_dir):
     for tc in REPRODUCE_TCS:
         config = default_config(tc=tc, coupling=CALIBRATED_COUPLING,
                                 hot_statistics=hot_statistics)
-        rows = [_record_to_row(r) for r in sweep_hot_temperature(config, th_grid)]
+        records = sweep_hot_temperature(config, th_grid)
         manifest = RunManifest(
             command="sweep-th", config=config,
             options={"th_values": ",".join(repr(v) for v in th_grid)},
             output_path=os.path.join(out_dir, f"{name}_tc{tc:g}.csv"),
         )
-        runs.append((manifest, CSV_COLUMNS, rows, None))
+        runs.append((manifest, SweepRecord._fields, records, None))
     return runs
 
 

@@ -254,14 +254,15 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
     """
     rates = coefficients[:, :2 * NUM_QUBITS]
     coupling, detuning = coefficients[:, -2], coefficients[:, -1]
-    # the pair's summed out-rate Gamma counts each of the six rates once
-    half_gamma = np.add.reduce(rates, axis=1) / 2.0
-    h = np.hypot(half_gamma, detuning)
     errors = [None] * len(coefficients) if errors is None else list(errors)
     # numpy writes a line to events for each step that under- or overflows,
     # divides by zero or makes a NaN: only then can a row have lost digits
     events = io.StringIO()
     with np.errstate(all="log", call=events):
+        # the pair's summed out-rate Gamma counts each of the six rates once;
+        # halved first, Gamma/2 stays finite where Gamma would overflow
+        half_gamma = np.add.reduce(rates * 0.5, axis=1)
+        h = np.hypot(half_gamma, detuning)
         g_h, gamma_h = coupling / h, half_gamma / h
         # Gamma (g/h)^2, in a form that does not overflow as h -> 0; NaN,
         # an edge of unknown rate, only where g > 0 and h = 0

@@ -81,12 +81,10 @@ def temperature_as_float(temperature):
 
 @dataclass(frozen=True)
 class QubitReadout:
-    """Populations, residual coherence and effective temperature of one qubit."""
+    """Populations and effective temperature of one qubit."""
 
-    qubit_index: int
     p_ground: float
     p_excited: float
-    coherence_magnitude: float
     effective_temperature: object   # float or TemperatureSentinel
 
     def __post_init__(self):

@@ -496,13 +496,8 @@ def read_qubit(state: DensityMatrix, qubit_index: int, gap: float) -> QubitReado
     reduced = reduced_qubit_state(state, qubit_index)
     p_ground = max(float(reduced[0, 0].real), 0.0)
     p_excited = max(float(reduced[1, 1].real), 0.0)
-    return QubitReadout(
-        qubit_index=qubit_index,
-        p_ground=p_ground,
-        p_excited=p_excited,
-        coherence_magnitude=float(abs(reduced[0, 1])),
-        effective_temperature=temperature_from_population_ratio(p_ground, p_excited, gap),
-    )
+    return QubitReadout(p_ground, p_excited,
+                        temperature_from_population_ratio(p_ground, p_excited, gap))
 
 
 def coherence_is_negligible(state: DensityMatrix, qubit_index: int) -> bool:

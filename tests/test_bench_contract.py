@@ -23,7 +23,7 @@ import json, sys
 sys.path[:0] = [{src!r}, {bench!r}]
 import tracing, workloads
 import qfridge
-from qfridge import liouvillian
+from qfridge import analysis, liouvillian, thermometry
 
 def resolves(owner, attr):
     # as tracing.patched looks a target up
@@ -36,6 +36,11 @@ print(json.dumps({{
     "latency_spans": list(tracing.LATENCY_SPANS),
     "density_matrix_check": callable(liouvillian.DensityMatrix.__dict__.get("__post_init__")),
     "solve_for_readout": callable(getattr(qfridge, "solve_for_readout", None)),
+    # the result fields bench/checks.py reads
+    "sweep_record_fields": [name for name in ("status", "swept_value", "t1")
+                            if hasattr(analysis.SweepRecord, name)],
+    "readout_fields": [name for name in ("effective_temperature",)
+                       if name in thermometry.QubitReadout.__dataclass_fields__],
     "workloads": sorted(workloads.WORKLOADS),
 }}))
 """
@@ -81,8 +86,9 @@ def _traced(argv):
 
 
 def test_every_name_bench_looks_up_resolves():
-    # tracing reads DensityMatrix.__post_init__ when it is imported, and
-    # setup_probe.py imports solve_for_readout from the package.
+    # tracing reads DensityMatrix.__post_init__ when it is imported,
+    # setup_probe.py imports solve_for_readout from the package, and
+    # checks.py reads the fields of sweep records and readouts.
     found = _child(BENCH_PROBE.format(src=os.path.join(ROOT, "src"),
                                       bench=os.path.join(ROOT, "bench")))
     unresolved = sorted([owner, attr] for owner, attr, _, resolves in found["targets"]
@@ -93,6 +99,8 @@ def test_every_name_bench_looks_up_resolves():
     assert set(found["latency_spans"]) <= set(live)
     assert found["density_matrix_check"]
     assert found["solve_for_readout"]
+    assert found["sweep_record_fields"] == ["status", "swept_value", "t1"]
+    assert found["readout_fields"] == ["effective_temperature"]
     assert found["workloads"] == ["reproduce", "sweep-many"]
 
 

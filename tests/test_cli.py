@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qfridge import steady_state
-from qfridge.analysis import Direction, ThresholdMode, best_case_t1, find_plateau
-from qfridge.cli import CSV_COLUMNS, RunManifest, build_parser, main
+from qfridge.analysis import Direction, SweepRecord, ThresholdMode, best_case_t1, find_plateau
+from qfridge.cli import RunManifest, build_parser, main
 from qfridge.linalg import TOL
 from qfridge.liouvillian import default_config
 
@@ -27,7 +27,7 @@ def test_solve_single_row_cools_below_tc(config_path, tmp_path):
     out = str(tmp_path / "solve.csv")
     assert main(["solve", "--config", config_path, "--out", out]) == 0
     rows = read_rows(out)
-    assert rows[0] == list(CSV_COLUMNS)
+    assert rows[0] == list(SweepRecord._fields)
     assert len(rows) == 2
     t1 = float(rows[1][1])
     assert t1 < 1.0                      # refrigeration at the reference point
@@ -36,6 +36,27 @@ def test_solve_single_row_cools_below_tc(config_path, tmp_path):
     assert sidecar["command"] == "solve"
     assert sidecar["config"]["coupling"] == 1.0
     assert "tolerances" in sidecar and "tool_version" in sidecar
+
+
+def test_solve_writes_the_row_of_a_one_point_sweep(config_path, tmp_path):
+    # One row builder serves both commands: at the config's own T_h = 10 they
+    # write the same data row, byte for byte.
+    assert main(["solve", "--config", config_path, "--out", str(tmp_path / "a.csv")]) == 0
+    assert main(["sweep-th", "--config", config_path, "--out", str(tmp_path / "b.csv"),
+                 "--th-values", "10"]) == 0
+    solved, swept = ((tmp_path / name).read_bytes().splitlines() for name in ("a.csv", "b.csv"))
+    assert len(solved) == len(swept) == 2
+    assert solved[1] == swept[1]
+
+
+def test_an_impossible_hot_temperature_is_a_config_error(config_path, tmp_path, capsys):
+    # Checked before any solve, like an empty list: no CSV is written.
+    for values in ("2,0", "2,inf", "2,nan", "2,-1"):
+        out = tmp_path / "x.csv"
+        assert main(["sweep-th", "--config", config_path, "--out", str(out),
+                     "--th-values", values]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ReservoirError"
+        assert not out.exists()
 
 
 def test_sweep_deterministic_and_closed_under_sidecar(config_path, tmp_path):
@@ -403,7 +424,7 @@ def test_reproduce_fig2_files(tmp_path):
     assert main(["reproduce", "fig2", "--out", out_dir]) == 0
     for tc in ("1", "1.5", "2"):
         rows = read_rows(f"{out_dir}/fig2_tc{tc}.csv")
-        assert rows[0] == list(CSV_COLUMNS)
+        assert rows[0] == list(SweepRecord._fields)
         assert len(rows) == 47
         t1 = [float(r[1]) for r in rows[1:]]
         assert t1[-1] < t1[0]            # cooling improves across the window

@@ -438,6 +438,15 @@ def test_an_overflowing_exchange_rate_keeps_a_finite_residual():
                                rtol=1e-14, atol=0.0)
 
 
+def test_rates_whose_sum_overflows_solve():
+    # Three down-rates of 1e308 and no up-rate: Gamma overflows, Gamma/2
+    # does not, and the law is all on |g g g>.
+    solved = solve_sectors(default_config(gammas=(1e308,) * 3, tc=1e-3, tr=1e-3, th=1e-3))
+    assert solved.errors == [None]
+    assert solved.residuals.tolist() == [0.0]
+    assert solved.coordinates[0].tolist() == [1.0] + [0.0] * (SECTOR_DIM - 1)
+
+
 def test_a_residual_that_is_not_finite_fails_its_row(monkeypatch):
     # Only a defect <= TOL.steady_residual_direct passes: a NaN fails.
     monkeypatch.setattr(steady_state, "_residuals",
@@ -841,6 +850,7 @@ def coefficient_rows(draw):
           8.869386122359343e+236, 4.83459155323805e+223])
 @example([0.0, 0.0, 5.73222602962064e-167, 1.7437470899511875e-153, 0.0033349628945444185,
           6.042775939978553e+47, 1.0248586741850907e+129, 0.0])
+@example([1e308, 0.0, 1e308, 0.0, 1e308, 0.0, 1.0, 0.0])
 def test_coefficient_rows_solve_to_the_exact_law(row):
     # Any row against the exact law of its chain: 1e-13 relative wherever
     # the law is a normal float and exactly 0 wherever the chain makes it 0,
@@ -860,7 +870,8 @@ def test_coefficient_rows_solve_to_the_exact_law(row):
     #   came out 0;
     # - (Gamma/2) / h is subnormal (2.0e-4 off), then 0 (MultiplicityError);
     # - g/h is 3e81 and p2 - p5 cancels, so that the coherence made the
-    #   state fail its eigenvalue check.
+    #   state fail its eigenvalue check;
+    # - Gamma, the sum of three rates of 1e308, overflows (LinalgError).
     solved = solve_coefficients(np.array([row]))
     chain = _exact_chain(row)
     exact = [0] * DIM if chain is None else _exact_weights(chain)
