@@ -207,7 +207,8 @@ def _qubit1_rows(solved, e1: float):
     trace over qubits 3 and then 2 sums them, so a row reads the same as the
     partial trace of its 8x8 state (whose rho[j, 4 + j] the sector holds at 0).
     """
-    halves = solved.coordinates[:, :DIM].reshape(-1, 2, 2, 2).sum(axis=3).sum(axis=2)
+    halves = np.add.reduce(np.add.reduce(solved.coordinates[:, :DIM].reshape(-1, 2, 2, 2),
+                                         axis=3), axis=2)
     return [error or (residual, p_ground, p_excited,
                       temperature_from_population_ratio(p_ground, p_excited, e1))
             for error, residual, (p_ground, p_excited)

@@ -68,6 +68,10 @@ FIG2_TH_GRID = [1.0 + 0.2 * k for k in range(46)]              # 1 .. 10
 FIG3_TH_GRID = [-10.0 * (0.12 / 10.0) ** (k / 45) for k in range(46)]  # -10 .. -0.12
 
 
+# TOL as a dict, formed once: every sidecar records it
+_TOLERANCES = dataclasses.asdict(TOL)
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Everything needed to reproduce one run."""
@@ -84,7 +88,7 @@ class RunManifest:
             "options": dict(self.options),
             "output_path": self.output_path,
             "tool_version": __version__,
-            "tolerances": dataclasses.asdict(TOL),
+            "tolerances": dict(_TOLERANCES),
         }
 
     @classmethod
@@ -136,9 +140,10 @@ def _write_sidecar(path, manifest, result_summary=None):
         manifest.output_path, os.path.dirname(os.path.abspath(sidecar)))
     if result_summary is not None:
         payload["result"] = result_summary
+    # one write: json.dump would write each indented chunk on its own
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(sidecar, "w") as handle:
-        json.dump(_json_safe(payload), handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+        handle.write(text + "\n")
     return sidecar
 
 

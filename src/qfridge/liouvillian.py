@@ -22,7 +22,6 @@ the sector from them. Its generator and the full 64x64 generator are test
 oracles (tests/oracles.py).
 """
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -139,6 +138,9 @@ class FridgeConfig:
             raise ConfigError(f"malformed config: {exc}") from exc
 
     def config_hash(self):
+        # imported here: hashlib loads OpenSSL, which nothing else needs
+        import hashlib
+
         payload = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
@@ -174,13 +176,15 @@ def sector_coefficients(config: FridgeConfig, hot_temperatures=None, hot_occupat
     row is NaN.
     """
     hot = config.reservoirs[2]
-    temperatures = () if hot_temperatures is None else hot_temperatures
-    occupations = () if hot_occupations is None else hot_occupations
-    points = [(t, None) for t in temperatures] + [(hot.temperature, n) for n in occupations]
     if hot_temperatures is None and hot_occupations is None:
         points = [(hot.temperature, hot.occupation_override)]
+    else:
+        temperatures = () if hot_temperatures is None else hot_temperatures
+        occupations = () if hot_occupations is None else hot_occupations
+        points = [(t, None) for t in temperatures] + [(hot.temperature, n) for n in occupations]
     (e1, e2, e3), statistics, gamma = config.gaps, hot.statistics, config.gammas[2]
-    errors, hot_rates = [None] * len(points), [(np.nan, np.nan)] * len(points)
+    n_points = len(points)
+    errors, hot_rates = [None] * n_points, [None] * n_points
     # math.exp and math.expm1 per point: numpy's differ from them in the
     # last bit on some arguments
     for i, (temperature, n) in enumerate(points):
@@ -188,20 +192,17 @@ def sector_coefficients(config: FridgeConfig, hot_temperatures=None, hot_occupat
             hot_rates[i] = bath_rates(statistics, e3, gamma, temperature, n)
         except ValueError as exc:
             errors[i] = exc
-    base, column = [], 2 * (NUM_QUBITS - 1)
+    base = []
     try:
         for k in range(NUM_QUBITS - 1):
             rates = lindblad_rates(config.reservoirs[k], config.gaps[k], config.gammas[k])
             base += (rates.gamma_down, rates.gamma_up)
     except ValueError as exc:
-        base, errors = [np.nan] * column, [error or exc for error in errors]
-    base += (0.0, 0.0, config.coupling, e1 - e2 + e3)
-    coefficients = np.empty((len(points), len(base)))
-    coefficients[:] = base
-    coefficients[:, column:column + 2] = np.array(hot_rates).reshape(len(points), 2)
-    failed = [i for i, error in enumerate(errors) if error is not None]
-    if failed:
-        coefficients[failed] = np.nan
+        errors = [error or exc for error in errors]
+    tail, width = (config.coupling, e1 - e2 + e3), 2 * NUM_QUBITS + 2
+    # reshaped so that no points give the empty stack (0, width)
+    coefficients = np.array([(np.nan,) * width if error else (*base, *pair, *tail)
+                             for error, pair in zip(errors, hot_rates)]).reshape(n_points, width)
     return coefficients, errors
 
 
@@ -236,14 +237,21 @@ def sector_state_errors(x):
     (p2 + p5)/2 - sqrt(((p2 - p5)/2)^2 + |c|^2), which is at most p2 and p5:
     so the smallest eigenvalue is the smaller of it and every population.
     """
+    with np.errstate(invalid="ignore"):    # a non-finite row, which fails
+        return _sector_state_errors(x)
+
+
+def _sector_state_errors(x):
+    """sector_state_errors under the caller's np.errstate, in which an
+    infinite population makes numpy report an invalid value."""
     populations = x[:, :DIM]
     low, high = x[:, SECTOR_PAIR[0]], x[:, SECTOR_PAIR[1]]
-    with np.errstate(invalid="ignore"):    # a non-finite row, which fails
-        pair_smallest = (low + high) / 2.0 - np.hypot((low - high) / 2.0,
-                                                      np.hypot(x[:, DIM], x[:, DIM + 1]))
-        trace_error = np.abs(np.add.reduce(populations, axis=1) - 1.0)
+    pair_smallest = (low + high) / 2.0 - np.hypot((low - high) / 2.0,
+                                                  np.hypot(x[:, DIM], x[:, DIM + 1]))
+    trace_error = np.abs(np.add.reduce(populations, axis=1) - 1.0)
     smallest = np.minimum(np.minimum.reduce(populations, axis=1), pair_smallest)
-    if ((trace_error <= TOL.density_trace) & (smallest >= TOL.density_min_eigenvalue)).all():
+    if np.logical_and.reduce((trace_error <= TOL.density_trace)
+                             & (smallest >= TOL.density_min_eigenvalue)):
         return {}
     return _state_errors(np.isfinite(x).all(axis=1), np.zeros(len(x)), trace_error, smallest)
 

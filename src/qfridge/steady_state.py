@@ -33,8 +33,8 @@ from .liouvillian import (
     SECTOR_PAIR,
     DensityMatrixError,
     FridgeConfig,
+    _sector_state_errors,
     sector_coefficients,
-    sector_state_errors,
 )
 
 
@@ -75,6 +75,16 @@ _SOURCE, _TARGET, _RATE = (np.array(column) for column in zip(*[
 _FLIP_STATE, _FLIP_RATE, _FLIP_SIGN = (np.concatenate(pair) for pair in zip(
     (_SOURCE[_SOURCE == _LOW], _RATE[_SOURCE == _LOW], np.ones(NUM_QUBITS)),
     (_SOURCE[_TARGET == _LOW], _RATE[_TARGET == _LOW], -np.ones(NUM_QUBITS))))
+# Each entry of the generator in chain order as a column of the row (down_1,
+# up_1, ..., down_3, up_3, kappa, 0): a flip its rate, 2 <-> 5 the exchange
+# kappa, and every other entry, the diagonal included, the 0.
+_KAPPA = 2 * NUM_QUBITS
+_ENTRY = np.full((DIM, DIM), _KAPPA + 1)
+_ENTRY[_SOURCE, _TARGET] = _RATE
+_ENTRY[_LOW, _HIGH] = _ENTRY[_HIGH, _LOW] = _KAPPA
+# The sector coordinates by chain position: the populations, then two
+# columns that the coherence overwrites.
+_LAYOUT = np.concatenate([_POSITION, [0] * (SECTOR_DIM - DIM)])
 
 
 def _in_trees(n):
@@ -108,7 +118,9 @@ def _split(x, dtype=np.int32):
     _ZERO_EXPONENT."""
     mantissas, exponents = np.frexp(x)
     exponents = exponents.astype(dtype, copy=False)
-    np.copyto(exponents, _ZERO_EXPONENT, where=mantissas == 0.0)
+    zero = mantissas == 0.0
+    if np.logical_or.reduce(zero, axis=None):
+        exponents[zero] = _ZERO_EXPONENT
     return mantissas, exponents
 
 
@@ -147,11 +159,10 @@ def _tree_weights(censored):
     or more closed classes has no tree of nonzero rates: its weights are all
     0. With one, the states outside it weigh exactly 0.
     """
-    n = len(censored)
-    products, scales = _tree_terms(*_split(censored.reshape(n, _EVEN * _EVEN).T))
+    products, scales = _tree_terms(*_split(censored.reshape(-1, _EVEN * _EVEN).T))
     # 2^-6 below the largest product, which is < 1: the 4 x 16 products sum
     # to < 1, so the odd step's inflow stays below the largest rate
-    scales -= np.maximum.reduce(scales.reshape(_TREES[0].size, n), axis=0) + 6
+    scales -= np.maximum.reduce(scales.reshape(_TREES[0].size, -1), axis=0) + 6
     return np.add.reduce(np.ldexp(products, scales), axis=0).T
 
 
@@ -226,10 +237,10 @@ def _invalid_state(exc):
 
 
 def _residuals(law, generators, unit):
-    """max |pi Q| of each row's chain over max(unit, its largest rate)."""
+    """max |pi Q| of each row's chain over unit (N,), its scale of rates:
+    max(1, its largest rate)."""
     balance = (law[:, None, :] @ generators)[:, 0] - law * np.add.reduce(generators, axis=2)
-    largest = np.maximum.reduce(generators.reshape(len(law), DIM * DIM), axis=1)
-    return np.maximum.reduce(np.abs(balance), axis=1) / np.maximum(largest, unit)
+    return np.maximum.reduce(np.abs(balance), axis=1) / unit
 
 
 def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
@@ -239,9 +250,9 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
     states is weighed by _tree_weights, and each odd state gets its inflow
     over its out-rate (_censored_law). Where a step of that under- or
     overflows, every row is solved again by _wide_law, in integer-exponent
-    arithmetic, and takes that law where the two differ by more than 2^-44
-    relative; a row with an absorbing odd state is solved there with the
-    parities swapped. A row that is still not finite gets MultiplicityError
+    arithmetic with Gamma/2 and h summed from the split rates, and takes
+    that law where the two differ by more than 2^-44 relative; a row with an
+    absorbing odd state is solved there with the parities swapped. A row that is still not finite gets MultiplicityError
     when its chain has two or more closed classes.
 
     Each row is checked on its own, in this order: the error its rates
@@ -263,27 +274,37 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
         # halved first, Gamma/2 stays finite where Gamma would overflow
         half_gamma = np.add.reduce(rates * 0.5, axis=1)
         h = np.hypot(half_gamma, detuning)
-        g_h, gamma_h = coupling / h, half_gamma / h
-        # Gamma (g/h)^2, in a form that does not overflow as h -> 0; NaN,
-        # an edge of unknown rate, only where g > 0 and h = 0
-        kappa = np.where(coupling > 0.0, 2.0 * coupling * g_h * gamma_h, 0.0)
-        generators = np.zeros((len(coefficients), DIM, DIM))
-        generators[:, _SOURCE, _TARGET] = rates[:, _RATE]
-        generators[:, _LOW, _HIGH] = generators[:, _HIGH, _LOW] = kappa
+        g_h, gamma_h, delta_h = coupling / h, half_gamma / h, detuning / h
+        # The rate row of _ENTRY: the six rates, then Gamma (g/h)^2 in a form
+        # that does not overflow as h -> 0 (NaN, an edge of unknown rate,
+        # only where g > 0 and h = 0), then 0.
+        row = coefficients.astype(float)
+        row[:, _KAPPA] = 2.0 * coupling * g_h * gamma_h
+        row[~(coupling > 0.0), _KAPPA] = row[:, _KAPPA + 1] = 0.0
+        generators = row.take(_ENTRY, axis=1)
         law = _censored_law(generators[:, :_EVEN, _EVEN:], generators[:, _EVEN:, :_EVEN])
         if lossy := events.tell():
             # Solve every row again by _wide_law, kappa included, which is
             # taken from the mantissas and exponents of Gamma / 2, g and h,
             # and keep a row's law where the two agree to 2^-44 relative
-            # (or below the normal floats).
+            # (or below the normal floats). Gamma / 2 and h are summed from
+            # the split rates, so they stay finite where the floats do not.
             mantissas, exponents = _split(generators, np.int64)
-            (half_m, half_e), (g_m, g_e), (h_m, h_e) = (
-                np.frexp(a) for a in (half_gamma, coupling, h))
+            half_m, half_e = _wide_sum(*_split(rates.T, np.int64))
+            half_e -= 1
+            (delta_m, delta_e), (g_m, g_e) = _split(detuning, np.int64), np.frexp(coupling)
+            h_e = np.maximum(half_e, delta_e)
+            h_m = np.hypot(np.ldexp(half_m, half_e - h_e), np.ldexp(delta_m, delta_e - h_e))
             kappa_m, kappa_e = _split(
                 np.where(coupling > 0.0, 2.0 * half_m * (g_m / h_m) ** 2, 0.0), np.int64)
             kappa_e += half_e + 2 * (g_e - h_e)
             mantissas[:, _LOW, _HIGH] = mantissas[:, _HIGH, _LOW] = kappa_m
             exponents[:, _LOW, _HIGH] = exponents[:, _HIGH, _LOW] = kappa_e
+            # where h overflowed, the coherence's ratios to it as well
+            huge = ~np.isfinite(h)
+            for ratio, m, e in ((g_h, g_m, g_e), (gamma_h, half_m, half_e),
+                                (delta_h, delta_m, delta_e)):
+                np.copyto(ratio, np.ldexp(m / h_m, e - h_e), where=huge)
             wide = _wide_law(mantissas, exponents)
             # An odd state is absorbing, or the chain has no spanning tree.
             # Censoring the even states solves the first unless an even
@@ -302,18 +323,20 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
                     errors[i] = MultiplicityError(
                         f"the rate chain has {classes} closed classes: the steady "
                         "state is not unique")
-        residuals = _residuals(law, generators, 1.0)
+        # each row's largest rate is among the eight of its rate row
+        residuals = _residuals(law, generators, np.maximum(np.maximum.reduce(row, axis=1), 1.0))
         if lossy and not np.isfinite(residuals).all():
             # kappa, say, overflowed: the defect of the wide chain scaled by 2^-top
             over = np.flatnonzero(~np.isfinite(residuals) & np.isfinite(law).all(axis=1))
             top = np.maximum.reduce(exponents[over].reshape(len(over), DIM * DIM), axis=1)
-            residuals[over] = _residuals(law[over], np.ldexp(
-                mantissas[over], exponents[over] - top[:, None, None]), np.ldexp(1.0, -top))
-        x = np.empty((len(law), SECTOR_DIM))
-        x[:, _ORDER] = law
+            scaled = np.ldexp(mantissas[over], exponents[over] - top[:, None, None])
+            residuals[over] = _residuals(law[over], scaled, np.maximum(
+                np.maximum.reduce(scaled.reshape(len(over), DIM * DIM), axis=1),
+                np.ldexp(1.0, -top)))
+        x = law.take(_LAYOUT, axis=1)
         exchange = g_h * (law[:, _LOW] - law[:, _HIGH])
         strong = g_h > 4096.0
-        if strong.any():
+        if np.logical_or.reduce(strong):
             # There p2 - p5 cancels, as kappa = Gamma (g/h)^2 dwarfs the other
             # out-rates of |g e g>, and leaves the coherence more than 2^-41
             # p2 off. The exchange flux kappa (p5 - p2) is their net outflow,
@@ -322,14 +345,17 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
             outflow = np.add.reduce(law[:, _FLIP_STATE] * rates[:, _FLIP_RATE] * _FLIP_SIGN,
                                     axis=1)
             exchange[strong] = (-outflow / (2.0 * half_gamma * g_h))[strong]
-        x[:, DIM] = -exchange * (detuning / h)
+        x[:, DIM] = -exchange * delta_h
         x[:, DIM + 1] = exchange * gamma_h
-    for i, invalid in sector_state_errors(x).items():
-        errors[i] = errors[i] or _invalid_state(invalid)
-    for i in (~(residuals <= TOL.steady_residual_direct)).nonzero()[0].tolist():
-        errors[i] = errors[i] or SteadyStateError(
-            f"steady-state residual {residuals[i]:.3e} exceeds "
-            f"{TOL.steady_residual_direct:.0e} for solver direct")
+        invalid = _sector_state_errors(x)
+    for i, exc in invalid.items():
+        errors[i] = errors[i] or _invalid_state(exc)
+    passed = residuals <= TOL.steady_residual_direct
+    if not np.logical_and.reduce(passed):
+        for i in np.flatnonzero(~passed).tolist():
+            errors[i] = errors[i] or SteadyStateError(
+                f"steady-state residual {residuals[i]:.3e} exceeds "
+                f"{TOL.steady_residual_direct:.0e} for solver direct")
     return SectorSolutions(coordinates=x, residuals=residuals, errors=errors)
 
 

@@ -142,7 +142,8 @@ def test_a_traced_reproduce_all_times_25_single_solves(tmp_path):
 
 def test_the_package_needs_only_numpy_at_runtime():
     # Importing the package and its CLI loads none of the test-only
-    # dependencies and none of the test oracles.
+    # dependencies and none of the test oracles, and not hashlib, which
+    # loads OpenSSL for FridgeConfig.config_hash alone.
     modules = _child(f"import json, sys; sys.path.insert(0, {os.path.join(ROOT, 'src')!r}); "
                      "import qfridge, qfridge.cli; print(json.dumps(sorted(sys.modules)))")
     assert "numpy" in modules
@@ -150,3 +151,4 @@ def test_the_package_needs_only_numpy_at_runtime():
     loaded = [m for m in modules
               if m.split(".")[0] in forbidden or m.split(".")[-1] == "oracles"]
     assert loaded == []
+    assert {"hashlib", "_hashlib"}.isdisjoint(modules)

@@ -56,6 +56,7 @@ def test_config_round_trip_and_hash():
     again = FridgeConfig.from_dict(config.to_dict())
     assert again == config
     assert again.config_hash() == config.config_hash()
+    assert default_config().config_hash() == "0b4d3e03a258"
 
 
 def test_embed_most_significant_first():

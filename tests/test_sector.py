@@ -33,11 +33,12 @@ from qfridge import (
     default_config,
 )
 from qfridge.analysis import _solve_hot_grid, solve_for_readout, sweep_hot_temperature
-from qfridge.linalg import TOL
+from qfridge.linalg import TOL, LinalgError
 from qfridge.liouvillian import (
     DIM,
     SECTOR_DIM,
     SECTOR_PAIR,
+    DensityMatrixError,
     density_matrix_errors,
     sector_coefficients,
     sector_state_errors,
@@ -445,6 +446,48 @@ def test_rates_whose_sum_overflows_solve():
     assert solved.errors == [None]
     assert solved.residuals.tolist() == [0.0]
     assert solved.coordinates[0].tolist() == [1.0] + [0.0] * (SECTOR_DIM - 1)
+
+
+def test_rates_whose_halves_sum_past_the_largest_float_solve():
+    # Each rate is finite, 1.4e308 down and 4.0e307 up on every qubit, but
+    # their halves sum to Gamma/2 = 2.7e308, which overflows, and with it h,
+    # g/h, (Gamma/2)/h and the main path's kappa. The wide solve sums Gamma/2
+    # and h from the split rates: the row solves to its exact law, and at
+    # delta = 0 its coherence Im c = g (p2 - p5) / (Gamma/2) is a subnormal
+    # 3.5e-310. No warning is raised.
+    config = default_config(gammas=(1e308,) * 3, tc=0.8, tr=4.0, th=3.2)
+    row = sector_coefficients(config)[0][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solved = solve_sectors(config)
+    assert solved.errors == [None]
+    assert solved.residuals[0] <= TOL.steady_residual_direct
+    exact = _exact_weights(_exact_chain(row))
+    law = solved.coordinates[0, :DIM]
+    np.testing.assert_allclose(law, [float(w / sum(exact)) for w in exact], rtol=1e-13, atol=0.0)
+    low, high = (Fraction(law[state]) for state in SECTOR_PAIR)
+    coherence = float((low - high) / (sum(Fraction(rate) for rate in row[:6]) / 2))
+    assert solved.coordinates[0, DIM] == 0.0
+    assert solved.coordinates[0, DIM + 1] == pytest.approx(coherence, rel=1e-12, abs=0.0)
+
+
+def test_the_state_check_alone_fails_rows_without_warnings():
+    # sector_state_errors outside a solve: a NaN row is not finite, a
+    # negative population (trace kept) fails positivity, and an infinite
+    # pair population, whose pair eigenvalue is inf - inf, is not finite.
+    # None of them raises a RuntimeWarning.
+    x = np.repeat(solve_sectors(default_config()).coordinates, 4, axis=0)
+    x[1] = np.nan
+    x[2, 1] += x[2, 0] + 0.25
+    x[2, 0] = -0.25
+    x[3, SECTOR_PAIR[0]] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = sector_state_errors(x)
+    assert sorted(errors) == [1, 2, 3]
+    assert type(errors[1]) is LinalgError and type(errors[3]) is LinalgError
+    assert type(errors[2]) is DensityMatrixError
+    assert str(errors[2]).startswith("state is not positive semidefinite")
 
 
 def test_a_residual_that_is_not_finite_fails_its_row(monkeypatch):
