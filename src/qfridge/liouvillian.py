@@ -71,6 +71,8 @@ class FridgeConfig:
             raise ConfigError("need exactly three gaps, gammas and reservoirs")
         if any(not math.isfinite(e) or e <= 0.0 for e in gaps):
             raise ConfigError(f"energy gaps must be positive, got {gaps}")
+        if not math.isfinite(gaps[0] - gaps[1] + gaps[2]):    # a coefficient row's detuning
+            raise ConfigError(f"detuning E1 - E2 + E3 must be finite, got gaps {gaps}")
         if any(not math.isfinite(g) or g < 0.0 for g in gammas):
             raise ConfigError(f"dissipation rates must be >= 0, got {gammas}")
         if not all(isinstance(r, ReservoirSpec) for r in self.reservoirs):

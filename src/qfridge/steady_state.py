@@ -227,15 +227,6 @@ def _closed_classes(generator):
     return len(np.unique(reach[(reach <= reach.T).all(axis=1)], axis=0))
 
 
-def _invalid_state(exc):
-    """A DensityMatrixError of a solved state as the solve's SteadyStateError."""
-    if not isinstance(exc, DensityMatrixError):
-        return exc
-    error = SteadyStateError(f"direct solve produced an invalid state: {exc}")
-    error.__cause__ = exc
-    return error
-
-
 def _residuals(law, generators, unit):
     """max |pi Q| of each row's chain over unit (N,), its scale of rates:
     max(1, its largest rate)."""
@@ -250,18 +241,20 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
     states is weighed by _tree_weights, and each odd state gets its inflow
     over its out-rate (_censored_law). Where a step of that under- or
     overflows, every row is solved again by _wide_law, in integer-exponent
-    arithmetic with Gamma/2 and h summed from the split rates, and takes
-    that law where the two differ by more than 2^-44 relative; a row with an
-    absorbing odd state is solved there with the parities swapped. A row that is still not finite gets MultiplicityError
-    when its chain has two or more closed classes.
+    arithmetic from the rate row split into mantissas and exponents (with
+    the parities swapped where an odd state is absorbing). A row with finite
+    coefficients whose two laws differ by more than 2^-44 relative, or whose
+    float h or defect is not finite, is solved wide: it takes the wide law,
+    its ratios to h and the defect of the wide chain scaled by 2^-top (top
+    its largest exponent), and MultiplicityError where the wide law is not
+    finite and its chain has two or more closed classes.
 
     Each row is checked on its own, in this order: the error its rates
     raised (errors, as sector_coefficients gives them), a unique steady
     state, the state invariants (in closed form, sector_state_errors) and
     the balance defect max |pi Q| of its chain over max(1, its largest
-    rate), <= TOL.steady_residual_direct; where that is not finite, it is
-    the wide chain's, scaled by 2^-top for top its largest exponent. A row
-    that fails one carries that exception in errors.
+    rate), <= TOL.steady_residual_direct. A row that fails one carries that
+    exception in errors.
     """
     rates = coefficients[:, :2 * NUM_QUBITS]
     coupling, detuning = coefficients[:, -2], coefficients[:, -1]
@@ -283,56 +276,53 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
         row[~(coupling > 0.0), _KAPPA] = row[:, _KAPPA + 1] = 0.0
         generators = row.take(_ENTRY, axis=1)
         law = _censored_law(generators[:, :_EVEN, _EVEN:], generators[:, _EVEN:, :_EVEN])
-        if lossy := events.tell():
-            # Solve every row again by _wide_law, kappa included, which is
-            # taken from the mantissas and exponents of Gamma / 2, g and h,
-            # and keep a row's law where the two agree to 2^-44 relative
-            # (or below the normal floats). Gamma / 2 and h are summed from
-            # the split rates, so they stay finite where the floats do not.
-            mantissas, exponents = _split(generators, np.int64)
-            half_m, half_e = _wide_sum(*_split(rates.T, np.int64))
+        lossy = events.tell()
+        # each row's largest rate is among the eight of its rate row
+        residuals = _residuals(law, generators, np.maximum(np.maximum.reduce(row, axis=1), 1.0))
+        if lossy:
+            # The rate row split once, with kappa taken from the mantissas
+            # and exponents of Gamma/2, g and h, which are summed from the
+            # split rates and so stay finite where the floats do not.
+            row_m, row_e = _split(row, np.int64)
+            half_m, half_e = _wide_sum(row_m[:, :_KAPPA].T, row_e[:, :_KAPPA].T)
             half_e -= 1
             (delta_m, delta_e), (g_m, g_e) = _split(detuning, np.int64), np.frexp(coupling)
             h_e = np.maximum(half_e, delta_e)
             h_m = np.hypot(np.ldexp(half_m, half_e - h_e), np.ldexp(delta_m, delta_e - h_e))
-            kappa_m, kappa_e = _split(
+            row_m[:, _KAPPA], row_e[:, _KAPPA] = _split(
                 np.where(coupling > 0.0, 2.0 * half_m * (g_m / h_m) ** 2, 0.0), np.int64)
-            kappa_e += half_e + 2 * (g_e - h_e)
-            mantissas[:, _LOW, _HIGH] = mantissas[:, _HIGH, _LOW] = kappa_m
-            exponents[:, _LOW, _HIGH] = exponents[:, _HIGH, _LOW] = kappa_e
-            # where h overflowed, the coherence's ratios to it as well
-            huge = ~np.isfinite(h)
-            for ratio, m, e in ((g_h, g_m, g_e), (gamma_h, half_m, half_e),
-                                (delta_h, delta_m, delta_e)):
-                np.copyto(ratio, np.ldexp(m / h_m, e - h_e), where=huge)
-            wide = _wide_law(mantissas, exponents)
+            row_e[:, _KAPPA] += half_e + 2 * (g_e - h_e)
+            mantissas, exponents = row_m.take(_ENTRY, axis=1), row_e.take(_ENTRY, axis=1)
+            wide_law = _wide_law(mantissas, exponents)
             # An odd state is absorbing, or the chain has no spanning tree.
             # Censoring the even states solves the first unless an even
             # state is absorbing too, and then the chain has two closed
             # classes.
-            swap = ~np.isfinite(wide).all(axis=1)
+            swap = ~np.isfinite(wide_law).all(axis=1)
             if swap.any():
-                wide[swap] = _wide_law(mantissas[swap], exponents[swap], _EVEN)
-            off = ~(np.abs(law - wide) <= 2.0 ** -44 * wide + np.finfo(float).tiny).all(axis=1)
-            off &= np.isfinite(coefficients).all(axis=1)
-            law[off] = wide[off]
-            for i in np.flatnonzero(off & ~np.isfinite(wide).all(axis=1)).tolist():
+                wide_law[swap] = _wide_law(mantissas[swap], exponents[swap], _EVEN)
+            # the rows solved wide (the laws are compared to tiny below the
+            # normal floats)
+            wide = ~(np.abs(law - wide_law) <= 2.0 ** -44 * wide_law
+                     + np.finfo(float).tiny).all(axis=1)
+            wide |= ~np.isfinite(h) | ~np.isfinite(residuals)
+            wide = np.flatnonzero(wide & np.isfinite(coefficients).all(axis=1))
+            law[wide] = wide_law[wide]
+            for ratio, m, e in ((g_h, g_m, g_e), (gamma_h, half_m, half_e),
+                                (delta_h, delta_m, delta_e)):
+                ratio[wide] = np.ldexp(m / h_m, e - h_e)[wide]
+            for i in wide[~np.isfinite(law[wide]).all(axis=1)].tolist():
                 law[i] = np.nan
                 classes = _closed_classes(mantissas[i])
                 if classes > 1:
                     errors[i] = MultiplicityError(
                         f"the rate chain has {classes} closed classes: the steady "
                         "state is not unique")
-        # each row's largest rate is among the eight of its rate row
-        residuals = _residuals(law, generators, np.maximum(np.maximum.reduce(row, axis=1), 1.0))
-        if lossy and not np.isfinite(residuals).all():
-            # kappa, say, overflowed: the defect of the wide chain scaled by 2^-top
-            over = np.flatnonzero(~np.isfinite(residuals) & np.isfinite(law).all(axis=1))
-            top = np.maximum.reduce(exponents[over].reshape(len(over), DIM * DIM), axis=1)
-            scaled = np.ldexp(mantissas[over], exponents[over] - top[:, None, None])
-            residuals[over] = _residuals(law[over], scaled, np.maximum(
-                np.maximum.reduce(scaled.reshape(len(over), DIM * DIM), axis=1),
-                np.ldexp(1.0, -top)))
+            # the defect of the wide chain, every rate scaled by 2^-top
+            top = np.maximum.reduce(row_e[wide], axis=1)
+            scaled = np.ldexp(row_m[wide], row_e[wide] - top[:, None])
+            residuals[wide] = _residuals(law[wide], scaled.take(_ENTRY, axis=1), np.maximum(
+                np.maximum.reduce(scaled, axis=1), np.ldexp(1.0, -top)))
         x = law.take(_LAYOUT, axis=1)
         exchange = g_h * (law[:, _LOW] - law[:, _HIGH])
         strong = g_h > 4096.0
@@ -349,7 +339,11 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
         x[:, DIM + 1] = exchange * gamma_h
         invalid = _sector_state_errors(x)
     for i, exc in invalid.items():
-        errors[i] = errors[i] or _invalid_state(exc)
+        if isinstance(exc, DensityMatrixError):
+            # a solved state that fails its check is the solve's failure
+            cause, exc = exc, SteadyStateError(f"direct solve produced an invalid state: {exc}")
+            exc.__cause__ = cause
+        errors[i] = errors[i] or exc
     passed = residuals <= TOL.steady_residual_direct
     if not np.logical_and.reduce(passed):
         for i in np.flatnonzero(~passed).tolist():

@@ -215,9 +215,12 @@ def plateau_machines(draw):
 @example(default_config(tc=0.005), Direction.NEGATIVE)
 @example(default_config(tc=0.005), Direction.POSITIVE)
 @example(default_config(gaps=(1.0, 1.0 + 1e-323, 1e-323)), Direction.NEGATIVE)
+@example(default_config(th=-0.1, hot_statistics="fermionic"), Direction.POSITIVE)
 def test_stacked_plateau_search_is_the_serial_search(config, direction):
     # Each search is one stacked solve; field by field, bit for bit, it
-    # finds what the serial search finds, or fails as it does.
+    # finds what the serial search finds, or fails as it does. A fermionic
+    # hot bath is swapped for the bosonic window-edge bath on the positive
+    # side.
     assert _outcome(find_plateau, config, direction) == _outcome(
         _serial_plateau, config, direction)
 

@@ -7,8 +7,8 @@ import pytest
 from qfridge import steady_state
 from qfridge.analysis import Direction, SweepRecord, ThresholdMode, best_case_t1, find_plateau
 from qfridge.cli import RunManifest, build_parser, main
-from qfridge.linalg import TOL
-from qfridge.liouvillian import default_config
+from qfridge.linalg import TOL, LinalgError
+from qfridge.liouvillian import DensityMatrixError, default_config
 
 
 @pytest.fixture
@@ -181,6 +181,8 @@ MALFORMED_INPUTS = [
                  id="statistics-unknown"),
     pytest.param(_edited_config(lambda d: d.update(gaps=5)), "ConfigError",
                  id="gaps-number"),
+    pytest.param(_edited_config(lambda d: d.update(gaps=[1e308, 1.0, 1e308])), "ConfigError",
+                 id="detuning-overflows"),
     pytest.param(RunManifest(command="sweep-th", config=default_config(),
                              options={"th_start": 1.0, "th_stop": 10.0, "th_points": "abc"},
                              output_path="x.csv").to_dict(),
@@ -190,6 +192,18 @@ MALFORMED_INPUTS = [
                                       "th_spacing": "bogus"},
                              output_path="x.csv").to_dict(),
                  "ConfigError", id="sidecar-th-spacing-unknown"),
+    pytest.param(RunManifest(command="sweep-th", config=default_config(),
+                             options={"th_start": 1.0, "th_stop": 10.0, "th_points": 0},
+                             output_path="x.csv").to_dict(),
+                 "ConfigError", id="sidecar-th-points-0"),
+    pytest.param(RunManifest(command="sweep-th", config=default_config(),
+                             options={"th_start": -1.0, "th_stop": 10.0, "th_points": 4,
+                                      "th_spacing": "log"},
+                             output_path="x.csv").to_dict(),
+                 "ConfigError", id="sidecar-log-spacing-across-0"),
+    pytest.param(RunManifest(command="sweep-th", config=default_config(),
+                             options={"th_values": "1,x"}, output_path="x.csv").to_dict(),
+                 "ConfigError", id="sidecar-th-values-string"),
     pytest.param(dict(RunManifest(command="sweep-th", config=default_config(), options={},
                                   output_path="x.csv").to_dict(), options=[1]),
                  "ConfigError", id="sidecar-options-list"),
@@ -318,6 +332,24 @@ def test_a_residual_that_is_not_finite_fails_its_row(config_path, tmp_path, monk
     for row in read_rows(out)[1:]:
         assert row[3] == ""
         assert row[5].startswith("SteadyStateError: steady-state residual nan exceeds")
+    assert main(["solve", "--config", config_path, "--out", str(tmp_path / "x.csv")]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "SteadyStateError"
+
+
+def test_a_solved_state_that_fails_its_check_fails_its_row(config_path, tmp_path, monkeypatch,
+                                                           capsys):
+    # A DensityMatrixError of a solved state is the solve's failure, a
+    # SteadyStateError caused by it; a LinalgError (a state that is not
+    # finite) is the row's error as it is.
+    invalid = DensityMatrixError("state is not positive semidefinite")
+    not_finite = LinalgError("matrix has non-finite entries")
+    monkeypatch.setattr(steady_state, "_sector_state_errors",
+                        lambda x: dict(enumerate([invalid, not_finite][:len(x)])))
+    errors = steady_state.solve_sectors(default_config(), [2.0, 5.0]).errors
+    assert type(errors[0]) is steady_state.SteadyStateError and errors[0].__cause__ is invalid
+    assert str(errors[0]) == ("direct solve produced an invalid state: "
+                              "state is not positive semidefinite")
+    assert errors[1] is not_finite
     assert main(["solve", "--config", config_path, "--out", str(tmp_path / "x.csv")]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "SteadyStateError"
 

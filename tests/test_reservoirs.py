@@ -12,6 +12,7 @@ from qfridge.reservoirs import (
     Statistics,
     bath_rates,
     lindblad_rates,
+    log_rate_ratio,
     occupation,
     temperature_from_occupation,
 )
@@ -224,6 +225,10 @@ def test_saturated_reservoir_pins_occupation():
     assert occupation(spec, 4.0) == 1.0 - 1e-15
     assert occupation(spec, 0.5) == 1.0 - 1e-15   # pinned regardless of gap
     assert spec.temperature < 0.0                 # nominal inverted temperature
+    # ln(up/down) = ln(n / (1 + n)) of a pinned bosonic occupation, whatever the gap
+    spec = ReservoirSpec.saturated(Statistics.BOSONIC, 0.3, Role.HOT)
+    assert log_rate_ratio(spec, 4.0) == -math.log1p(1.0 / 0.3)
+    assert log_rate_ratio(spec, 0.5) == pytest.approx(math.log(0.3 / 1.3), rel=1e-15)
 
 
 def test_saturated_reservoir_validates_range():

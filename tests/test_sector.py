@@ -894,6 +894,7 @@ def coefficient_rows(draw):
 @example([0.0, 0.0, 5.73222602962064e-167, 1.7437470899511875e-153, 0.0033349628945444185,
           6.042775939978553e+47, 1.0248586741850907e+129, 0.0])
 @example([1e308, 0.0, 1e308, 0.0, 1e308, 0.0, 1.0, 0.0])
+@example([0.0, 7e301, 1e306, 8e300, 7e307, 4e301, 5e307, 0.0])
 def test_coefficient_rows_solve_to_the_exact_law(row):
     # Any row against the exact law of its chain: 1e-13 relative wherever
     # the law is a normal float and exactly 0 wherever the chain makes it 0,
@@ -914,7 +915,9 @@ def test_coefficient_rows_solve_to_the_exact_law(row):
     # - (Gamma/2) / h is subnormal (2.0e-4 off), then 0 (MultiplicityError);
     # - g/h is 3e81 and p2 - p5 cancels, so that the coherence made the
     #   state fail its eigenvalue check;
-    # - Gamma, the sum of three rates of 1e308, overflows (LinalgError).
+    # - Gamma, the sum of three rates of 1e308, overflows (LinalgError);
+    # - the float law holds, but the float chain's balance defect overflows:
+    #   without the wide chain's defect the row fails its residual check.
     solved = solve_coefficients(np.array([row]))
     chain = _exact_chain(row)
     exact = [0] * DIM if chain is None else _exact_weights(chain)
@@ -972,21 +975,26 @@ def test_readme_extreme_rows_are_solved_on_the_main_path(monkeypatch, row, popul
         assert getattr(readout, population) == pytest.approx(expected, rel=1e-4, abs=0.0)
 
 
-def test_an_overflowing_odd_step_is_solved_exactly(monkeypatch):
-    # Every bath fermionic and gamma_1 = 0: qubit 2's up-rate of 2e-313
-    # (room bath at T = 2/720) is the only way out of |g g e>, so the odd
-    # step's inflow over that out-rate overflows. The row then falls to
-    # _wide_law, whose law is exact: qubit 1's populations are those of a
-    # 400-digit solve from the same rates. No RuntimeWarning is raised.
-    # test_fermionic_mirror_symmetry met this machine with the room bath at
-    # T = 2/710, which overflowed GTH's normalized even law but not the
-    # tree weights.
-    config = FridgeConfig(
+def _one_exit_odd_state_machine(room_temperature=2.0 / 720.0):
+    """Every bath fermionic and gamma_1 = 0: qubit 2's up-rate (2e-313 at
+    the room bath's T = 2/720, 0 at T = 2/800) is the only way out of
+    |g g e>."""
+    return FridgeConfig(
         gaps=(1.0, 2.0, 1.0), gammas=(0.0, 1.0, 1.0),
         reservoirs=(ReservoirSpec(Statistics.FERMIONIC, -1.0, Role.COLD),
-                    ReservoirSpec(Statistics.FERMIONIC, 2.0 / 720.0, Role.ROOM),
+                    ReservoirSpec(Statistics.FERMIONIC, room_temperature, Role.ROOM),
                     ReservoirSpec(Statistics.FERMIONIC, -1.0 / 650.0, Role.HOT)),
         coupling=1.0)
+
+
+def test_an_overflowing_odd_step_is_solved_exactly(monkeypatch):
+    # The odd step's inflow over |g g e>'s one out-rate overflows. The row
+    # then falls to _wide_law, whose law is exact: qubit 1's populations
+    # are those of a 400-digit solve from the same rates. No RuntimeWarning
+    # is raised. test_fermionic_mirror_symmetry met this machine with the
+    # room bath at T = 2/710, which overflowed GTH's normalized even law but
+    # not the tree weights.
+    config = _one_exit_odd_state_machine()
     laws = _main_path_laws(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -999,12 +1007,20 @@ def test_an_overflowing_odd_step_is_solved_exactly(monkeypatch):
 def test_a_row_solves_bit_for_bit_whatever_the_stack_size(rng):
     # A stack's reductions run over axes whose order does not depend on its
     # size, so every row of stacks of 1, 2, 9, 64 and 1000 rows has the
-    # coordinates and residual of its one-row solve, bit for bit. The rows
-    # are README's extreme rows and random machines.
+    # coordinates, residual and error type of its one-row solve, bit for
+    # bit. The rows are README's extreme rows, one row of each kind the
+    # wide-range solve takes (h overflows, kappa overflows the float chain,
+    # MultiplicityError, an odd step's inflow overflows, an odd state is
+    # absorbing) and random machines.
     extreme = [default_config(th=1e308),
                default_config(gammas=(1e-150,) * 3, coupling=1e-150),
                default_config(tc=0.01, th=-0.1, hot_statistics="fermionic"),
-               _insulated_inverted_row()]
+               _insulated_inverted_row(),
+               default_config(gammas=(1e308,) * 3, tc=0.8, tr=4.0, th=3.2),
+               default_config(coupling=1e160),
+               default_config(gammas=(0.0,) * 3),
+               _one_exit_odd_state_machine(),
+               _one_exit_odd_state_machine(2.0 / 800.0)]
     configs = extreme + [random_valid_config(rng) for _ in range(1000 - len(extreme))]
     rows = np.concatenate([sector_coefficients(config)[0] for config in configs])
     alone = [solve_coefficients(rows[i:i + 1]) for i in range(len(rows))]
@@ -1013,3 +1029,4 @@ def test_a_row_solves_bit_for_bit_whatever_the_stack_size(rng):
         for i in range(size):
             assert solved.coordinates[i].tobytes() == alone[i].coordinates[0].tobytes()
             assert solved.residuals[i].tobytes() == alone[i].residuals[0].tobytes()
+            assert type(solved.errors[i]) is type(alone[i].errors[0])
