@@ -17,7 +17,6 @@ from .analysis import (
 )
 from .liouvillian import DensityMatrix, FridgeConfig, default_config
 from .reservoirs import (
-    LindbladRates,
     ReservoirSpec,
     Role,
     Statistics,

@@ -197,8 +197,7 @@ def sector_coefficients(config: FridgeConfig, hot_temperatures=None, hot_occupat
     base = []
     try:
         for k in range(NUM_QUBITS - 1):
-            rates = lindblad_rates(config.reservoirs[k], config.gaps[k], config.gammas[k])
-            base += (rates.gamma_down, rates.gamma_up)
+            base += lindblad_rates(config.reservoirs[k], config.gaps[k], config.gammas[k])
     except ValueError as exc:
         errors = [error or exc for error in errors]
     tail, width = (config.coupling, e1 - e2 + e3), 2 * NUM_QUBITS + 2

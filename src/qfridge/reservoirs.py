@@ -111,17 +111,6 @@ class ReservoirSpec:
         )
 
 
-@dataclass(frozen=True)
-class LindbladRates:
-    """Downward (decay) and upward (excitation) rates for one qubit."""
-
-    gamma_down: float
-    gamma_up: float
-
-    def __post_init__(self):
-        _check_rates(self.gamma_down, self.gamma_up)
-
-
 def check_temperature(statistics: Statistics, temperature: float):
     """Raise the ReservoirError of a temperature no bath of these statistics
     can have: not finite, 0, or negative for a bosonic bath."""
@@ -174,7 +163,8 @@ def bath_rates(statistics, gap, gamma, temperature, occupation=None):
     """(down, up) = (gamma (1 +/- n), gamma n) a bath induces on a qubit of
     the given gap: n is the pinned occupation, else thermal_occupation at
     the temperature, checked first (check_temperature). Both are 0 at
-    gamma = 0, with no n. Raises as LindbladRates does on a bad rate."""
+    gamma = 0, with no n. Raises ReservoirError on a rate that is not finite
+    or is negative."""
     if occupation is None:
         check_temperature(statistics, temperature)
     if gamma == 0.0:
@@ -183,25 +173,18 @@ def bath_rates(statistics, gap, gamma, temperature, occupation=None):
     down = gamma * (1.0 + n) if statistics is Statistics.BOSONIC else gamma * (1.0 - n)
     up = gamma * n
     if not (0.0 <= down < math.inf and 0.0 <= up < math.inf):     # or NaN
-        _check_rates(down, up)
+        name, value = ("gamma_up", up) if 0.0 <= down < math.inf else ("gamma_down", down)
+        raise ReservoirError(f"{name} must be finite and >= 0, got {value}")
     return down, up
 
 
-def _check_rates(down: float, up: float):
-    """Raise the ReservoirError of a rate that is not finite or is negative."""
-    for name, value in (("gamma_down", down), ("gamma_up", up)):
-        if not math.isfinite(value) or value < 0.0:
-            raise ReservoirError(f"{name} must be finite and >= 0, got {value}")
-
-
-def lindblad_rates(spec: ReservoirSpec, gap: float, gamma: float) -> LindbladRates:
-    """The rates spec induces on a qubit (see bath_rates)."""
+def lindblad_rates(spec: ReservoirSpec, gap: float, gamma: float) -> tuple[float, float]:
+    """The (down, up) rates spec induces on a qubit (see bath_rates)."""
     if gamma < 0.0 or not math.isfinite(gamma):
         raise ReservoirError(f"dissipation rate must be finite and >= 0, got {gamma}")
     if gap <= 0.0 or not math.isfinite(gap):
         raise ReservoirError(f"gap must be positive and finite, got {gap}")
-    return LindbladRates(*bath_rates(spec.statistics, gap, gamma, spec.temperature,
-                                     spec.occupation_override))
+    return bath_rates(spec.statistics, gap, gamma, spec.temperature, spec.occupation_override)
 
 
 def log_rate_ratio(spec: ReservoirSpec, gap: float) -> float:

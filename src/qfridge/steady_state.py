@@ -9,14 +9,14 @@ so the populations are the stationary law of an 8-state Markov chain: the
 Pauli rates plus one symmetric edge 2 <-> 5 of rate kappa = Gamma (g/h)^2.
 solve_coefficients censors the chain's four odd states and finds the law of
 the four even ones as a sum over their spanning trees (the Markov chain tree
-theorem), with each row scaled by exact powers of two. Like the elimination
-of Grassmann, Taksar and Heyman (Oper. Res. 33, 1107 (1985)), the sum makes
-no subtraction, so each probability comes out to small relative error
-(O'Cinneide, Numer. Math. 65, 109 (1993)). Where a step under- or
-overflows, the same solve is made with every number split into a mantissa
-and an integer exponent, and where an odd state is absorbing, the even
-states are censored instead. The sector generator and the 64x64 oracles it
-is checked against live in tests/oracles.py.
+theorem), in plain floats. Like the elimination of Grassmann, Taksar and
+Heyman (Oper. Res. 33, 1107 (1985)), the sum makes no subtraction, so each
+probability comes out to small relative error (O'Cinneide, Numer. Math. 65,
+109 (1993)). Where a step under- or overflows, a tree product included, the
+same solve is made with every number split into a mantissa and an integer
+exponent, and where an odd state is absorbing, the even states are censored
+instead. The sector generator and the 64x64 oracles it is checked against
+live in tests/oracles.py.
 """
 
 import io
@@ -108,16 +108,16 @@ def _in_trees(n):
 
 
 _TREES = _in_trees(_EVEN)
-# The exponent a zero rate is given, so that no product through it sets a
-# scale; three of them still fit an int32.
-_ZERO_EXPONENT = np.int32(-(1 << 28))
+# The exponent _split gives a zero, so far below any float's that no wide
+# sum through it sets a scale.
+_ZERO_EXPONENT = -(1 << 28)
 
 
-def _split(x, dtype=np.int32):
-    """x as mantissas in [1/2, 1) and exponents (frexp), a 0 with
+def _split(x):
+    """x as mantissas in [1/2, 1) and int64 exponents (frexp), a 0 with
     _ZERO_EXPONENT."""
     mantissas, exponents = np.frexp(x)
-    exponents = exponents.astype(dtype, copy=False)
+    exponents = exponents.astype(np.int64)
     zero = mantissas == 0.0
     if np.logical_or.reduce(zero, axis=None):
         exponents[zero] = _ZERO_EXPONENT
@@ -132,38 +132,23 @@ def _wide_sum(mantissas, exponents):
     return np.add.reduce(np.ldexp(mantissas, exponents - top), axis=0), top
 
 
-def _tree_terms(mantissas, exponents):
-    """The products of the mantissas and the sums of the exponents of the
-    rates of each spanning tree (16, 4, N) of a stack of 4-state chains,
-    given as (16, N) flat rates i -> j at index 4 i + j. By the Markov chain
-    tree theorem (Leighton and Rivest, IEEE Trans. Inf. Theory 32, 733
-    (1986)), state r weighs the sum over the trees directed to r of the
-    product of their rates. The sum makes no subtraction, so each
-    probability has small relative error. Reductions run over the outer
-    (edge, tree) axes, whose order does not depend on N, so a row solves
-    bit for bit as on its own."""
-    # take, unlike fancy indexing, returns C order even for N = 1
-    products = np.multiply.reduce(mantissas.take(_TREES, axis=0), axis=0)
-    scales = np.add.reduce(exponents.take(_TREES, axis=0), axis=0, dtype=exponents.dtype)
-    return products, scales
-
-
 def _tree_weights(censored):
     """Stationary weights (N, 4) of a stack of 4-state rate matrices
-    (N, 4, 4), censored[:, i, j] the rate from i to j, by _tree_terms: each
-    row is its stationary law times a factor in [2^-9, 1). The diagonal is
-    not read.
+    (N, 4, 4), censored[:, i, j] the rate from i to j: each row is its
+    stationary law times a positive factor. The diagonal is not read.
 
-    Each row's products are scaled by powers of two (ldexp, exact unless
-    the result is subnormal) that put its sum in [2^-9, 1). A row with two
-    or more closed classes has no tree of nonzero rates: its weights are all
-    0. With one, the states outside it weigh exactly 0.
+    By the Markov chain tree theorem (Leighton and Rivest, IEEE Trans. Inf.
+    Theory 32, 733 (1986)), state r weighs the sum over the trees directed
+    to r of the product of their rates. The sum makes no subtraction, so
+    each weight has small relative error wherever no product under- or
+    overflows. Reductions run over the outer (edge, tree) axes, whose order
+    does not depend on N, so a row solves bit for bit as on its own. A row
+    with two or more closed classes has no tree of nonzero rates: its
+    weights are all 0. With one, the states outside it weigh exactly 0.
     """
-    products, scales = _tree_terms(*_split(censored.reshape(-1, _EVEN * _EVEN).T))
-    # 2^-6 below the largest product, which is < 1: the 4 x 16 products sum
-    # to < 1, so the odd step's inflow stays below the largest rate
-    scales -= np.maximum.reduce(scales.reshape(_TREES[0].size, -1), axis=0) + 6
-    return np.add.reduce(np.ldexp(products, scales), axis=0).T
+    # take, unlike fancy indexing, returns C order even for N = 1
+    trees = censored.reshape(-1, _EVEN * _EVEN).T.take(_TREES, axis=0)
+    return np.add.reduce(np.multiply.reduce(trees, axis=0), axis=0).T
 
 
 def _censored_law(to_other, to_root):
@@ -204,9 +189,11 @@ def _wide_law(mantissas, exponents, root=0):
     censored_m, censored_e = _wide_sum(
         rates_m[:, :, None] * steps_m.transpose(1, 0, 2)[:, None],
         rates_e[:, :, None] + steps_e.transpose(1, 0, 2)[:, None])
-    tree_m, tree_e = _split(censored_m.reshape(_EVEN * _EVEN, n), np.int64)
+    tree_m, tree_e = _split(censored_m.reshape(_EVEN * _EVEN, n))
     tree_e += censored_e.reshape(_EVEN * _EVEN, n)
-    weights_m, weights_e = _wide_sum(*_tree_terms(tree_m, tree_e))
+    # _tree_weights' sum, each tree's product a mantissa and an exponent
+    weights_m, weights_e = _wide_sum(np.multiply.reduce(tree_m.take(_TREES, axis=0), axis=0),
+                                     np.add.reduce(tree_e.take(_TREES, axis=0), axis=0))
     inflow_m, inflow_e = _wide_sum(weights_m[:, None] * rates_m.transpose(1, 0, 2),
                                    weights_e[:, None] + rates_e.transpose(1, 0, 2))
     law_e = np.concatenate([weights_e, inflow_e - exits_e])
@@ -283,14 +270,14 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
             # The rate row split once, with kappa taken from the mantissas
             # and exponents of Gamma/2, g and h, which are summed from the
             # split rates and so stay finite where the floats do not.
-            row_m, row_e = _split(row, np.int64)
+            row_m, row_e = _split(row)
             half_m, half_e = _wide_sum(row_m[:, :_KAPPA].T, row_e[:, :_KAPPA].T)
             half_e -= 1
-            (delta_m, delta_e), (g_m, g_e) = _split(detuning, np.int64), np.frexp(coupling)
+            (delta_m, delta_e), (g_m, g_e) = _split(detuning), np.frexp(coupling)
             h_e = np.maximum(half_e, delta_e)
             h_m = np.hypot(np.ldexp(half_m, half_e - h_e), np.ldexp(delta_m, delta_e - h_e))
             row_m[:, _KAPPA], row_e[:, _KAPPA] = _split(
-                np.where(coupling > 0.0, 2.0 * half_m * (g_m / h_m) ** 2, 0.0), np.int64)
+                np.where(coupling > 0.0, 2.0 * half_m * (g_m / h_m) ** 2, 0.0))
             row_e[:, _KAPPA] += half_e + 2 * (g_e - h_e)
             mantissas, exponents = row_m.take(_ENTRY, axis=1), row_e.take(_ENTRY, axis=1)
             wide_law = _wide_law(mantissas, exponents)

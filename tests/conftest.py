@@ -89,9 +89,8 @@ def exact_qubit1_populations(config, dps=60):
         jumps = []
         for k, (spec, gap, gamma) in enumerate(
                 zip(config.reservoirs, config.gaps, config.gammas)):
-            rates = lindblad_rates(spec, gap, gamma)
-            jumps += [(mpmath.mpf(rates.gamma_down), lift(lower, k)),
-                      (mpmath.mpf(rates.gamma_up), lift(lower.T, k))]
+            down, up = lindblad_rates(spec, gap, gamma)
+            jumps += [(mpmath.mpf(down), lift(lower, k)), (mpmath.mpf(up), lift(lower.T, k))]
 
         def lindblad(rho):
             out = -1j * (hamiltonian.dot(rho) - rho.dot(hamiltonian))

@@ -157,9 +157,9 @@ def build_liouvillian(config: FridgeConfig) -> Liouvillian:
         gamma = config.gammas[k - 1]
         if gamma == 0.0:
             continue
-        rates = lindblad_rates(config.reservoirs[k - 1], gap, gamma)
-        generator += _dissipator(embed(SIGMA_MINUS, k), rates.gamma_down)
-        generator += _dissipator(embed(SIGMA_PLUS, k), rates.gamma_up)
+        down, up = lindblad_rates(config.reservoirs[k - 1], gap, gamma)
+        generator += _dissipator(embed(SIGMA_MINUS, k), down)
+        generator += _dissipator(embed(SIGMA_PLUS, k), up)
     return Liouvillian(matrix=generator, dim=DIM, config_hash=config.config_hash())
 
 

@@ -1,5 +1,6 @@
 """What code outside the package relies on: the names the benchmark under
-bench/ looks up in qfridge, and the package's runtime dependencies.
+bench/ looks up in qfridge, the main-path solve of its sweep-many machines,
+and the package's runtime dependencies.
 
 The benchmark wraps module attributes by name and skips a name that is
 missing, so a rename under src/ would silently stop timing a layer; these
@@ -66,6 +67,32 @@ tracer = tracing.Tracer()
 with tracer.active(), contextlib.redirect_stdout(io.StringIO()):
     code = cli.main({argv!r})
 print(json.dumps({{"exit_code": code, "spans": [span[2] for span in tracer.spans]}}))
+"""
+
+
+SWEEP_MANY_PROBE = """
+import json, sys
+sys.path[:0] = [{src!r}, {bench!r}]
+import numpy as np
+import workloads
+from qfridge import analysis, default_config, steady_state
+calls = []
+wide_law = steady_state._wide_law
+
+def counted(mantissas, exponents, root=0):
+    calls.append(len(mantissas))
+    return wide_law(mantissas, exponents, root)
+
+steady_state._wide_law = counted
+rng = np.random.default_rng(1)
+for _ in range({machines}):
+    config, grid = workloads.draw_machine(rng)
+    workloads._attempt(analysis.solve_for_readout, config)
+    workloads._attempt(analysis.sweep_hot_temperature, config, grid)
+traffic = list(calls)
+# the hook counts: a row whose kappa overflows is solved wide
+steady_state.solve_sectors(default_config(coupling=1e160))
+print(json.dumps({{"traffic": traffic, "control": calls[len(traffic):]}}))
 """
 
 
@@ -138,6 +165,18 @@ def test_a_traced_reproduce_all_times_25_single_solves(tmp_path):
     # solves (sweeps, plateau grids, the negative walk) are not sampled.
     spans = _traced(["reproduce", "all", "--out", str(tmp_path)])
     assert spans["analysis.solve_for_readout"] == 25
+
+
+def test_the_sweep_many_machines_solve_no_row_wide():
+    # The machines of the sweep-many workload, each given its single solve
+    # and its 8-point sweep as SweepMany does, solve every stack on the main
+    # path: no tree product under- or overflows, so _wide_law is never
+    # called. test_cli's test_the_benchmark_commands_solve_no_row_wide
+    # covers the reproduce workload.
+    found = _child(SWEEP_MANY_PROBE.format(src=os.path.join(ROOT, "src"),
+                                           bench=os.path.join(ROOT, "bench"), machines=200))
+    assert found["traffic"] == []
+    assert found["control"] == [1]
 
 
 def test_the_package_needs_only_numpy_at_runtime():

@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfridge import steady_state
 from qfridge.analysis import Direction, SweepRecord, ThresholdMode, best_case_t1, find_plateau
@@ -289,6 +295,89 @@ def test_no_non_finite_number_reaches_a_file(command, tmp_path):
         if row[1] == "":
             assert row[5] != "ok"
     json.loads(out.with_suffix(".json").read_text(), parse_constant=_reject_constant)
+
+
+_LOG_UNIFORM = st.floats(-8.0, 8.0).map(lambda exponent: 10.0 ** exponent)
+_SIGNED = st.tuples(st.sampled_from((1.0, -1.0)), _LOG_UNIFORM).map(lambda p: p[0] * p[1])
+
+
+@st.composite
+def boundary_documents(draw):
+    """Config documents as a user could write them: gaps, gammas, g and
+    |temperatures| log-uniform over 1e-8..1e8, each bath bosonic or
+    fermionic at either sign, about one in five pinned at an occupation."""
+    reservoirs = []
+    for role in ("cold", "room", "hot"):
+        statistics = draw(st.sampled_from(("bosonic", "fermionic")))
+        reservoir = {"statistics": statistics, "temperature": draw(_SIGNED), "role": role}
+        if draw(st.integers(0, 4)) == 0:
+            reservoir["occupation_override"] = draw(
+                st.floats(0.0, 1.0) if statistics == "fermionic" else _LOG_UNIFORM)
+        reservoirs.append(reservoir)
+    return {"gaps": [draw(_LOG_UNIFORM) for _ in range(3)],
+            "gammas": [draw(_LOG_UNIFORM) for _ in range(3)],
+            "coupling": draw(_LOG_UNIFORM), "reservoirs": reservoirs}
+
+
+def _number_list(values):
+    return ",".join(repr(value) for value in values)
+
+
+# Each command's flags; a list value is given as --flag=value, since argparse
+# would read a leading minus sign as a flag.
+BOUNDARY_COMMANDS = {
+    "solve": st.just(["solve"]),
+    "sweep-th": st.lists(_SIGNED, min_size=1, max_size=4).map(
+        lambda values: ["sweep-th", "--th-values=" + _number_list(values)]),
+    "plateau-positive": st.just(["plateau", "--direction", "positive"]),
+    "plateau-negative": st.just(["plateau", "--direction", "negative"]),
+    "threshold": st.tuples(st.sampled_from(("positive", "negative")),
+                           st.sampled_from(("plateau", "grid-edge"))).map(
+        lambda pair: ["threshold", "--direction", pair[0], "--threshold-mode", pair[1]]),
+    "insulation": st.lists(_LOG_UNIFORM, min_size=1, max_size=4).map(
+        lambda values: ["insulation", "--gamma1=" + _number_list(values)]),
+}
+
+
+def _main_with_stderr(argv):
+    """main(argv)'s exit code and what it wrote to stderr."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(BOUNDARY_COMMANDS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_random_documents_keep_the_cli_contract(command, data):
+    # A guard, not a fix: whatever a document holds, main exits 0, 2, 3 or
+    # 4 and raises nothing (a RuntimeWarning fails the suite). A run that
+    # writes no files writes one JSON error line; a run that does writes no
+    # nan or inf, and its sidecar reruns its CSV byte for byte.
+    document = data.draw(boundary_documents())
+    argv = data.draw(BOUNDARY_COMMANDS[command])
+    with tempfile.TemporaryDirectory() as directory:
+        config, first, second = (os.path.join(directory, name)
+                                 for name in ("config.json", "a.csv", "b.csv"))
+        with open(config, "w") as handle:
+            json.dump(document, handle)
+        code, stderr = _main_with_stderr(argv + ["--config", config, "--out", first])
+        assert code in (0, 2, 3, 4)
+        if not os.path.exists(first):
+            assert code != 0
+            [line] = stderr.splitlines()
+            assert json.loads(line)["exit_code"] == code
+            return
+        assert stderr == ""
+        assert [cell for row in read_rows(first) for cell in row
+                if cell.lower() in ("inf", "-inf", "nan")] == []
+        sidecar = os.path.splitext(first)[0] + ".json"
+        with open(sidecar) as handle:
+            json.load(handle, parse_constant=_reject_constant)
+        assert _main_with_stderr([argv[0], "--config", sidecar, "--out", second]) == (code, "")
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_failed_points_keep_csv_clean(tmp_path):

@@ -161,8 +161,7 @@ def test_single_qubit_thermal_state_is_stationary():
                  ReservoirSpec(Statistics.FERMIONIC, 0.6),
                  ReservoirSpec(Statistics.FERMIONIC, -0.9)):
         gap = 1.3
-        rates = lindblad_rates(spec, gap, 0.8)
-        generator = qubit_liouvillian(gap, rates.gamma_down, rates.gamma_up).matrix
+        generator = qubit_liouvillian(gap, *lindblad_rates(spec, gap, 0.8)).matrix
         rho = thermal_qubit(spec, gap).matrix
         assert max_abs(generator @ vec(rho)) <= 1e-14
 

@@ -5,7 +5,8 @@ generator and the 64x64 oracle; the stacked solve against one-at-a-time
 solves, at any stack size, and against closed forms: the g = 0 thermal
 product and the fermionic mirror symmetry. Chains that are not irreducible
 against their closed classes, deep-cooled populations against mpmath,
-README's extreme rows, which keep the law of the main path, the order of a
+README's tiny-population rows, which keep the law of the main path, and its
+huge- and tiny-rate rows, solved wide to their exact law, the order of a
 row's rate errors, and the residual check of a row whose float chain
 overflows.
 
@@ -14,6 +15,7 @@ machine (g = 0), a bath switched off (gamma_k = 0), saturated hot baths and
 baths whose |E/T| straddles the exp cutoff of the occupation formulas.
 """
 
+import io
 import itertools
 import math
 import warnings
@@ -817,26 +819,39 @@ def _chain(rates):
     return chain
 
 
+# Chains whose tree products leave the floats: the first underflows, the
+# second under- and overflows.
+_EXTREME_CHAINS = [_chain([1e-200, 1e-200, 1e-200, 1.0, 1e-200, 1e-200,
+                           1e-200, 1e-200, 1e-200, 1e-200, 1e-200, 1.0]),
+                   _chain([1e-300, 5e108, 4e16, 0.0, 7e286, 5e-99,
+                           0.0, 0.0, 4e222, 0.0, 1e-101, 8e-74])]
+
+
 @PROPERTY_SETTINGS
 @given(four_state_chains())
 @example(_chain([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]))
 @example(_chain([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 0.0, 0.0, 0.0]))
-@example(_chain([1e-200, 1e-200, 1e-200, 1.0, 1e-200, 1e-200,
-                 1e-200, 1e-200, 1e-200, 1e-200, 1e-200, 1.0]))
-@example(_chain([1e-300, 5e108, 4e16, 0.0, 7e286, 5e-99,
-                 0.0, 0.0, 4e222, 0.0, 1e-101, 8e-74]))
+@example(_EXTREME_CHAINS[0])
+@example(_EXTREME_CHAINS[1])
 def test_tree_weights_are_the_stationary_law(chain):
     # The tree sum against the exact law, from determinants in rational
     # arithmetic: 1e-13 relative wherever the law is a normal float, exactly
-    # 0 wherever the chain's structure makes it 0. A chain with two or more
-    # closed classes weighs 0 everywhere.
-    weights = _tree_weights(chain[None])[0]
+    # 0 wherever the chain's structure makes it 0, wherever numpy logs no
+    # under- or overflow. Where it logs one, solve_coefficients solves the
+    # stack by _wide_law instead. A chain with two or more closed classes
+    # weighs 0 everywhere.
+    events = io.StringIO()
+    with np.errstate(all="log", call=events):
+        weights = _tree_weights(chain[None])[0]
+    if any(np.array_equal(chain, extreme, equal_nan=True) for extreme in _EXTREME_CHAINS):
+        assert events.tell()
+    if events.tell():
+        return
     exact = _exact_weights(chain)
     total = sum(exact)
     if total == 0:
         assert np.all(weights == 0.0)
         return
-    assert 2.0 ** -9 <= weights.sum() < 1.0
     law = weights / weights.sum()
     np.testing.assert_allclose(law, [float(w / total) for w in exact],
                                rtol=1e-13, atol=np.finfo(float).tiny)
@@ -953,26 +968,48 @@ def _main_path_laws(monkeypatch):
 
 
 @pytest.mark.parametrize("row, population, expected", [
-    (lambda: default_config(th=1e308), None, None),
-    (lambda: default_config(gammas=(1e-150,) * 3, coupling=1e-150), None, None),
     (lambda: default_config(tc=0.01, th=-0.1, hot_statistics="fermionic"),
      "p_excited", 2.1946e-44),
     (_insulated_inverted_row, "p_ground", 4.6023e-305),
-], ids=["hot-1e308", "rates-1e-150", "p_e1-2e-44", "p_ground-5e-305"])
+], ids=["p_e1-2e-44", "p_ground-5e-305"])
 def test_readme_extreme_rows_are_solved_on_the_main_path(monkeypatch, row, population,
                                                          expected):
-    # README's huge-rate, tiny-rate and tiny-population rows are irreducible
-    # chains: the power-of-two scaling of the tree sum solves them, and each
-    # keeps the law of the main path bit for bit. In the first, the step
-    # out of |g e g> along kappa underflows, and in the last, the weight of
-    # an even state; _wide_law agrees with both to 2^-44.
+    # README's tiny-population rows are irreducible chains whose tree
+    # products stay within the floats, so each keeps the law of the main
+    # path bit for bit. In the last, the weight of an even state is
+    # subnormal; _wide_law agrees with both to 2^-44.
     laws = _main_path_laws(monkeypatch)
     solved = solve_sectors(row())
     assert solved.errors == [None]
     assert solved.coordinates[0, _ORDER].tobytes() == laws[0][0].tobytes()
     _, readout = solve_for_readout(row())
-    if population is not None:
-        assert getattr(readout, population) == pytest.approx(expected, rel=1e-4, abs=0.0)
+    assert getattr(readout, population) == pytest.approx(expected, rel=1e-4, abs=0.0)
+
+
+@pytest.mark.parametrize("row", [
+    lambda: default_config(th=1e308),
+    lambda: default_config(gammas=(1e-150,) * 3, coupling=1e-150),
+], ids=["hot-1e308", "rates-1e-150"])
+def test_readme_huge_and_tiny_rate_rows_are_solved_wide(monkeypatch, row):
+    # README's huge-rate and tiny-rate rows: tree products of both underflow
+    # (1e-150 cubed leaves the floats). The event sends the row to one
+    # _wide_law call, whose law is the row's exact law.
+    calls = []
+    wide_law = steady_state._wide_law
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return wide_law(*args)
+
+    monkeypatch.setattr(steady_state, "_wide_law", counted)
+    coefficients, errors = sector_coefficients(row())
+    solved = solve_coefficients(coefficients, errors)
+    assert calls == [1]
+    assert solved.errors == [None]
+    exact = _exact_weights(_exact_chain(coefficients[0]))
+    np.testing.assert_allclose(solved.coordinates[0, :DIM],
+                               [float(w / sum(exact)) for w in exact],
+                               rtol=1e-13, atol=np.finfo(float).tiny)
 
 
 def _one_exit_odd_state_machine(room_temperature=2.0 / 720.0):
