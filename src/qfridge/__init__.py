@@ -28,7 +28,6 @@ from .thermometry import (
     QubitReadout,
     TemperatureSentinel,
     effective_temperature,
-    insulated_limit_temperature,
     temperature_as_float,
 )
 

@@ -16,13 +16,15 @@ The hot-bath temperature axis behaves differently on the two sides:
 
 Thresholds come in two modes because the bundled reference numbers mix two
 readings: the best case over the whole axis (plateau) and the sweep-window
-edge. Both are read in closed form, with no solve; see cooling_threshold.
+edge. Both read one closed form, the virtual temperature E1 / (L3 - L2), at
+the mode's hot bath; at the machine's own hot bath it is the insulated limit.
 
-Searches read qubit 1's T1 from the plain rows of _solve_hot_grid; only
+Searches read qubit 1's T1 from the plain rows of _solve_hot_grid, one per
+hot-bath temperature (a pinned bath is solved only as a config's own); only
 solve_for_readout, the one-row case and the unit of every single solve,
 builds a QubitReadout. best_case_t1 gives a search the value it compares.
-The negative plateau is T1 at the saturated hot bath, so Fig. 4a and
-calibration solve that one row, and only find_plateau walks toward it.
+The negative plateau is T1 at the saturated hot bath, one row that Fig. 4a,
+calibration and find_plateau all solve alone.
 """
 
 import math
@@ -40,7 +42,6 @@ from .steady_state import SteadyStateError, solve_coefficients, solve_sectors
 from .thermometry import (
     QubitReadout,
     TemperatureSentinel,
-    insulated_limit_temperature,
     temperature_as_float,
     temperature_from_population_ratio,
 )
@@ -61,17 +62,17 @@ class AnalysisError(RuntimeError):
 
 
 class BracketError(AnalysisError):
-    """The machine has no cooling threshold: it never cools, or it cools at
-    every T_c (see cooling_threshold)."""
+    """The machine has no virtual temperature (no cooling threshold or
+    insulated limit): it never cools, or it cools at every T_c."""
 
 
 # Deepest fermionic inversion kept distinguishable from n = 1 in float64
 # (1 - 1e-15 is ~4.5 ulp away from 1). Walking closer would round the
 # occupation to exactly 1 and silently switch off the decay channel.
 FERMIONIC_SATURATION_DEFICIT = 1e-15
-# Bosonic stand-in for "infinitely hot"; reported as a diagnostic only,
-# since on this side the limit re-thermalizes the target qubit (see module
-# docstring) and is NOT the plateau.
+# Bosonic stand-in for "infinitely hot". The limit mostly re-thermalizes the
+# target qubit (see module docstring), so it is the plateau only where it is
+# colder than the grid's minimum, as at the plateau-mode threshold.
 BOSONIC_SATURATION_TEMPERATURE = 1e6
 
 POSITIVE_WINDOW_EDGE = 10.0     # reference sweep window is T_h in [1, 10]
@@ -92,6 +93,8 @@ class HotBaths(NamedTuple):
     saturated: ReservoirSpec      # the representable "infinitely hot" limit
 
 
+# The negative saturated bath pins n3; its nominal T_h, the window edge's,
+# is read by no rate.
 HOT_BATHS = {
     Direction.POSITIVE: HotBaths(
         window_edge=ReservoirSpec(Statistics.BOSONIC, POSITIVE_WINDOW_EDGE, Role.HOT),
@@ -99,8 +102,8 @@ HOT_BATHS = {
                                 Role.HOT)),
     Direction.NEGATIVE: HotBaths(
         window_edge=ReservoirSpec(Statistics.FERMIONIC, NEGATIVE_WINDOW_EDGE, Role.HOT),
-        saturated=ReservoirSpec.saturated(
-            Statistics.FERMIONIC, 1.0 - FERMIONIC_SATURATION_DEFICIT, Role.HOT)),
+        saturated=ReservoirSpec(Statistics.FERMIONIC, NEGATIVE_WINDOW_EDGE, Role.HOT,
+                                occupation_override=1.0 - FERMIONIC_SATURATION_DEFICIT)),
 }
 
 # Targets for the bundled reproduction scenarios: lowest cooled-qubit
@@ -192,13 +195,13 @@ class CalibrationResult:
         return lines
 
 
-def _solve_hot_grid(config: FridgeConfig, temperatures=None, occupations=None):
-    """Per hot-bath point, qubit 1's (residual, p_ground, p_excited, T1) in
-    config's steady state with that hot bath, or the exception its solve
-    raised: one point per temperature, then one per pinned occupation, of a
-    hot bath of config's hot statistics (default: config's own hot bath).
-    Every point is solved in one stack and checked on its own."""
-    return _qubit1_rows(solve_sectors(config, temperatures, occupations), config.gaps[0])
+def _solve_hot_grid(config: FridgeConfig, temperatures=None):
+    """Per hot-bath temperature, qubit 1's (residual, p_ground, p_excited, T1)
+    in config's steady state with a hot bath of config's hot statistics at
+    that temperature, or the exception its solve raised (default: config's
+    own hot bath). Every point is solved in one stack and checked on its
+    own."""
+    return _qubit1_rows(solve_sectors(config, temperatures), config.gaps[0])
 
 
 def _qubit1_rows(solved, e1: float):
@@ -305,13 +308,13 @@ def find_plateau(config: FridgeConfig, direction: Direction) -> PlateauResult:
 
     Positive side: scan of a geometric T_h grid followed by a golden-section
     polish of the minimum, so the reported value is the lowest temperature
-    the machine actually reaches before the bosonic rate growth quenches it.
+    the machine actually reaches before the bosonic rate growth quenches it
+    (or the saturation point, where it is colder still).
 
     The positive side solves its grid and the saturation point as one
     stack, the negative side its walk in stacks of NEGATIVE_WALK_CHUNK
-    points, the first with the saturation point; their rows are the solves
-    a point-by-point search would make. The polish solves one point at a
-    time.
+    points, then the saturated row alone: the solves a point-by-point search
+    would make. The polish solves one point at a time.
     """
     if Direction(direction) is Direction.POSITIVE:
         return _find_plateau_positive(config)
@@ -319,8 +322,7 @@ def find_plateau(config: FridgeConfig, direction: Direction) -> PlateauResult:
 
 
 def _find_plateau_positive(config):
-    if config.reservoirs[2].statistics is not Statistics.BOSONIC:
-        config = config.with_hot_reservoir(HOT_BATHS[Direction.POSITIVE].window_edge)
+    config = config.with_hot_reservoir(HOT_BATHS[Direction.POSITIVE].window_edge)
 
     def t1_at(th):
         return _coldness(_t1_value(config.with_hot_temperature(th)))
@@ -330,30 +332,27 @@ def _find_plateau_positive(config):
                             / math.log(PLATEAU_GRID_RATIO)) + 1)
     # the saturation point rides along as the stack's last row
     *values, saturation = [_t1_of(outcome) for outcome in _solve_hot_grid(
-        config, grid.tolist() + [HOT_BATHS[Direction.POSITIVE].saturated.temperature])]
+        config, grid.tolist() + [BOSONIC_SATURATION_TEMPERATURE])]
     values = [_coldness(t1) for t1 in values]
     k = int(np.argmin(values))
-    if k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step:
+    descending = k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step
+    if descending:
         # Still descending at the cap: no interior minimum; T1 creeps down
-        # toward an infimum it only attains in the hot limit, so the pinned
-        # saturation point is the best representable value.
-        return PlateauResult(
-            plateau_t1=min(values[-1], _coldness(saturation)),
-            plateau_detected_at=float(BOSONIC_SATURATION_TEMPERATURE),
-            tolerance_used=TOL.plateau_step,
-            saturation_t1=saturation,
-            walk_flattened=False,
-        )
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    th_best, t1_best = _polish_minimum(t1_at, lo, hi, TOL.plateau_step)
-    if values[k] < t1_best:
-        th_best, t1_best = float(grid[k]), values[k]
+        # toward an infimum it only attains in the hot limit.
+        th_best, t1_best = BOSONIC_SATURATION_TEMPERATURE, values[-1]
+    else:
+        th_best, t1_best = _polish_minimum(t1_at, grid[max(k - 1, 0)],
+                                           grid[min(k + 1, len(grid) - 1)], TOL.plateau_step)
+        if values[k] < t1_best:
+            th_best, t1_best = float(grid[k]), values[k]
+    if _coldness(saturation) < t1_best:    # the best representable value
+        th_best, t1_best = BOSONIC_SATURATION_TEMPERATURE, saturation
     return PlateauResult(
         plateau_t1=t1_best,
         plateau_detected_at=float(th_best),
         tolerance_used=TOL.plateau_step,
         saturation_t1=saturation,
+        walk_flattened=not descending,
     )
 
 
@@ -373,35 +372,28 @@ def _negative_walk(config: FridgeConfig):
 
 
 def _find_plateau_negative(config):
-    # The walk is solved in stacks of NEGATIVE_WALK_CHUNK points, the first
-    # with the saturation point as its last row, until a stack's rows meet
-    # the stop rule. The rule reads the outcomes in walk order, so a failed
-    # row is raised only if the walk reaches it.
+    # The walk is solved in stacks of NEGATIVE_WALK_CHUNK points until a
+    # stack's rows meet the stop rule. The rule reads the outcomes in walk
+    # order, so a failed row is raised only if the walk reaches it.
     walk = _negative_walk(config)
-    hot = HOT_BATHS[Direction.NEGATIVE]
-    config = config.with_hot_reservoir(hot.window_edge)
-    previous = saturated = None
-    detected_at = walk[0]
-    flattened = False
-    for start in range(0, len(walk), NEGATIVE_WALK_CHUNK):
-        chunk = walk[start:start + NEGATIVE_WALK_CHUNK]
-        outcomes = _solve_hot_grid(
-            config, chunk, [hot.saturated.occupation_override] if start == 0 else [])
-        if start == 0:
-            saturated = outcomes.pop()
-        for th, outcome in zip(chunk, outcomes):
-            current = _t1_of(outcome)
-            detected_at = th
-            if previous is not None and abs(current - previous) < TOL.plateau_step:
-                flattened = True
-                break
-            previous = current
-        if flattened:
+    config = config.with_hot_reservoir(HOT_BATHS[Direction.NEGATIVE].window_edge)
+
+    def walked():
+        for start in range(0, len(walk), NEGATIVE_WALK_CHUNK):
+            chunk = walk[start:start + NEGATIVE_WALK_CHUNK]
+            yield from zip(chunk, _solve_hot_grid(config, chunk))
+
+    previous, flattened = None, False
+    for detected_at, outcome in walked():
+        current = _t1_of(outcome)
+        if previous is not None and abs(current - previous) < TOL.plateau_step:
+            flattened = True
             break
+        previous = current
     # The saturated occupation is the representable limit of T_h -> 0-, so it
     # is the plateau value whether or not the walk flattened before the floor
     # (in the deep-cooling regime T1 keeps tracking n3 all the way down).
-    saturation = _t1_of(saturated)
+    saturation = best_case_t1(config, Direction.NEGATIVE)
     return PlateauResult(
         plateau_t1=saturation,
         plateau_detected_at=float(detected_at),
@@ -425,12 +417,25 @@ def best_case_t1(config: FridgeConfig, direction: Direction,
     return find_plateau(config, direction).plateau_t1
 
 
+def _virtual_temperature(config: FridgeConfig, hot: ReservoirSpec) -> float:
+    """E1 / (L3 - L2), L_k = ln(up_k/down_k) with config's room bath and the
+    hot bath hot: the temperature of the virtual qubit |g e g>, |e g e> that
+    the exchange ties qubit 1 to. Raises BracketError unless
+    0 < L3 - L2 < inf."""
+    e1, e2, e3 = config.gaps
+    denominator = log_rate_ratio(hot, e3) - log_rate_ratio(config.reservoirs[1], e2)
+    if not 0.0 < denominator < math.inf:
+        raise BracketError(
+            f"no virtual temperature: ln(up3/down3) - ln(up2/down2) = {denominator:.6e}, "
+            f"so the machine {'cools at every T_c' if denominator > 0.0 else 'never cools'}")
+    return e1 / denominator
+
+
 def cooling_threshold(config_template: FridgeConfig, direction: Direction,
                       mode: ThresholdMode = ThresholdMode.PLATEAU) -> float:
-    """Smallest cold-bath temperature at which the machine still cools:
-    T_c* = E1 / (L3 - L2), with L_k = ln(up_k/down_k) of qubit k's rates and
-    the hot bath at its best case for the mode (saturated in PLATEAU mode,
-    at the reference window edge, T_h = 10 or -0.1, in GRID_EDGE mode).
+    """Smallest cold-bath temperature at which the machine still cools: the
+    virtual temperature T_c* = E1 / (L3 - L2) at the mode's best-case hot
+    bath (saturated, or at the window edge T_h = 10 or -0.1).
 
     Qubit 1 is colder than T_c exactly when the bath-thermal product weighs
     |e g e> above |g e g>, i.e. when E1/T_c < L3 - L2, at every g > 0, set
@@ -440,21 +445,14 @@ def cooling_threshold(config_template: FridgeConfig, direction: Direction,
     never cools; and when L3 - L2 = inf (a rate pinned at 0): it cools at
     every T_c.
     """
-    direction = Direction(direction)
-    baths = HOT_BATHS[direction]
-    hot = baths.window_edge if ThresholdMode(mode) is ThresholdMode.GRID_EDGE else baths.saturated
-    e1, e2, e3 = config_template.gaps
+    window_edge, saturated = HOT_BATHS[Direction(direction)]
     _, gamma2, gamma3 = config_template.gammas
     if 0.0 in (config_template.coupling, gamma2, gamma3):
         raise BracketError(
             f"the machine never cools: g = {config_template.coupling}, gamma_2 = "
             f"{gamma2} and gamma_3 = {gamma3} leave T1 = T_c")
-    denominator = log_rate_ratio(hot, e3) - log_rate_ratio(config_template.reservoirs[1], e2)
-    if not 0.0 < denominator < math.inf:
-        raise BracketError(
-            f"no cooling threshold: ln(up3/down3) - ln(up2/down2) = {denominator:.6e}, "
-            f"so the machine {'cools at every T_c' if denominator > 0.0 else 'never cools'}")
-    return e1 / denominator
+    grid_edge = ThresholdMode(mode) is ThresholdMode.GRID_EDGE
+    return _virtual_temperature(config_template, window_edge if grid_edge else saturated)
 
 
 def insulation_limit(config: FridgeConfig,
@@ -462,9 +460,10 @@ def insulation_limit(config: FridgeConfig,
     """Decouple the cooled qubit from its own bath and watch T1 approach the
     closed-form insulated limit.
 
-    The analytic value is evaluated with the room-bath temperature, because
-    once gamma_1 -> 0 the cold bath drops out of the generator entirely and
-    the qubit equilibrates against the (room, hot) pair alone.
+    Once gamma_1 -> 0 the cold bath drops out and qubit 1 equilibrates with
+    the virtual qubit: the limit is E1 / (L3 - L2) at config's own hot bath,
+    E1 / (E2/T_r - E3/T_h) for thermal baths. Raises BracketError where the
+    machine has none (see _virtual_temperature).
 
     All gamma_1 rows are one stack; the first row that fails with
     SteadyStateError ends the sequence, and any other failure is raised.
@@ -474,12 +473,7 @@ def insulation_limit(config: FridgeConfig,
         raise AnalysisError("gamma1 sequence must be positive")
     if any(b >= a for a, b in zip(sequence, sequence[1:])):
         raise AnalysisError("gamma1 sequence must be strictly decreasing")
-    analytic = insulated_limit_temperature(
-        t_c=config.reservoirs[1].temperature,
-        t_h=config.reservoirs[2].temperature,
-        e1=config.gaps[0],
-        e3=config.gaps[2],
-    )
+    analytic = _virtual_temperature(config, config.reservoirs[2])
     coefficients, errors = zip(*[sector_coefficients(config.with_gamma1(g)) for g in sequence])
     solved = solve_coefficients(np.concatenate(coefficients), [e for row in errors for e in row])
     used, values = [], []

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import TOL, LinalgError, as_matrix
-from .reservoirs import ReservoirSpec, Role, bath_rates, lindblad_rates
+from .reservoirs import ReservoirSpec, Role, bath_rates, lindblad_rates, log_rate_ratio
 
 NUM_QUBITS = 3
 DIM = 2 ** NUM_QUBITS
@@ -98,7 +98,12 @@ class FridgeConfig:
 
     @property
     def cold_temperature(self):
-        return self.reservoirs[0].temperature
+        """T_c; for a pinned cold bath the one its rates hold, -E1 / ln(up/down)."""
+        cold = self.reservoirs[0]
+        if cold.occupation_override is None:
+            return cold.temperature
+        ratio = log_rate_ratio(cold, self.gaps[0])
+        return -self.gaps[0] / ratio if ratio else math.inf    # n = 1/2: infinitely hot
 
     def with_hot_temperature(self, temperature):
         hot = replace(self.reservoirs[2], temperature=temperature,
@@ -163,13 +168,12 @@ def default_config(tc=1.0, tr=2.0, th=10.0, coupling=1.0,
     )
 
 
-def sector_coefficients(config: FridgeConfig, hot_temperatures=None, hot_occupations=None):
+def sector_coefficients(config: FridgeConfig, hot_temperatures=None):
     """Coefficient rows (N, 8) of the sector generator: (down_k, up_k) for
     k = 1..3, g, the detuning. There is one row per hot-bath temperature in
-    hot_temperatures, then one per pinned hot occupation in hot_occupations,
-    the hot bath keeping the statistics of config's, and config supplies
-    everything else. With neither given, the one row is config's own hot
-    bath.
+    hot_temperatures, the hot bath keeping the statistics of config's, and
+    config supplies everything else. Without them, the one row is config's
+    own hot bath, pinned or not.
 
     The cold and room rates are evaluated once, by lindblad_rates, and each
     row's hot pair by bath_rates. Returns (coefficients, errors): errors[i]
@@ -178,12 +182,8 @@ def sector_coefficients(config: FridgeConfig, hot_temperatures=None, hot_occupat
     row is NaN.
     """
     hot = config.reservoirs[2]
-    if hot_temperatures is None and hot_occupations is None:
-        points = [(hot.temperature, hot.occupation_override)]
-    else:
-        temperatures = () if hot_temperatures is None else hot_temperatures
-        occupations = () if hot_occupations is None else hot_occupations
-        points = [(t, None) for t in temperatures] + [(hot.temperature, n) for n in occupations]
+    points = ([(hot.temperature, hot.occupation_override)] if hot_temperatures is None
+              else [(t, None) for t in hot_temperatures])
     (e1, e2, e3), statistics, gamma = config.gaps, hot.statistics, config.gammas[2]
     n_points = len(points)
     errors, hot_rates = [None] * n_points, [None] * n_points

@@ -51,7 +51,8 @@ class ReservoirSpec:
 
     occupation_override bypasses the temperature when evaluating occupations;
     it exists so that saturated limits (n -> 0 or n -> 1) can be represented
-    exactly instead of through an extreme temperature.
+    exactly instead of through an extreme temperature. The temperature of a
+    pinned bath is nominal: no rate reads it.
     """
 
     statistics: Statistics
@@ -76,20 +77,6 @@ class ReservoirSpec:
             if self.statistics is Statistics.BOSONIC and n < 0.0:
                 raise ReservoirError(f"bosonic occupation must be >= 0, got {n}")
             object.__setattr__(self, "occupation_override", n)
-
-    @classmethod
-    def saturated(cls, statistics, occupation, role=Role.HOT):
-        """Reservoir pinned at a fixed occupation (the hot-limit construct).
-
-        The nominal temperature is back-computed where possible so the spec
-        still reads sensibly; it is not used for rate evaluation.
-        """
-        statistics = Statistics(statistics)
-        try:
-            nominal = temperature_from_occupation(statistics, 1.0, occupation)
-        except ReservoirError:
-            nominal = 1.0
-        return cls(statistics, nominal, role, occupation_override=occupation)
 
     def to_dict(self):
         d = {

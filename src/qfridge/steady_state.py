@@ -340,10 +340,9 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
     return SectorSolutions(coordinates=x, residuals=residuals, errors=errors)
 
 
-def solve_sectors(config: FridgeConfig, hot_temperatures=None,
-                  hot_occupations=None) -> SectorSolutions:
-    """Steady states of config with its hot bath at each of hot_temperatures,
-    then pinned at each of hot_occupations (default: its own hot bath; see
-    sector_coefficients), as one stacked solve. A row whose rates raise
-    carries that error (see solve_coefficients)."""
-    return solve_coefficients(*sector_coefficients(config, hot_temperatures, hot_occupations))
+def solve_sectors(config: FridgeConfig, hot_temperatures=None) -> SectorSolutions:
+    """Steady states of config with its hot bath at each of hot_temperatures
+    (default: its own hot bath; see sector_coefficients), as one stacked
+    solve. A row whose rates raise carries that error (see
+    solve_coefficients)."""
+    return solve_coefficients(*sector_coefficients(config, hot_temperatures))

@@ -9,8 +9,8 @@ positive for p > 1/2, negative (population inverted) for p < 1/2. The two
 singular cases, p = 1/2 and p in {0, 1}, are reported as named sentinels so
 that downstream CSV emission never sees an infinity or a NaN.
 
-The perfect-insulation limit (cooled qubit detached from its own bath) admits
-a closed form for its temperature, implemented in insulated_limit_temperature.
+The perfect-insulation limit's closed form is read from the bath specs, not
+from a readout: see qfridge.analysis.insulation_limit.
 
 Searches take T from temperature_from_population_ratio on qubit 1's summed
 populations; a QubitReadout is built only for a single solve
@@ -32,10 +32,6 @@ class TemperatureSentinel(Enum):
 
 class ThermometryError(ValueError):
     pass
-
-
-class OutOfRegimeError(ThermometryError):
-    """Insulated-limit formula evaluated where its denominator is <= 0."""
 
 
 def effective_temperature(p_ground: float, gap: float):
@@ -92,28 +88,3 @@ class QubitReadout:
             raise ThermometryError(
                 f"populations do not sum to 1: {self.p_ground} + {self.p_excited}"
             )
-
-
-def insulated_limit_temperature(t_c: float, t_h: float, e1: float, e3: float) -> float:
-    """Cooled-qubit temperature in the perfect-insulation limit (gamma_1 -> 0):
-
-        T1 = T_c / (1 + (E3/E1) (1 - T_c/T_h)).
-
-    The same expression covers hot baths at negative temperature, where
-    1 - T_c/T_h = 1 + T_c/|T_h| makes the denominator strictly larger and the
-    cooling strictly stronger. Here t_c plays the role of the coldest bath
-    still attached to the machine once qubit 1 is insulated.
-    """
-    if t_c <= 0.0:
-        raise ThermometryError(f"t_c must be positive, got {t_c}")
-    if t_h == 0.0 or math.isnan(t_h):
-        raise ThermometryError(f"t_h must be nonzero, got {t_h}")
-    if e1 <= 0.0 or e3 <= 0.0:
-        raise ThermometryError(f"gaps must be positive, got e1={e1}, e3={e3}")
-    denominator = 1.0 + (e3 / e1) * (1.0 - t_c / t_h)
-    if denominator <= 0.0:
-        raise OutOfRegimeError(
-            f"insulated limit undefined: denominator {denominator:.3e} <= 0 "
-            f"(t_c={t_c}, t_h={t_h}, e3/e1={e3 / e1})"
-        )
-    return t_c / denominator

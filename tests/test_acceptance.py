@@ -133,10 +133,11 @@ def test_criterion_05_fermionic_symmetry():
 
 def test_criterion_06_insulation_convergence():
     start = time.time()
-    # Room temperature doubles as the analytic formula's cold input once
-    # qubit 1 is insulated; the couplings keep the residual bath leak at
-    # gamma1 = 1e-4 below the 1e-3 band. Sets D and E drive the hot bath at
-    # negative temperature, exercising the inverted form of the expression.
+    # Once qubit 1 is insulated it approaches the virtual temperature of the
+    # room and hot baths, E1 / (E2/T_r - E3/T_h) for these resonant thermal
+    # sets; the couplings keep the residual bath leak at gamma1 = 1e-4
+    # below the 1e-3 band. Sets D and E drive the hot bath at negative
+    # temperature, where -E3/T_h > 0 strengthens the cooling.
     parameter_sets = [
         ("A", default_config(tc=1.0, tr=2.0, th=10.0, coupling=2.0)),
         ("C", default_config(tc=1.5, tr=1.5, th=8.0, coupling=2.0,

@@ -134,7 +134,9 @@ def _serial_t1(config, hot):
 def _serial_plateau(config, direction):
     """find_plateau one solve per point: the negative walk stepped one T_h
     at a time until it flattens, the positive grid point by point, and the
-    saturation point solved on its own after them."""
+    saturation point solved on its own after them. On the positive side the
+    saturation point is the plateau wherever it is colder than the grid's
+    best."""
     if direction is Direction.NEGATIVE:
         floor = _negative_walk_floor(config)
         th = analysis.NEGATIVE_WALK_START
@@ -151,10 +153,7 @@ def _serial_plateau(config, direction):
         saturation = _serial_t1(config, HOT_BATHS[direction].saturated)
         return PlateauResult(saturation, detected_at, TOL.plateau_step, saturation,
                              flattened)
-    hot = config.reservoirs[2]
-    if hot.statistics is not Statistics.BOSONIC:
-        hot = HOT_BATHS[direction].window_edge
-        config = config.with_hot_reservoir(hot)
+    config = config.with_hot_reservoir(HOT_BATHS[direction].window_edge)
     grid = np.geomspace(analysis.PLATEAU_GRID_START, analysis.PLATEAU_GRID_CAP,
                         int(math.log(analysis.PLATEAU_GRID_CAP / analysis.PLATEAU_GRID_START)
                             / math.log(analysis.PLATEAU_GRID_RATIO)) + 1).tolist()
@@ -174,6 +173,8 @@ def _serial_plateau(config, direction):
         grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], TOL.plateau_step)
     if values[k] < t1_best:
         th_best, t1_best = grid[k], values[k]
+    if ranked(saturation) < t1_best:
+        th_best, t1_best = analysis.BOSONIC_SATURATION_TEMPERATURE, saturation
     return PlateauResult(t1_best, th_best, TOL.plateau_step, saturation)
 
 
@@ -298,16 +299,16 @@ def test_a_failing_walk_row_counts_only_if_the_walk_reaches_it(
 
 def test_the_negative_walk_is_solved_only_up_to_the_stack_where_it_stops(monkeypatch):
     # With E3 = 1e-300 the walk has 2,420 points to its floor, and it
-    # flattens at its second: one stack of NEGATIVE_WALK_CHUNK points and the
-    # saturation point is solved, not the whole walk. The reference machine's
-    # 14 points and its saturation point stay one stack, and a deep-cooling
+    # flattens at its second: one stack of NEGATIVE_WALK_CHUNK points is
+    # solved, not the whole walk, and then the saturation point on its own.
+    # The reference machine's 14 points stay one stack, and a deep-cooling
     # walk of 21 points (E3 = 0.5) that never flattens takes two stacks and
     # finds what the serial search finds.
     stacks = []
     solve = analysis.solve_sectors
 
-    def counted(config, hot_temperatures=None, hot_occupations=None):
-        solved = solve(config, hot_temperatures, hot_occupations)
+    def counted(config, hot_temperatures=None):
+        solved = solve(config, hot_temperatures)
         stacks.append(len(solved.errors))
         return solved
 
@@ -315,14 +316,14 @@ def test_the_negative_walk_is_solved_only_up_to_the_stack_where_it_stops(monkeyp
     tiny = default_config(gaps=(1.0, 1.0 + 1e-300, 1e-300))
     assert len(_negative_walk(tiny)) == 2420
     assert find_plateau(tiny, Direction.NEGATIVE).walk_flattened
-    assert stacks == [analysis.NEGATIVE_WALK_CHUNK + 1]
+    assert stacks == [analysis.NEGATIVE_WALK_CHUNK, 1]
     stacks.clear()
     find_plateau(default_config(), Direction.NEGATIVE)
-    assert stacks == [15]
+    assert stacks == [14, 1]
     deep = default_config(tc=0.005, gaps=(1.0, 1.5, 0.5))
     stacks.clear()
     plateau = find_plateau(deep, Direction.NEGATIVE)
-    assert stacks == [analysis.NEGATIVE_WALK_CHUNK + 1, 21 - analysis.NEGATIVE_WALK_CHUNK]
+    assert stacks == [analysis.NEGATIVE_WALK_CHUNK, 21 - analysis.NEGATIVE_WALK_CHUNK, 1]
     assert not plateau.walk_flattened
     assert plateau == _serial_plateau(deep, Direction.NEGATIVE)
 
@@ -339,6 +340,19 @@ def test_positive_threshold_plateau_mode_hits_virtual_floor(reference_config):
     threshold = cooling_threshold(reference_config, Direction.POSITIVE,
                                   ThresholdMode.PLATEAU)
     assert threshold == pytest.approx(0.400, abs=2e-3)
+
+
+def test_the_positive_plateau_reaches_its_threshold(reference_config):
+    # At T_c* the machine cools only in the hot limit, above the grid's cap,
+    # so the saturated row must win over the grid's interior minimum: the
+    # best case there is T_c* itself, not 2e-8 above it.
+    threshold = cooling_threshold(reference_config, Direction.POSITIVE,
+                                  ThresholdMode.PLATEAU)
+    at_threshold = reference_config.with_cold_temperature(threshold)
+    assert best_case_t1(at_threshold, Direction.POSITIVE) <= threshold
+    plateau = find_plateau(at_threshold, Direction.POSITIVE)
+    assert plateau.plateau_detected_at == analysis.BOSONIC_SATURATION_TEMPERATURE
+    assert plateau.plateau_t1 == plateau.saturation_t1
 
 
 def test_negative_threshold_plateau_mode(reference_config):
@@ -428,9 +442,9 @@ def test_closed_form_threshold_agrees_with_the_bisection(config, direction, mode
     # oracle. Where it brackets a sign change, the closed form lies in its
     # final bracket; where the closed form says the machine never cools, or
     # lies outside THRESHOLD_BRACKET, the bisection finds no sign change. The
-    # positive plateau search reads T_h only up to PLATEAU_GRID_CAP (and the
-    # saturated point once T1 still descends there), so its threshold lies
-    # between the closed forms at the saturated bath and at the grid cap.
+    # positive plateau search reads T_h on its grid up to PLATEAU_GRID_CAP
+    # and at the saturated point, so its threshold lies between the closed
+    # forms at the saturated bath and at the grid cap.
     # With g, gamma_2 or gamma_3 at 0, T1 = T_c at every T_c, and the
     # bisection would read the sign of rounding.
     hot = HOT_BATHS[direction]
@@ -472,7 +486,7 @@ def test_a_room_pinned_at_zero_has_no_threshold(reference_config):
     # Qubit 2's room up-rate is exactly 0, so L2 = -inf: qubit 1 is cooled at
     # every T_c > 0, and there is no positive T_c to solve the row at.
     cold, _, hot = reference_config.reservoirs
-    room = ReservoirSpec.saturated(Statistics.BOSONIC, 0.0, Role.ROOM)
+    room = ReservoirSpec(Statistics.BOSONIC, 2.0, Role.ROOM, occupation_override=0.0)
     config = FridgeConfig(reference_config.gaps, reference_config.gammas,
                           (cold, room, hot), reference_config.coupling)
     with pytest.raises(BracketError, match="cools at every T_c"):
@@ -505,6 +519,21 @@ def test_insulation_limit_negative_hot_bath():
     result = insulation_limit(config, (1e-2, 1e-4, 1e-6, 1e-8))
     assert result.analytic_t1 == pytest.approx(1.0 / 12.0, rel=1e-12)
     assert result.final_relative_gap <= 1e-3
+
+
+@pytest.mark.parametrize("config, analytic", [
+    (default_config(gaps=(1.0, 5.0, 3.5)), 1.0 / (5.0 / 2.0 - 3.5 / 10.0)),
+    (default_config().with_hot_reservoir(
+        ReservoirSpec(Statistics.BOSONIC, 10.0, Role.HOT, occupation_override=0.5)),
+     1.0 / (5.0 / 2.0 - math.log1p(1.0 / 0.5))),
+], ids=["detuned", "pinned-hot"])
+def test_insulation_limit_reads_the_virtual_temperature(config, analytic):
+    # Off resonance, and with a hot bath pinned at n3 = 0.5 whose nominal
+    # T_h = 10 no rate reads, the limit is E1 / (L3 - L2) of the machine's
+    # own room and hot baths, and the solved T1 approaches it.
+    result = insulation_limit(config, (1e-2, 1e-4, 1e-6, 1e-8))
+    assert result.analytic_t1 == pytest.approx(analytic, rel=1e-15, abs=0.0)
+    assert result.final_relative_gap <= 1e-6
 
 
 def _serial_insulation(config, sequence):

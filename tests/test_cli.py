@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -14,7 +15,7 @@ from qfridge import steady_state
 from qfridge.analysis import Direction, SweepRecord, ThresholdMode, best_case_t1, find_plateau
 from qfridge.cli import RunManifest, build_parser, main
 from qfridge.linalg import TOL, LinalgError
-from qfridge.liouvillian import DensityMatrixError, default_config
+from qfridge.liouvillian import DensityMatrixError, FridgeConfig, default_config
 
 
 @pytest.fixture
@@ -530,6 +531,39 @@ def test_insulation_command(config_path, tmp_path):
     assert [float(r[0]) for r in rows[1:]] == [1e-1, 1e-2, 1e-3]
     sidecar = json.loads((tmp_path / "ins.json").read_text())
     assert sidecar["result"]["analytic_t1"] == pytest.approx(0.47619, abs=1e-4)
+
+
+def test_insulation_exits_nonconvergent_when_the_machine_never_cools(tmp_path, capsys):
+    # Hot bath at 1, room at 2: the machine has no virtual temperature for
+    # T1 to approach, the same BracketError as a missing threshold, exit 4.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(default_config(th=1.0).to_dict()))
+    assert main(["insulation", "--config", str(path), "--out", str(tmp_path / "i.csv")]) == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "BracketError"
+    assert not (tmp_path / "i.csv").exists()
+
+
+def test_a_pinned_cold_bath_is_compared_at_the_temperature_its_rates_hold(tmp_path):
+    # A cold bath pinned at n1 = 0.2 holds T_c = 1/ln 6 = 0.558 whatever its
+    # nominal temperature (1 here), so T1 = 0.549 is 0.009 below it.
+    document = default_config().to_dict()
+    document["reservoirs"][0]["occupation_override"] = 0.2
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    out = str(tmp_path / "solve.csv")
+    assert main(["solve", "--config", str(path), "--out", out]) == 0
+    t1, t1_minus_tc = (float(v) for v in read_rows(out)[1][1:3])
+    tc = 1.0 / math.log(6.0)
+    assert FridgeConfig.from_dict(document).cold_temperature == pytest.approx(tc, rel=1e-15)
+    assert t1 == pytest.approx(0.5492, abs=1e-4)
+    assert t1_minus_tc == pytest.approx(t1 - tc, rel=1e-12)
+    # at n = 1/2 the bath is infinitely hot, and the cell is written empty
+    document["reservoirs"][0].update(statistics="fermionic", occupation_override=0.5)
+    assert FridgeConfig.from_dict(document).cold_temperature == math.inf
+    path.write_text(json.dumps(document))
+    assert main(["solve", "--config", str(path), "--out", out]) == 0
+    assert read_rows(out)[1][2] == ""
 
 
 def test_plateau_command_negative(config_path, tmp_path):

@@ -4,7 +4,10 @@ The `reproduce all` CSVs were written by the 64x64 solver, before the sector
 solve became the production path. The `calibrate` and `plateau` outputs under
 golden/commands/ (CSV and sidecar) were written on the reference config
 before the single solve became the one-row stacked solve and the
-calibration's golden-section search became _polish_minimum.
+calibration's golden-section search became _polish_minimum; the `threshold`
+outputs, in each direction and mode, and the `insulation` output once the
+positive plateau let its saturated row win and insulation read the virtual
+temperature of the machine's own baths.
 
 Status and sentinel cells must match exactly. Numbers must match within
 TOL.golden_relative, except in the columns that are differences or near zero
@@ -124,3 +127,15 @@ def test_calibrate_matches_golden(tmp_path, capsys):
 def test_plateau_matches_golden(tmp_path, direction):
     _run_and_compare(tmp_path, f"plateau_{direction}",
                      ["plateau", "--direction", direction])
+
+
+@pytest.mark.parametrize("mode", ["plateau", "grid-edge"])
+@pytest.mark.parametrize("direction", ["positive", "negative"])
+def test_threshold_matches_golden(tmp_path, direction, mode):
+    _run_and_compare(tmp_path, f"threshold_{direction}_{mode}",
+                     ["threshold", "--direction", direction, "--threshold-mode", mode])
+
+
+def test_insulation_matches_golden(tmp_path):
+    _run_and_compare(tmp_path, "insulation",
+                     ["insulation", "--gamma1", "1e-1,1e-2,1e-3,1e-4"])

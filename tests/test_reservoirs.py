@@ -113,9 +113,9 @@ def test_rates_sum_and_difference_invariants(rng):
     bosonic(2.0),
     fermionic(2.0),
     fermionic(-2.0),
-    ReservoirSpec.saturated(Statistics.BOSONIC, 0.3),
-    ReservoirSpec.saturated(Statistics.FERMIONIC, 0.3),     # nominal T > 0
-    ReservoirSpec.saturated(Statistics.FERMIONIC, 0.9),     # nominal T < 0
+    ReservoirSpec(Statistics.BOSONIC, 2.0, occupation_override=0.3),
+    ReservoirSpec(Statistics.FERMIONIC, 2.0, occupation_override=0.3),    # nominal T > 0
+    ReservoirSpec(Statistics.FERMIONIC, -2.0, occupation_override=0.9),   # nominal T < 0
 ], ids=["bosonic", "fermionic+", "fermionic-", "bosonic-pinned", "fermionic-pinned+",
         "fermionic-pinned-"])
 @pytest.mark.parametrize("gamma", [0.0, 0.7])
@@ -218,19 +218,23 @@ def test_temperature_domain_errors():
 
 
 def test_saturated_reservoir_pins_occupation():
-    spec = ReservoirSpec.saturated(Statistics.FERMIONIC, 1.0 - 1e-15, Role.HOT)
+    spec = ReservoirSpec(Statistics.FERMIONIC, -0.1, Role.HOT, occupation_override=1.0 - 1e-15)
     assert occupation(spec, 4.0) == 1.0 - 1e-15
     assert occupation(spec, 0.5) == 1.0 - 1e-15   # pinned regardless of gap
-    assert spec.temperature < 0.0                 # nominal inverted temperature
+    # the nominal temperature is kept as given, and no rate reads it
+    assert spec.temperature == -0.1
+    assert lindblad_rates(spec, 4.0, 1.0) == lindblad_rates(
+        ReservoirSpec(Statistics.FERMIONIC, 7.0, Role.HOT, occupation_override=1.0 - 1e-15),
+        4.0, 1.0)
     # ln(up/down) = ln(n / (1 + n)) of a pinned bosonic occupation, whatever the gap
-    spec = ReservoirSpec.saturated(Statistics.BOSONIC, 0.3, Role.HOT)
+    spec = ReservoirSpec(Statistics.BOSONIC, 1.0, Role.HOT, occupation_override=0.3)
     assert log_rate_ratio(spec, 4.0) == -math.log1p(1.0 / 0.3)
     assert log_rate_ratio(spec, 0.5) == pytest.approx(math.log(0.3 / 1.3), rel=1e-15)
 
 
 def test_saturated_reservoir_validates_range():
     with pytest.raises(ReservoirError):
-        ReservoirSpec.saturated(Statistics.FERMIONIC, 1.5)
+        ReservoirSpec(Statistics.FERMIONIC, 1.0, occupation_override=1.5)
     with pytest.raises(ReservoirError):
         ReservoirSpec(Statistics.BOSONIC, 1.0, occupation_override=-0.2)
 

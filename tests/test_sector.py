@@ -34,7 +34,8 @@ from qfridge import (
     Statistics,
     default_config,
 )
-from qfridge.analysis import _solve_hot_grid, solve_for_readout, sweep_hot_temperature
+from qfridge.analysis import (_qubit1_rows, _solve_hot_grid, solve_for_readout,
+                              sweep_hot_temperature)
 from qfridge.linalg import TOL, LinalgError
 from qfridge.liouvillian import (
     DIM,
@@ -69,6 +70,12 @@ from tests.oracles import (
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 temperatures = st.floats(0.3, 10.0)
+
+
+def _pinned(statistics, n, role=Role.HOT):
+    """A bath pinned at occupation n; its nominal temperature, 1, is read by
+    no rate."""
+    return ReservoirSpec(statistics, 1.0, role, occupation_override=n)
 
 
 @st.composite
@@ -107,7 +114,7 @@ def machines(draw):
     cold = draw(reservoirs(Role.COLD, e1, extreme=False))
     room = draw(reservoirs(Role.ROOM, e2))
     if draw(st.booleans()):
-        hot = ReservoirSpec.saturated(Statistics.FERMIONIC, 1.0 - 1e-15)
+        hot = _pinned(Statistics.FERMIONIC, 1.0 - 1e-15)
     else:
         hot = draw(reservoirs(Role.HOT, e3))
     return FridgeConfig(gaps=(e1, e2, e3), gammas=tuple(gammas),
@@ -284,7 +291,7 @@ def test_a_single_closed_class_leaves_the_other_states_at_zero():
         gaps=(1.0, 2.0, 1.0), gammas=(0.0, 1.0, 1.0),
         reservoirs=(ReservoirSpec(Statistics.BOSONIC, 1.0, Role.COLD),
                     ReservoirSpec(Statistics.BOSONIC, 1.0, Role.ROOM),
-                    ReservoirSpec.saturated(Statistics.BOSONIC, 0.0)),
+                    _pinned(Statistics.BOSONIC, 0.0)),
         coupling=1.0)
     solved = solve_sectors(config)
     assert solved.errors == [None]
@@ -301,29 +308,31 @@ def _status(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _in_stack_order(hots):
-    """hots with the thermal baths first and the pinned ones after them, in
-    the order a stacked solve takes them."""
-    return sorted(hots, key=lambda hot: hot.occupation_override is not None)
+def _stack(config, hots):
+    """The coefficient rows and errors of config under each of the hot baths
+    hots, in their order, as one stack: the rows of their own configs
+    concatenated, the path insulation_limit takes, so that a pinned bath is
+    stacked as a thermal one is."""
+    coefficients, errors = zip(*[sector_coefficients(config.with_hot_reservoir(hot))
+                                 for hot in hots])
+    return np.concatenate(coefficients), [error for row in errors for error in row]
 
 
-def _stacked(hots):
-    """The hot baths hots, in stack order, as the arguments of a stacked
-    solve: the temperatures of the thermal ones and the occupations of the
-    pinned ones."""
-    return ([hot.temperature for hot in hots if hot.occupation_override is None],
-            [hot.occupation_override for hot in hots if hot.occupation_override is not None])
+def _stacked(config, hots):
+    """The stack of _stack solved, and qubit 1's rows of it as
+    _solve_hot_grid reads them."""
+    solved = solve_coefficients(*_stack(config, hots))
+    return solved, _qubit1_rows(solved, config.gaps[0])
 
 
 @st.composite
 def hot_stacks(draw):
-    """A machine and the hot baths of one statistics to stack under it, in
-    stack order: thermal, inverted, near-cutoff and pinned baths. The
-    machine's own hot bath is the first of them."""
+    """A machine and the hot baths of one statistics to stack under it:
+    thermal, inverted, near-cutoff and pinned baths. The machine's own hot
+    bath is the first of them."""
     config = draw(machines())
     statistics = draw(st.sampled_from(list(Statistics)))
-    hots = _in_stack_order(draw(st.lists(hot_baths(statistics, config.gaps[2]),
-                                         min_size=1, max_size=6)))
+    hots = draw(st.lists(hot_baths(statistics, config.gaps[2]), min_size=1, max_size=6))
     return config.with_hot_reservoir(hots[0]), hots
 
 
@@ -331,21 +340,28 @@ def hot_stacks(draw):
 @given(hot_stacks())
 def test_stacked_solve_matches_one_at_a_time(case):
     # A row of a stack is solved bit for bit as on its own: same T1, same
-    # residual, same status.
+    # residual, same status. So is a row of the thermal baths' temperatures
+    # stacked under config, the path of a sweep.
     config, hots = case
-    solved = solve_sectors(config, *_stacked(hots))
+    solved, read = _stacked(config, hots)
+    thermal = [hot for hot in hots if hot.occupation_override is None]
+    swept = dict(zip(thermal, _solve_hot_grid(config, [hot.temperature for hot in thermal])))
     for hot, residual, error, outcome in zip(hots, solved.residuals.tolist(), solved.errors,
-                                             _solve_hot_grid(config, *_stacked(hots))):
+                                             read):
         try:
             single_residual, readout = solve_for_readout(config.with_hot_reservoir(hot))
         except (SteadyStateError, ValueError) as exc:
             assert error is not None and _status(error) == _status(exc)
             assert _status(outcome) == _status(exc)
+            if hot in swept:
+                assert _status(swept[hot]) == _status(exc)
             continue
         assert error is None
         assert residual <= TOL.steady_residual_direct
         assert residual == single_residual
         assert outcome[3] == readout.effective_temperature
+        if hot in swept:
+            assert swept[hot] == outcome
 
 
 @PROPERTY_SETTINGS
@@ -357,7 +373,7 @@ def test_one_row_stack_is_the_single_solve(case):
     config, hots = case
     config = config.with_hot_reservoir(hots[0])
     solved = solve_sectors(config)
-    outcome, = _solve_hot_grid(config, *_stacked(hots[:1]))
+    outcome, = _stacked(config, hots[:1])[1]
     try:
         residual, readout = solve_for_readout(config)
     except (SteadyStateError, ValueError) as exc:
@@ -374,7 +390,7 @@ def test_one_row_stack_is_the_single_solve(case):
 
 
 def test_an_empty_stack_solves_to_nothing(reference_config):
-    assert _solve_hot_grid(reference_config, [], []) == []
+    assert _solve_hot_grid(reference_config, []) == []
     solved = solve_sectors(reference_config, [])
     assert solved.coordinates.shape == (0, SECTOR_DIM)
     assert solved.errors == []
@@ -565,7 +581,7 @@ def hot_baths(statistics, gap):
         st.builds(lambda t: ReservoirSpec(Statistics.BOSONIC, t, Role.HOT), temperatures),
         st.builds(lambda x: ReservoirSpec(Statistics.BOSONIC, gap / x, Role.HOT),
                   st.floats(650.0, 750.0)),
-        st.just(ReservoirSpec.saturated(Statistics.BOSONIC, 0.0)))
+        st.just(_pinned(Statistics.BOSONIC, 0.0)))
 
 
 @PROPERTY_SETTINGS
@@ -578,16 +594,15 @@ def test_decoupled_rows_are_the_thermal_product(data):
     config = FridgeConfig(gaps=drawn.gaps, gammas=tuple(g or 1.0 for g in drawn.gammas),
                           reservoirs=drawn.reservoirs, coupling=0.0)
     statistics = data.draw(st.sampled_from(list(Statistics)))
-    hots = _in_stack_order(data.draw(st.lists(hot_baths(statistics, config.gaps[2]),
-                                              min_size=1, max_size=6)))
+    hots = data.draw(st.lists(hot_baths(statistics, config.gaps[2]), min_size=1, max_size=6))
     config = config.with_hot_reservoir(hots[0])
-    solved = solve_sectors(config, *_stacked(hots))
+    solved, read = _stacked(config, hots)
     assert solved.errors == [None] * len(hots)
     states = sector_states(solved.coordinates)
     for hot, state in zip(hots, states):
         expected = thermal_product(config.with_hot_reservoir(hot)).matrix
         np.testing.assert_allclose(state, expected, rtol=0, atol=1e-14)
-    for *_, t1 in _solve_hot_grid(config, *_stacked(hots)):
+    for *_, t1 in read:
         assert t1 == pytest.approx(config.cold_temperature, rel=1e-9, abs=0.0)
 
 
@@ -601,7 +616,7 @@ def fermionic_baths(role, gap, extreme=True):
     near_cutoff = st.builds(
         lambda sign, x: ReservoirSpec(Statistics.FERMIONIC, sign * gap / x, role),
         st.sampled_from((1.0, -1.0)), st.floats(650.0, 750.0))
-    pinned = st.sampled_from([ReservoirSpec.saturated(Statistics.FERMIONIC, n, role)
+    pinned = st.sampled_from([_pinned(Statistics.FERMIONIC, n, role)
                               for n in (0.0, 1e-15, 1.0 - 1e-15, 1.0)])
     return st.one_of(thermal, near_cutoff, pinned)
 
@@ -609,8 +624,7 @@ def fermionic_baths(role, gap, extreme=True):
 def _mirrored(spec):
     """The bath with n -> 1 - n: T -> -T, or the complementary pinned n."""
     if spec.occupation_override is not None:
-        return ReservoirSpec.saturated(spec.statistics, 1.0 - spec.occupation_override,
-                                       spec.role)
+        return _pinned(spec.statistics, 1.0 - spec.occupation_override, spec.role)
     return ReservoirSpec(spec.statistics, -spec.temperature, spec.role)
 
 
@@ -655,8 +669,7 @@ def test_fermionic_mirror_symmetry(data):
     # with two or more closed classes, solved with one.
     drawn = data.draw(machines())
     e1, e2, e3 = drawn.gaps
-    hots = _in_stack_order(data.draw(st.lists(fermionic_baths(Role.HOT, e3),
-                                              min_size=1, max_size=6)))
+    hots = data.draw(st.lists(fermionic_baths(Role.HOT, e3), min_size=1, max_size=6))
     baths = (data.draw(fermionic_baths(Role.COLD, e1, extreme=False)),
              data.draw(fermionic_baths(Role.ROOM, e2)),
              hots[0])
@@ -666,12 +679,10 @@ def test_fermionic_mirror_symmetry(data):
                           reservoirs=tuple(_mirrored(b) for b in baths),
                           coupling=drawn.coupling)
     mirrored_hots = [_mirrored(h) for h in hots]
-    solved = solve_sectors(config, *_stacked(hots))
-    mirrored = solve_sectors(mirror, *_stacked(mirrored_hots))
-    read = _solve_hot_grid(config, *_stacked(hots))
-    mirrored_read = _solve_hot_grid(mirror, *_stacked(mirrored_hots))
-    rates = sector_coefficients(config, *_stacked(hots))[0]
-    mirrored_rates = sector_coefficients(mirror, *_stacked(mirrored_hots))[0]
+    solved, read = _stacked(config, hots)
+    mirrored, mirrored_read = _stacked(mirror, mirrored_hots)
+    rates = _stack(config, hots)[0]
+    mirrored_rates = _stack(mirror, mirrored_hots)[0]
     for k, (error, mirrored_error) in enumerate(zip(solved.errors, mirrored.errors)):
         if np.array_equal(mirrored_rates[k, [1, 0, 3, 2, 5, 4]], rates[k, :6]):
             assert type(error) is type(mirrored_error)
@@ -711,10 +722,9 @@ def test_a_free_qubit_fails_every_row_alone(data):
     config = FridgeConfig(gaps=drawn.gaps, gammas=gammas, reservoirs=drawn.reservoirs,
                           coupling=0.0)
     statistics = data.draw(st.sampled_from(list(Statistics)))
-    hots = _in_stack_order(data.draw(st.lists(hot_baths(statistics, config.gaps[2]),
-                                              min_size=1, max_size=6)))
+    hots = data.draw(st.lists(hot_baths(statistics, config.gaps[2]), min_size=1, max_size=6))
     config = config.with_hot_reservoir(hots[0])
-    for hot, outcome in zip(hots, _solve_hot_grid(config, *_stacked(hots))):
+    for hot, outcome in zip(hots, _stacked(config, hots)[1]):
         assert isinstance(outcome, MultiplicityError)
         with pytest.raises(MultiplicityError) as excinfo:
             solve_for_readout(config.with_hot_reservoir(hot))
@@ -727,7 +737,7 @@ def _insulated_inverted(gaps):
         gaps=gaps, gammas=(0.0, 1.0, 1.0),
         reservoirs=(ReservoirSpec(Statistics.BOSONIC, 1.0, Role.COLD),
                     ReservoirSpec(Statistics.FERMIONIC, -2.625, Role.ROOM),
-                    ReservoirSpec.saturated(Statistics.FERMIONIC, 1.0 - 1e-15)),
+                    _pinned(Statistics.FERMIONIC, 1.0 - 1e-15)),
         coupling=0.5)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,13 +6,16 @@ import pytest
 
 from qfridge import (
     DensityMatrix,
+    FridgeConfig,
     ReservoirSpec,
+    default_config,
     effective_temperature,
-    insulated_limit_temperature,
+    insulation_limit,
 )
-from qfridge.reservoirs import Statistics
+from qfridge.analysis import BracketError
+from qfridge.liouvillian import ConfigError
+from qfridge.reservoirs import ReservoirError, Role, Statistics
 from qfridge.thermometry import (
-    OutOfRegimeError,
     TemperatureSentinel,
     ThermometryError,
     temperature_as_float,
@@ -137,52 +141,73 @@ def test_steady_state_coherence_is_negligible(reference_config):
         assert coherence_is_negligible(state, k)
 
 
+def _insulated_limit(tr, th, e3, e1=1.0, hot=None):
+    """The closed-form insulated limit insulation_limit reports for the
+    resonant machine (e1, e1 + e3, e3) with its room bath at tr and its hot
+    bath at th (fermionic where th < 0), or the hot bath hot."""
+    config = default_config(tr=tr, th=th, gaps=(e1, e1 + e3, e3),
+                            hot_statistics="fermionic" if th < 0.0 else "bosonic")
+    if hot is not None:
+        config = config.with_hot_reservoir(hot)
+    return insulation_limit(config, (1e-1,)).analytic_t1
+
+
 def test_insulated_limit_values():
-    assert insulated_limit_temperature(1.0, math.inf, 1.0, 4.0) == pytest.approx(0.2)
-    assert insulated_limit_temperature(1.0, 1e12, 1.0, 4.0) == pytest.approx(0.2, rel=1e-10)
-    # E3/E1 = 1 and a vanishing ratio t_c/t_h halves the temperature
-    assert insulated_limit_temperature(1.0, 1e15, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
+    # T_h -> inf: a fermionic hot bath at n = 1/2 (infinitely hot) reads
+    # E1 T_r / E2 = 1/5 exactly, and very hot bosonic baths approach it
+    at_half = ReservoirSpec(Statistics.FERMIONIC, 10.0, Role.HOT, occupation_override=0.5)
+    assert _insulated_limit(1.0, 10.0, 4.0, hot=at_half) == 0.2
+    assert _insulated_limit(1.0, 1e12, 4.0) == pytest.approx(0.2, rel=1e-10)
+    # E3/E1 = 1 and a vanishing ratio t_r/t_h halves the temperature
+    assert _insulated_limit(1.0, 1e15, 1.0) == pytest.approx(0.5, rel=1e-12)
     # negative hot bath, E3 = E1: 1/(1 + (1 + 10)) = 1/12
-    assert insulated_limit_temperature(1.0, -0.1, 1.0, 1.0) == pytest.approx(1.0 / 12.0)
+    assert _insulated_limit(1.0, -0.1, 1.0) == pytest.approx(1.0 / 12.0)
     # no thermal gradient, no cooling
-    assert insulated_limit_temperature(1.7, 1.7, 1.0, 4.0) == pytest.approx(1.7)
+    assert _insulated_limit(1.7, 1.7, 4.0) == pytest.approx(1.7)
 
 
 def test_insulated_limit_two_algebraic_forms_agree():
-    # For t_h < 0 the denominator can be written with 1 - t_c/t_h or with
-    # 1 + t_c/|t_h|; both must be the same function.
-    for tc in (0.5, 1.0, 2.0):
-        for th in (-0.1, -1.0, -7.0):
-            for ratio in (0.5, 1.0, 4.0):
-                direct = insulated_limit_temperature(tc, th, 1.0, ratio)
-                rewritten = tc / (1.0 + ratio * (1.0 + tc / abs(th)))
-                assert abs(direct - rewritten) <= 1e-12
+    # For resonant gaps and thermal baths, E1 / (E2/t_r - E3/t_h) is also
+    # t_r / (1 + (E3/E1)(1 - t_r/t_h)), which is t_r / (1 + (E3/E1)(1 +
+    # t_r/|t_h|)) for t_h < 0: the same function to a few ulps, on both
+    # sides and at the parameter sets of acceptance criterion 06.
+    for tr in (0.5, 1.0, 1.5, 2.0):
+        for th in (-0.1, -0.5, -1.0, -7.0, 8.0, 10.0, 12.0):
+            for e1, ratio in itertools.product((1.0, 2.0), (0.5, 1.0, 1.5, 3.0, 4.0)):
+                direct = _insulated_limit(tr, th, ratio * e1, e1=e1)
+                rewritten = tr / (1.0 + ratio * (1.0 - tr / th))
+                assert abs(direct - rewritten) <= 4 * np.spacing(rewritten)
 
 
 def test_insulated_limit_monotone_in_gap_ratio():
-    values = [insulated_limit_temperature(1.0, 10.0, 1.0, e3)
-              for e3 in np.linspace(0.5, 8.0, 30)]
+    values = [_insulated_limit(1.0, 10.0, e3) for e3 in np.linspace(0.5, 8.0, 30)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_insulated_limit_reaches_zero_with_cold_over_hot():
-    # Negative hot bath: growing t_c/|t_h| cools without bound.
-    values = [insulated_limit_temperature(1.0, -1.0 / x, 1.0, 1.0)
-              for x in np.geomspace(1.0, 1e6, 20)]
+    # Negative hot bath: growing t_r/|t_h| cools without bound.
+    values = [_insulated_limit(1.0, -1.0 / x, 1.0) for x in np.geomspace(1.0, 1e6, 20)]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] < 1e-5
 
 
 def test_insulated_limit_out_of_regime():
-    # Hot bath colder than the cold bath by enough flips the denominator.
-    with pytest.raises(OutOfRegimeError):
-        insulated_limit_temperature(5.0, 1.0, 1.0, 4.0)
+    # Hot bath colder than the room bath by enough: the machine never cools.
+    with pytest.raises(BracketError, match="never cools"):
+        _insulated_limit(5.0, 1.0, 4.0)
 
 
 def test_insulated_limit_input_validation():
-    with pytest.raises(ThermometryError):
-        insulated_limit_temperature(-1.0, 10.0, 1.0, 4.0)
-    with pytest.raises(ThermometryError):
-        insulated_limit_temperature(1.0, 0.0, 1.0, 4.0)
-    with pytest.raises(ThermometryError):
-        insulated_limit_temperature(1.0, 10.0, 0.0, 4.0)
+    # Baths and gaps no machine can have are refused before any limit is
+    # formed; an inverted room bath is a valid machine that never cools.
+    with pytest.raises(ReservoirError):
+        _insulated_limit(-1.0, 10.0, 4.0)
+    with pytest.raises(ReservoirError):
+        _insulated_limit(1.0, 0.0, 4.0)
+    with pytest.raises(ConfigError):
+        _insulated_limit(1.0, 10.0, 4.0, e1=0.0)
+    cold, _, hot = default_config().reservoirs
+    inverted = FridgeConfig((1.0, 5.0, 4.0), (1.0, 1.0, 1.0),
+                            (cold, ReservoirSpec(Statistics.FERMIONIC, -1.0, Role.ROOM), hot), 1.0)
+    with pytest.raises(BracketError, match="never cools"):
+        insulation_limit(inverted)
