@@ -66,9 +66,11 @@ class BracketError(AnalysisError):
     insulated limit): it never cools, or it cools at every T_c."""
 
 
-# Deepest fermionic inversion kept distinguishable from n = 1 in float64
-# (1 - 1e-15 is ~4.5 ulp away from 1). Walking closer would round the
-# occupation to exactly 1 and silently switch off the decay channel.
+# The saturated negative bath pins n3 = 1 - FERMIONIC_SATURATION_DEFICIT, a
+# deep inversion float64 still tells from n = 1 (it is ~4.5 ulp away), and
+# the negative walk stops at the |T_h| of that occupation. No rate rounds
+# to 0 on the way: the down-rate gamma e/(1 + e), e = exp(-|L3|), of a
+# thermal bath stays positive until |L3| = E3/|T_h| passes about 745.
 FERMIONIC_SATURATION_DEFICIT = 1e-15
 # Bosonic stand-in for "infinitely hot". The limit mostly re-thermalizes the
 # target qubit (see module docstring), so it is the plateau only where it is
@@ -141,13 +143,15 @@ class SweepRecord(NamedTuple):
 
 
 def sweep_record(swept_value, t1, tc, residual=None, coherence=None) -> SweepRecord:
-    """The row of T1 at swept_value against the cold temperature tc. A T1
-    that is a number but not a finite one (an infinite or inverted
-    temperature collapsed onto +inf) is written empty, and its status says
-    why."""
-    status = "non-finite t1" if isinstance(t1, float) and not math.isfinite(t1) else "ok"
-    return SweepRecord(swept_value, t1, t1 if isinstance(t1, TemperatureSentinel) else t1 - tc,
-                       residual, coherence, status)
+    """The row of T1 at swept_value against the cold temperature tc. A t1 or
+    t1 - tc that is a number but not a finite one (an infinite or inverted
+    temperature collapsed onto +inf, or an infinitely hot cold bath) is
+    written empty, and the status names the first such column."""
+    difference = t1 if isinstance(t1, TemperatureSentinel) else t1 - tc
+    status = "ok"
+    if isinstance(t1, float) and not math.isfinite(difference):
+        status = "non-finite " + ("t1_minus_tc" if math.isfinite(t1) else "t1")
+    return SweepRecord(swept_value, t1, difference, residual, coherence, status)
 
 
 @dataclass(frozen=True)
@@ -269,7 +273,8 @@ def sweep_hot_temperature(config: FridgeConfig, th_values):
 
 
 def _negative_walk_floor(config: FridgeConfig) -> float:
-    """|T_h| below which the fermionic occupation would round to exactly 1."""
+    """|T_h| of the saturated negative bath's occupation,
+    1 - FERMIONIC_SATURATION_DEFICIT."""
     return temperature_from_occupation(Statistics.FERMIONIC, config.gaps[2],
                                        FERMIONIC_SATURATION_DEFICIT)
 

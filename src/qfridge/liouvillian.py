@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import TOL, LinalgError, as_matrix
-from .reservoirs import ReservoirSpec, Role, bath_rates, lindblad_rates, log_rate_ratio
+from .reservoirs import (ReservoirSpec, Role, bath_rates, check_temperature, lindblad_rates,
+                         log_rate_ratio)
 
 NUM_QUBITS = 3
 DIM = 2 ** NUM_QUBITS
@@ -176,22 +177,25 @@ def sector_coefficients(config: FridgeConfig, hot_temperatures=None):
     own hot bath, pinned or not.
 
     The cold and room rates are evaluated once, by lindblad_rates, and each
-    row's hot pair by bath_rates. Returns (coefficients, errors): errors[i]
-    is None or the ValueError row i's rates raised, its own hot-bath error
-    first, then the cold or room rates' error that every row shares; that
-    row is NaN.
+    row's hot pair by bath_rates, from -E3/T_h once check_temperature passes
+    or from config's own hot bath's log_rate_ratio. Returns (coefficients,
+    errors): errors[i] is None or the ValueError row i's rates raised, its
+    own hot-bath error first, then the cold or room rates' error that every
+    row shares; that row is NaN.
     """
     hot = config.reservoirs[2]
-    points = ([(hot.temperature, hot.occupation_override)] if hot_temperatures is None
-              else [(t, None) for t in hot_temperatures])
+    points = [None] if hot_temperatures is None else hot_temperatures
     (e1, e2, e3), statistics, gamma = config.gaps, hot.statistics, config.gammas[2]
     n_points = len(points)
     errors, hot_rates = [None] * n_points, [None] * n_points
     # math.exp and math.expm1 per point: numpy's differ from them in the
     # last bit on some arguments
-    for i, (temperature, n) in enumerate(points):
+    for i, temperature in enumerate(points):
         try:
-            hot_rates[i] = bath_rates(statistics, e3, gamma, temperature, n)
+            if temperature is not None:
+                check_temperature(statistics, temperature)
+            ratio = log_rate_ratio(hot, e3) if temperature is None else -e3 / temperature
+            hot_rates[i] = bath_rates(statistics, gamma, ratio)
         except ValueError as exc:
             errors[i] = exc
     base = []

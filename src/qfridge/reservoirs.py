@@ -8,13 +8,21 @@ its statistics and temperature. The mean excitation at a qubit gap E is
 
 A fermionic reservoir with n > 1/2 is population inverted, which is exactly
 the regime described by a negative temperature. Bosonic occupations cannot
-invert, so negative T is rejected for them. The induced Lindblad rates are
+invert, so negative T is rejected for them.
 
-    down = gamma * (1 + n)   bosonic      up = gamma * n
-    down = gamma * (1 - n)   fermionic
+A bath induces a decay rate down and an excitation rate up on a qubit, and
+all it sets of them is their log ratio L = ln(up/down) (log_rate_ratio):
+-E/T for a thermal bath of either statistics, or read from a pinned
+occupation. The identities up + down = gamma (fermionic) and
+down - up = gamma (bosonic) then give the pair without a subtraction:
 
-bath_rates is the one place they are formed, and log_rate_ratio gives
-their ln(up/down) from the bath's numbers, not from the rounded rates.
+    fermionic:  e = exp(-|L|), rates gamma/(1 + e) and gamma e/(1 + e),
+                the larger one up when L > 0
+    bosonic:    down = gamma / -expm1(L),   up = down exp(L)
+
+bath_rates is the one place they are formed, so a rate keeps its relative
+precision until it leaves the float range, and every closed form that reads
+L reads the number the rates hold.
 """
 
 import math
@@ -39,10 +47,6 @@ class ReservoirError(ValueError):
 
 class InfiniteTemperatureError(ReservoirError):
     """Occupation sits exactly at the fermionic inversion point n = 1/2."""
-
-
-# Beyond this, exp(E/T) is evaluated through its limit instead of directly.
-_EXP_ARG_LIMIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,8 @@ class ReservoirSpec:
         if n is not None:
             if self.statistics is Statistics.FERMIONIC and not 0.0 <= n <= 1.0:
                 raise ReservoirError(f"fermionic occupation must lie in [0, 1], got {n}")
-            if self.statistics is Statistics.BOSONIC and n < 0.0:
-                raise ReservoirError(f"bosonic occupation must be >= 0, got {n}")
+            if self.statistics is Statistics.BOSONIC and not 0.0 <= n < math.inf:
+                raise ReservoirError(f"bosonic occupation must be finite and >= 0, got {n}")
             object.__setattr__(self, "occupation_override", n)
 
     def to_dict(self):
@@ -112,57 +116,33 @@ def check_temperature(statistics: Statistics, temperature: float):
 
 def occupation(spec: ReservoirSpec, gap: float) -> float:
     """Mean reservoir excitation at the given energy gap: the pinned
-    occupation, or thermal_occupation at the spec's temperature."""
+    occupation, or the up-rate the bath induces at gamma = 1."""
     if gap <= 0.0 or not math.isfinite(gap):
         raise ReservoirError(f"gap must be positive and finite, got {gap}")
     if spec.occupation_override is not None:
         return spec.occupation_override
-    return thermal_occupation(spec.statistics, gap, spec.temperature)
+    return bath_rates(spec.statistics, 1.0, log_rate_ratio(spec, gap))[1]
 
 
-def thermal_occupation(statistics: Statistics, gap: float, temperature: float) -> float:
-    """Mean excitation at a gap E > 0 of a bath at a valid temperature (see
-    check_temperature).
-
-    Uses exp-of-negative forms so that sweeps probing T -> 0 on either side
-    never overflow: large |E/T| collapses smoothly onto the physical limit.
-    """
-    x = gap / temperature
-    if statistics is Statistics.BOSONIC:
-        if x > _EXP_ARG_LIMIT:
-            return math.exp(-x)               # n -> exp(-E/T) as T -> 0+
-        if x == 0.0:
-            raise ReservoirError(
-                f"E/T = {gap}/{temperature} underflows to 0: the bosonic "
-                "occupation is unbounded"
-            )
-        return 1.0 / math.expm1(x)
-    # Fermionic: logistic evaluated through the decaying exponential on both
-    # signs of T; underflow lands exactly on the physical limit (0 or 1).
-    if x >= 0.0:
-        e = math.exp(-x)
-        return e / (1.0 + e)
-    e = math.exp(x)
-    return 1.0 / (1.0 + e)
-
-
-def bath_rates(statistics, gap, gamma, temperature, occupation=None):
-    """(down, up) = (gamma (1 +/- n), gamma n) a bath induces on a qubit of
-    the given gap: n is the pinned occupation, else thermal_occupation at
-    the temperature, checked first (check_temperature). Both are 0 at
-    gamma = 0, with no n. Raises ReservoirError on a rate that is not finite
-    or is negative."""
-    if occupation is None:
-        check_temperature(statistics, temperature)
+def bath_rates(statistics, gamma, log_ratio):
+    """(down, up) a bath of these statistics induces at gamma on a qubit
+    where ln(up/down) = log_ratio (see the module docstring). Both are 0 at
+    gamma = 0, whatever log_ratio. Raises ReservoirError on a bosonic
+    log_ratio of 0, where -E/T underflowed, and on a rate past the largest
+    float."""
     if gamma == 0.0:
         return 0.0, 0.0
-    n = thermal_occupation(statistics, gap, temperature) if occupation is None else occupation
-    down = gamma * (1.0 + n) if statistics is Statistics.BOSONIC else gamma * (1.0 - n)
-    up = gamma * n
-    if not (0.0 <= down < math.inf and 0.0 <= up < math.inf):     # or NaN
-        name, value = ("gamma_up", up) if 0.0 <= down < math.inf else ("gamma_down", down)
-        raise ReservoirError(f"{name} must be finite and >= 0, got {value}")
-    return down, up
+    if statistics is Statistics.FERMIONIC:
+        e = math.exp(-abs(log_ratio))
+        large, small = gamma / (1.0 + e), gamma * (e / (1.0 + e))
+        return (small, large) if log_ratio > 0.0 else (large, small)
+    if log_ratio == 0.0:
+        raise ReservoirError("ln(up/down) = -E/T underflows to 0: the bosonic "
+                             "occupation is unbounded")
+    down = gamma / -math.expm1(log_ratio)
+    if not down < math.inf:
+        raise ReservoirError(f"gamma_down must be finite, got {down}")
+    return down, down * math.exp(log_ratio)
 
 
 def lindblad_rates(spec: ReservoirSpec, gap: float, gamma: float) -> tuple[float, float]:
@@ -171,20 +151,24 @@ def lindblad_rates(spec: ReservoirSpec, gap: float, gamma: float) -> tuple[float
         raise ReservoirError(f"dissipation rate must be finite and >= 0, got {gamma}")
     if gap <= 0.0 or not math.isfinite(gap):
         raise ReservoirError(f"gap must be positive and finite, got {gap}")
-    return bath_rates(spec.statistics, gap, gamma, spec.temperature, spec.occupation_override)
+    return bath_rates(spec.statistics, gamma, log_rate_ratio(spec, gap))
 
 
 def log_rate_ratio(spec: ReservoirSpec, gap: float) -> float:
-    """ln(up/down) of the rates spec induces on a qubit of the given gap,
-    from its temperature or pinned occupation n, never from the rounded
-    rates: -E/T for a thermal bath of either statistics, -log1p(1/n) for a
-    bosonic and log(n) - log1p(-n) for a fermionic occupation."""
-    n = spec.occupation_override
-    if n is None:
+    """ln(up/down) of the rates spec induces on a qubit of the given gap:
+    -E/T for a thermal bath of either statistics, else that of its pinned
+    occupation (_occupation_log_ratio)."""
+    if spec.occupation_override is None:
         return -gap / spec.temperature
+    return _occupation_log_ratio(spec.statistics, spec.occupation_override)
+
+
+def _occupation_log_ratio(statistics, n: float) -> float:
+    """ln(up/down) at occupation n: -log1p(1/n) bosonic,
+    log(n) - log1p(-n) fermionic; -inf at n = 0, inf at a fermionic n = 1."""
     if n == 0.0:
         return -math.inf
-    if spec.statistics is Statistics.BOSONIC:
+    if statistics is Statistics.BOSONIC:
         return -math.log1p(1.0 / n)
     return math.log(n) - math.log1p(-n) if n < 1.0 else math.inf
 
@@ -203,7 +187,6 @@ def temperature_from_occupation(statistics, gap: float, n: float) -> float:
             raise ReservoirError(f"fermionic occupation must lie in (0, 1), got {n}")
         if n == 0.5:
             raise InfiniteTemperatureError("n = 1/2 corresponds to infinite temperature")
-        return gap / math.log((1.0 - n) / n)
-    if n <= 0.0:
+    elif n <= 0.0:
         raise ReservoirError(f"bosonic occupation must be positive, got {n}")
-    return gap / math.log1p(1.0 / n)
+    return -gap / _occupation_log_ratio(statistics, n)

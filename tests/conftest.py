@@ -59,17 +59,35 @@ def reference_config():
     return default_config(tc=1.0, tr=2.0, th=10.0, coupling=1.0)
 
 
+def exact_rates(spec, gap, gamma, mpmath):
+    """(down, up) = gamma (1 +/- n), gamma n as mpmath numbers, with n the
+    pinned occupation or the occupation at the bath's temperature, formed
+    at the working precision from the bath's numbers, not from any float
+    rate. Both are 0 at gamma = 0."""
+    if gamma == 0.0:
+        return mpmath.mpf(0), mpmath.mpf(0)
+    n = spec.occupation_override
+    if n is not None:
+        n = mpmath.mpf(n)
+    elif spec.statistics is Statistics.BOSONIC:
+        n = 1 / mpmath.expm1(mpmath.mpf(gap) / mpmath.mpf(spec.temperature))
+    else:
+        n = 1 / (mpmath.exp(mpmath.mpf(gap) / mpmath.mpf(spec.temperature)) + 1)
+    sign = 1 if spec.statistics is Statistics.BOSONIC else -1
+    return mpmath.mpf(gamma) * (1 + sign * n), mpmath.mpf(gamma) * n
+
+
 def exact_qubit1_populations(config, dps=60):
     """(p_ground, p_excited) of qubit 1 in the steady state, solved in mpmath
-    at `dps` digits from the same float rates the solvers use.
+    at `dps` digits from rates formed at that precision (exact_rates).
 
-    Independent of qfridge's generators: it applies the Lindblad equation
-    term by term to each population and to rho[2, 5] and rho[5, 2], checks
-    that the images stay in that sector, and solves the sector with the
-    trace constraint. Skips the calling test when mpmath is missing.
+    Independent of qfridge's generators and rates: it applies the Lindblad
+    equation term by term to each population and to rho[2, 5] and
+    rho[5, 2], checks that the images stay in that sector, and solves the
+    sector with the trace constraint. Skips the calling test when mpmath is
+    missing.
     """
     mpmath = pytest.importorskip("mpmath")
-    from qfridge.reservoirs import lindblad_rates
 
     with mpmath.workdps(dps):
         zero, one = mpmath.mpf(0), mpmath.mpf(1)
@@ -89,8 +107,8 @@ def exact_qubit1_populations(config, dps=60):
         jumps = []
         for k, (spec, gap, gamma) in enumerate(
                 zip(config.reservoirs, config.gaps, config.gammas)):
-            down, up = lindblad_rates(spec, gap, gamma)
-            jumps += [(mpmath.mpf(down), lift(lower, k)), (mpmath.mpf(up), lift(lower.T, k))]
+            down, up = exact_rates(spec, gap, gamma, mpmath)
+            jumps += [(down, lift(lower, k)), (up, lift(lower.T, k))]
 
         def lindblad(rho):
             out = -1j * (hamiltonian.dot(rho) - rho.dot(hamiltonian))

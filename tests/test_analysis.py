@@ -278,14 +278,16 @@ def test_a_failing_walk_row_counts_only_if_the_walk_reaches_it(
     stop = walk.index(plateau.plateau_detected_at)
     assert plateau.walk_flattened and stop + 2 < len(walk)
     failing = walk[stop + offset]
-    occupation = reservoirs.thermal_occupation    # fails at a walk point only
+    # the hot rates fail at that walk point only: its L3 = -E3/T_h is
+    # neither the saturated bath's nor the cold or room bath's
+    rates, failing_ratio = liouvillian.bath_rates, -reference_config.gaps[2] / failing
 
-    def occupation_failing_at(statistics, gap, temperature):
-        if temperature == failing:
+    def rates_failing_at(statistics, gamma, log_ratio):
+        if log_ratio == failing_ratio:
             raise ReservoirError(f"no rates at T_h = {failing}")
-        return occupation(statistics, gap, temperature)
+        return rates(statistics, gamma, log_ratio)
 
-    monkeypatch.setattr(reservoirs, "thermal_occupation", occupation_failing_at)
+    monkeypatch.setattr(liouvillian, "bath_rates", rates_failing_at)
     outcome = _outcome(find_plateau, reference_config, Direction.NEGATIVE)
     assert outcome == _outcome(_serial_plateau, reference_config, Direction.NEGATIVE)
     if offset <= 0:
@@ -378,13 +380,14 @@ def test_threshold_sign_consistency(reference_config):
 
 def test_negative_grid_edge_threshold_is_tiny(reference_config):
     # At T_h = -0.1 the closed form reads E1 / (E3/0.1 + E2/T_r) = 1/42.5
-    # from the temperatures. The float hot occupation rounds to exactly 1
-    # there, so a bisection on the solved T1 found no sign change. T1 is
-    # checked against the 60-digit solve of the same float rates down to
-    # T_c = 0.01, where p_e1 ~ 2.2e-44.
-    assert cooling_threshold(reference_config, Direction.NEGATIVE,
-                             ThresholdMode.GRID_EDGE) == 1.0 / 42.5
-    for tc in (0.01, 0.02, 0.05, 0.1):
+    # from the temperatures. T1 is checked against the 60-digit solve whose
+    # rates come from the temperatures: below T_c* the machine heats qubit 1
+    # toward about 0.02305 (p_e1 ~ 1.43e-19 at T_c = 0.01 and 0.02), at T_c*
+    # T1 = T_c*, and above it qubit 1 is cooled.
+    threshold = cooling_threshold(reference_config, Direction.NEGATIVE,
+                                  ThresholdMode.GRID_EDGE)
+    assert threshold == 1.0 / 42.5
+    for tc in (0.01, 0.02, threshold, 0.05, 0.1):
         config = reference_config.with_cold_temperature(tc)
         t1 = best_case_t1(config, Direction.NEGATIVE, ThresholdMode.GRID_EDGE)
         edge = config.with_hot_reservoir(
@@ -392,7 +395,11 @@ def test_negative_grid_edge_threshold_is_tiny(reference_config):
         p_ground, p_excited = exact_qubit1_populations(edge)
         exact = config.gaps[0] / math.log(float(p_ground / p_excited))
         assert t1 == pytest.approx(exact, rel=1e-9, abs=0.0)
-        assert t1 < tc
+        if tc < threshold:
+            assert t1 > tc
+        elif tc > threshold:
+            assert t1 < tc
+    assert t1 == pytest.approx(0.0949875, rel=1e-6)
 
 
 def test_threshold_bracket_error_when_machine_never_cools(reference_config):
@@ -454,15 +461,10 @@ def test_closed_form_threshold_agrees_with_the_bisection(config, direction, mode
         assert closed[0] is BracketError
         return
     # The oracle solves the float rates, with the cold bath at 1 and the
-    # mode's hot bath. Skipped: a rate that rounds to 0, and a room or hot
-    # ratio up/down off its closed form by more than 1e-9, which the
-    # fermionic down-rate gamma (1 - n) of reservoirs.bath_rates is as
-    # n -> 1 (at T_h = -0.1 once E3 > 1.8 or so): there the oracle is off.
+    # mode's hot bath; each rate pair holds the L the closed form reads.
+    # Skipped: a rate that rounds to 0.
     rates = liouvillian.sector_coefficients(config.with_hot_reservoir(hot))[0][0, :6]
     assume(np.all(rates > 0.0))
-    for k, spec in ((1, config.reservoirs[1]), (2, hot)):
-        exact = reservoirs.log_rate_ratio(spec, config.gaps[k])
-        assume(abs(math.log(rates[2 * k + 1] / rates[2 * k]) - exact) <= 1e-9)
     oracle = _outcome(threshold_bracket, config, direction, mode)
     lo_end, hi_end = THRESHOLD_BRACKET
     if direction is Direction.POSITIVE and mode is ThresholdMode.PLATEAU:
@@ -480,6 +482,27 @@ def test_closed_form_threshold_agrees_with_the_bisection(config, direction, mode
     else:
         assert oracle[0] is BracketError
         assert isinstance(closed, tuple) or not lo_end < closed < hi_end
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(threshold_machines(), st.sampled_from(list(Direction)))
+@example(default_config(), Direction.NEGATIVE)
+@example(default_config(gaps=(1.0, 5.4, 4.0)), Direction.NEGATIVE)
+def test_qubit_1_sits_at_the_grid_edge_threshold(config, direction):
+    # The virtual-qubit identity (Brunner et al., PRE 85, 051117 (2012)): at
+    # T_c = T_c* the product of the baths' thermal states carries no flux
+    # through the exchange, so it is the steady state and T1 = T_c*. The
+    # rates and the closed form read the same L3 - L2, so this holds to
+    # rounding: T1 = E1 / ln(p_g/p_e), whose logarithm the solve holds to
+    # about 1e-15, so the bound grows as T_c*/E1 once that passes 1. A rate
+    # off its L (the fermionic gamma (1 - n) as n -> 1 was, by 1.2% on the
+    # reference machine at T_h = -0.1) breaks it.
+    threshold = _outcome(cooling_threshold, config, direction, ThresholdMode.GRID_EDGE)
+    assume(isinstance(threshold, float))
+    t1 = best_case_t1(config.with_cold_temperature(threshold), direction,
+                      ThresholdMode.GRID_EDGE)
+    bound = 1e-14 * max(1.0, threshold / config.gaps[0])
+    assert t1 == pytest.approx(threshold, rel=bound, abs=0.0)
 
 
 def test_a_room_pinned_at_zero_has_no_threshold(reference_config):

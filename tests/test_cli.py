@@ -558,12 +558,14 @@ def test_a_pinned_cold_bath_is_compared_at_the_temperature_its_rates_hold(tmp_pa
     assert FridgeConfig.from_dict(document).cold_temperature == pytest.approx(tc, rel=1e-15)
     assert t1 == pytest.approx(0.5492, abs=1e-4)
     assert t1_minus_tc == pytest.approx(t1 - tc, rel=1e-12)
-    # at n = 1/2 the bath is infinitely hot, and the cell is written empty
+    # at n = 1/2 the bath is infinitely hot: the cell is written empty, and
+    # the status says why
     document["reservoirs"][0].update(statistics="fermionic", occupation_override=0.5)
     assert FridgeConfig.from_dict(document).cold_temperature == math.inf
     path.write_text(json.dumps(document))
     assert main(["solve", "--config", str(path), "--out", out]) == 0
-    assert read_rows(out)[1][2] == ""
+    row = read_rows(out)[1]
+    assert row[2] == "" and row[5] == "non-finite t1_minus_tc"
 
 
 def test_plateau_command_negative(config_path, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qfridge.liouvillian import default_config, sector_coefficients
 from qfridge.reservoirs import (
     InfiniteTemperatureError,
     ReservoirError,
@@ -120,31 +121,52 @@ def test_rates_sum_and_difference_invariants(rng):
         "fermionic-pinned-"])
 @pytest.mark.parametrize("gamma", [0.0, 0.7])
 def test_bath_rates_are_lindblad_rates(spec, gamma):
-    # bath_rates takes the bath's numbers, lindblad_rates its spec: the same
-    # pair, which is gamma (1 +/- n) and gamma n for the occupation of the
-    # spec, exactly 0 at gamma = 0.
-    rates = bath_rates(spec.statistics, 1.5, gamma, spec.temperature, spec.occupation_override)
+    # bath_rates takes the bath's log rate ratio, lindblad_rates its spec:
+    # the same pair, which is gamma (1 +/- n) and gamma n for the occupation
+    # of the spec to rounding, exactly 0 at gamma = 0.
+    rates = bath_rates(spec.statistics, gamma, log_rate_ratio(spec, 1.5))
     assert rates == lindblad_rates(spec, 1.5, gamma)
     n = occupation(spec, 1.5)
     sign = 1.0 if spec.statistics is Statistics.BOSONIC else -1.0
-    assert rates == (gamma * (1.0 + sign * n), gamma * n)
+    assert rates == pytest.approx((gamma * (1.0 + sign * n), gamma * n), rel=1e-15, abs=0.0)
 
 
 def test_bath_rates_at_gamma_zero_skip_the_occupation_not_the_temperature():
     # E/T = 5e-324 / 1e300 underflows, so the occupation raises; a bath
-    # switched off needs none. A temperature no bath can have still raises.
+    # switched off needs none. A temperature no bath can have still raises:
+    # ReservoirSpec checks it, and sector_coefficients checks each hot T_h.
     with pytest.raises(ReservoirError, match="underflows"):
         occupation(bosonic(1e300), 5e-324)
-    assert bath_rates(Statistics.BOSONIC, 5e-324, 0.0, 1e300) == (0.0, 0.0)
+    assert bath_rates(Statistics.BOSONIC, 0.0, -0.0) == (0.0, 0.0)
     assert lindblad_rates(bosonic(1e300), 5e-324, 0.0) == (0.0, 0.0)
+    config = default_config(gammas=(1.0, 1.0, 0.0), hot_statistics="fermionic")
     for statistics, temperature in ((Statistics.BOSONIC, -1.0), (Statistics.FERMIONIC, 0.0),
                                     (Statistics.FERMIONIC, math.inf)):
         with pytest.raises(ReservoirError, match="temperature"):
-            bath_rates(statistics, 1.0, 0.0, temperature)
+            ReservoirSpec(statistics, temperature)
+        if statistics is Statistics.FERMIONIC:
+            errors = sector_coefficients(config, [temperature])[1]
+            assert isinstance(errors[0], ReservoirError)
     # a pinned occupation is taken as it is, whatever the temperature
-    assert bath_rates(Statistics.BOSONIC, 1.0, 2.0, math.nan, 0.5) == (3.0, 1.0)
-    with pytest.raises(ReservoirError, match="gamma_up"):
-        bath_rates(Statistics.FERMIONIC, 1.0, 1.0, 1.0, -0.5)
+    pinned = ReservoirSpec(Statistics.BOSONIC, 1.0, occupation_override=0.5)
+    assert lindblad_rates(pinned, 1.0, 2.0) == pytest.approx((3.0, 1.0), rel=1e-15)
+
+
+def test_rates_of_a_tiny_ratio_keep_their_relative_precision():
+    # Neither formula subtracts: at E/T = 40 the fermionic smaller rate and
+    # the bosonic up-rate are exp(-40) / (1 + exp(-40)) and exp(-40) to the
+    # last digits, on either side of the inversion.
+    tiny = math.exp(-40.0)
+    for t in (0.025, -0.025):
+        down, up = lindblad_rates(fermionic(t), 1.0, 1.0)
+        small, large = (down, up) if t < 0.0 else (up, down)
+        assert small == pytest.approx(tiny / (1.0 + tiny), rel=4e-16)
+        assert large == pytest.approx(1.0 / (1.0 + tiny), rel=4e-16)
+    down, up = lindblad_rates(bosonic(0.025), 1.0, 1.0)
+    assert (down, up) == pytest.approx((1.0 / (1.0 - tiny), tiny / (1.0 - tiny)), rel=4e-16)
+    # a bosonic -E/T that underflows to 0 leaves the occupation unbounded
+    with pytest.raises(ReservoirError, match="underflows"):
+        lindblad_rates(bosonic(1e308), 1e-20, 1.0)
 
 
 def test_rates_reject_negative_gamma():
@@ -235,8 +257,9 @@ def test_saturated_reservoir_pins_occupation():
 def test_saturated_reservoir_validates_range():
     with pytest.raises(ReservoirError):
         ReservoirSpec(Statistics.FERMIONIC, 1.0, occupation_override=1.5)
-    with pytest.raises(ReservoirError):
-        ReservoirSpec(Statistics.BOSONIC, 1.0, occupation_override=-0.2)
+    for n in (-0.2, math.inf, math.nan):
+        with pytest.raises(ReservoirError):
+            ReservoirSpec(Statistics.BOSONIC, 1.0, occupation_override=n)
 
 
 def test_spec_serialization_round_trip():
