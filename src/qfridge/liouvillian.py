@@ -29,8 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import TOL, LinalgError, as_matrix
-from .reservoirs import (ReservoirSpec, Role, bath_rates, check_temperature, lindblad_rates,
-                         log_rate_ratio)
+from .reservoirs import ReservoirSpec, Role, lindblad_rates, log_rate_ratio, thermal_rates
 
 NUM_QUBITS = 3
 DIM = 2 ** NUM_QUBITS
@@ -177,11 +176,11 @@ def sector_coefficients(config: FridgeConfig, hot_temperatures=None):
     own hot bath, pinned or not.
 
     The cold and room rates are evaluated once, by lindblad_rates, and each
-    row's hot pair by bath_rates, from -E3/T_h once check_temperature passes
-    or from config's own hot bath's log_rate_ratio. Returns (coefficients,
-    errors): errors[i] is None or the ValueError row i's rates raised, its
-    own hot-bath error first, then the cold or room rates' error that every
-    row shares; that row is NaN.
+    row's hot pair by thermal_rates at its T_h, or by lindblad_rates for
+    config's own hot bath. Returns (coefficients, errors): errors[i] is None
+    or the ValueError row i's rates raised, its own hot-bath error first,
+    then the cold or room rates' error that every row shares; that row is
+    NaN.
     """
     hot = config.reservoirs[2]
     points = [None] if hot_temperatures is None else hot_temperatures
@@ -192,10 +191,8 @@ def sector_coefficients(config: FridgeConfig, hot_temperatures=None):
     # last bit on some arguments
     for i, temperature in enumerate(points):
         try:
-            if temperature is not None:
-                check_temperature(statistics, temperature)
-            ratio = log_rate_ratio(hot, e3) if temperature is None else -e3 / temperature
-            hot_rates[i] = bath_rates(statistics, gamma, ratio)
+            hot_rates[i] = (lindblad_rates(hot, e3, gamma) if temperature is None
+                            else thermal_rates(statistics, gamma, e3, temperature))
         except ValueError as exc:
             errors[i] = exc
     base = []

@@ -22,7 +22,7 @@ down - up = gamma (bosonic) then give the pair without a subtraction:
 
 bath_rates is the one place they are formed, so a rate keeps its relative
 precision until it leaves the float range, and every closed form that reads
-L reads the number the rates hold.
+L reads the number the rates hold; thermal_rates feeds it a bath's -E/T.
 """
 
 import math
@@ -117,40 +117,47 @@ def check_temperature(statistics: Statistics, temperature: float):
 def occupation(spec: ReservoirSpec, gap: float) -> float:
     """Mean reservoir excitation at the given energy gap: the pinned
     occupation, or the up-rate the bath induces at gamma = 1."""
-    if gap <= 0.0 or not math.isfinite(gap):
-        raise ReservoirError(f"gap must be positive and finite, got {gap}")
-    if spec.occupation_override is not None:
-        return spec.occupation_override
-    return bath_rates(spec.statistics, 1.0, log_rate_ratio(spec, gap))[1]
+    up = lindblad_rates(spec, gap, 1.0)[1]
+    return up if spec.occupation_override is None else spec.occupation_override
 
 
 def bath_rates(statistics, gamma, log_ratio):
     """(down, up) a bath of these statistics induces at gamma on a qubit
-    where ln(up/down) = log_ratio (see the module docstring). Both are 0 at
-    gamma = 0, whatever log_ratio. Raises ReservoirError on a bosonic
-    log_ratio of 0, where -E/T underflowed, and on a rate past the largest
-    float."""
+    where ln(up/down) = log_ratio, which is < 0 for a bosonic bath (see the
+    module docstring). Both are 0 at gamma = 0, whatever log_ratio. Raises
+    ReservoirError on a rate past the largest float."""
     if gamma == 0.0:
         return 0.0, 0.0
     if statistics is Statistics.FERMIONIC:
         e = math.exp(-abs(log_ratio))
         large, small = gamma / (1.0 + e), gamma * (e / (1.0 + e))
         return (small, large) if log_ratio > 0.0 else (large, small)
-    if log_ratio == 0.0:
-        raise ReservoirError("ln(up/down) = -E/T underflows to 0: the bosonic "
-                             "occupation is unbounded")
     down = gamma / -math.expm1(log_ratio)
     if not down < math.inf:
         raise ReservoirError(f"gamma_down must be finite, got {down}")
     return down, down * math.exp(log_ratio)
 
 
+def thermal_rates(statistics, gamma, gap, temperature):
+    """bath_rates at ln(up/down) = -E/T, after check_temperature and, at
+    gamma > 0, a check that a bosonic E/T did not underflow to 0."""
+    check_temperature(statistics, temperature)
+    ratio = -gap / temperature
+    if gamma and ratio == 0.0 and statistics is Statistics.BOSONIC:
+        raise ReservoirError(f"E/T = {gap}/{temperature} underflows to 0: the bosonic "
+                             "occupation is unbounded")
+    return bath_rates(statistics, gamma, ratio)
+
+
 def lindblad_rates(spec: ReservoirSpec, gap: float, gamma: float) -> tuple[float, float]:
-    """The (down, up) rates spec induces on a qubit (see bath_rates)."""
+    """The (down, up) rates spec induces on a qubit: thermal_rates at its
+    temperature, or bath_rates at its pinned occupation's log_rate_ratio."""
     if gamma < 0.0 or not math.isfinite(gamma):
         raise ReservoirError(f"dissipation rate must be finite and >= 0, got {gamma}")
     if gap <= 0.0 or not math.isfinite(gap):
         raise ReservoirError(f"gap must be positive and finite, got {gap}")
+    if spec.occupation_override is None:
+        return thermal_rates(spec.statistics, gamma, gap, spec.temperature)
     return bath_rates(spec.statistics, gamma, log_rate_ratio(spec, gap))
 
 

@@ -56,9 +56,12 @@ def temperature_from_population_ratio(p_ground: float, p_excited: float, gap: fl
     if abs(p_ground / (p_ground + p_excited) - 0.5) < TOL.infinite_temperature_band:
         return TemperatureSentinel.INFINITE
     ratio = p_ground / p_excited
+    # a quotient past the largest float either way up puts the smaller
+    # population below about 1e-308: T reads as 0 from that side
     if ratio == math.inf:
-        # p_excited is subnormal: T is 0+ to double precision, not E / inf
         return TemperatureSentinel.ZERO_FROM_ABOVE
+    if p_excited / p_ground == math.inf:
+        return TemperatureSentinel.ZERO_FROM_BELOW
     return gap / math.log(ratio)
 
 

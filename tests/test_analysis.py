@@ -280,14 +280,14 @@ def test_a_failing_walk_row_counts_only_if_the_walk_reaches_it(
     failing = walk[stop + offset]
     # the hot rates fail at that walk point only: its L3 = -E3/T_h is
     # neither the saturated bath's nor the cold or room bath's
-    rates, failing_ratio = liouvillian.bath_rates, -reference_config.gaps[2] / failing
+    rates, failing_ratio = reservoirs.bath_rates, -reference_config.gaps[2] / failing
 
     def rates_failing_at(statistics, gamma, log_ratio):
         if log_ratio == failing_ratio:
             raise ReservoirError(f"no rates at T_h = {failing}")
         return rates(statistics, gamma, log_ratio)
 
-    monkeypatch.setattr(liouvillian, "bath_rates", rates_failing_at)
+    monkeypatch.setattr(reservoirs, "bath_rates", rates_failing_at)
     outcome = _outcome(find_plateau, reference_config, Direction.NEGATIVE)
     assert outcome == _outcome(_serial_plateau, reference_config, Direction.NEGATIVE)
     if offset <= 0:

@@ -103,6 +103,11 @@ def test_ratio_overflow_is_zero_from_above():
     # the last ratio that still fits keeps its finite temperature
     t = temperature_from_population_ratio(1.0, 1e-308, 1.0)
     assert t == pytest.approx(1.0 / math.log(1e308), rel=1e-12)
+    # swapped populations read the mirrored temperature: a subnormal
+    # p_ground is 0-, as its complement's p_excited is 0+
+    assert (temperature_from_population_ratio(1e-320, 1.0, 1.0)
+            is TemperatureSentinel.ZERO_FROM_BELOW)
+    assert temperature_from_population_ratio(1e-308, 1.0, 1.0) == -t
 
 
 def test_temperature_as_float_collapses_sentinels():
