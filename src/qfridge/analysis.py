@@ -19,12 +19,13 @@ readings: the best case over the whole axis (plateau) and the sweep-window
 edge. Both read one closed form, the virtual temperature E1 / (L3 - L2), at
 the mode's hot bath; at the machine's own hot bath it is the insulated limit.
 
-Searches read qubit 1's T1 from the plain rows of _solve_hot_grid, one per
-hot-bath temperature (a pinned bath is solved only as a config's own); only
-solve_for_readout, the one-row case and the unit of every single solve,
-builds a QubitReadout. best_case_t1 gives a search the value it compares.
-The negative plateau is T1 at the saturated hot bath, one row that Fig. 4a,
-calibration and find_plateau all solve alone.
+Every solve goes through _solve_stack, which solves the coefficient rows of
+any machines and baths, pinned ones included, as one stack and reads qubit
+1's T1 from each row; only solve_for_readout, the one-row case and the unit
+of every single solve, builds a QubitReadout. best_case_t1 gives a search
+the value it compares. The negative plateau is T1 at the saturated hot bath:
+Fig. 4a and calibration solve that row alone, and find_plateau as the last
+row of its walk's first stack.
 """
 
 import math
@@ -38,7 +39,7 @@ from .linalg import TOL
 from .liouvillian import DIM, FridgeConfig, sector_coefficients
 from .reservoirs import (ReservoirSpec, Role, Statistics, check_temperature,
                          log_rate_ratio, temperature_from_occupation)
-from .steady_state import SteadyStateError, solve_coefficients, solve_sectors
+from .steady_state import SteadyStateError, solve_coefficients
 from .thermometry import (
     QubitReadout,
     TemperatureSentinel,
@@ -199,21 +200,18 @@ class CalibrationResult:
         return lines
 
 
-def _solve_hot_grid(config: FridgeConfig, temperatures=None):
-    """Per hot-bath temperature, qubit 1's (residual, p_ground, p_excited, T1)
-    in config's steady state with a hot bath of config's hot statistics at
-    that temperature, or the exception its solve raised (default: config's
-    own hot bath). Every point is solved in one stack and checked on its
-    own."""
-    return _qubit1_rows(solve_sectors(config, temperatures), config.gaps[0])
-
-
-def _qubit1_rows(solved, e1: float):
-    """Per row of solved, its error or qubit 1's (residual, p_ground,
-    p_excited, T1) for the gap e1. The populations are summed as the partial
-    trace over qubits 3 and then 2 sums them, so a row reads the same as the
-    partial trace of its 8x8 state (whose rho[j, 4 + j] the sector holds at 0).
+def _solve_stack(parts, e1: float):
+    """Per row of parts, a list of sector_coefficients results (coefficients,
+    errors) of machines whose qubit 1 has the gap e1, its error or qubit 1's
+    (residual, p_ground, p_excited, T1). The rows, whatever machine or bath
+    they come from, are solved in one solve_coefficients call and checked
+    each on its own. The populations are summed as the partial trace over
+    qubits 3 and then 2 sums them, so a row reads the same as the partial
+    trace of its 8x8 state (whose rho[j, 4 + j] the sector holds at 0).
     """
+    coefficients, errors = zip(*parts)
+    solved = solve_coefficients(np.concatenate(coefficients),
+                                [error for part in errors for error in part])
     halves = np.add.reduce(np.add.reduce(solved.coordinates[:, :DIM].reshape(-1, 2, 2, 2),
                                          axis=3), axis=2)
     return [error or (residual, p_ground, p_excited,
@@ -232,9 +230,9 @@ def _t1_of(outcome) -> float:
 
 def solve_for_readout(config: FridgeConfig):
     """(residual, cooled-qubit readout) of config's steady state, the unit of
-    every single solve: the one-row case of _solve_hot_grid. Raises the
+    every single solve: the one-row case of _solve_stack. Raises the
     failure."""
-    outcome, = _solve_hot_grid(config)
+    outcome, = _solve_stack([sector_coefficients(config)], config.gaps[0])
     if isinstance(outcome, Exception):
         raise outcome
     residual, p_ground, p_excited, t1 = outcome
@@ -269,7 +267,8 @@ def sweep_hot_temperature(config: FridgeConfig, th_values):
             if not isinstance(outcome, Exception)
             else SweepRecord(th, math.nan, math.nan, math.nan, math.nan,
                              f"{type(outcome).__name__}: {outcome}")
-            for th, outcome in zip(th_values, _solve_hot_grid(config, th_values))]
+            for th, outcome in zip(th_values, _solve_stack(
+                [sector_coefficients(config, th_values)], config.gaps[0]))]
 
 
 def _negative_walk_floor(config: FridgeConfig) -> float:
@@ -316,10 +315,10 @@ def find_plateau(config: FridgeConfig, direction: Direction) -> PlateauResult:
     the machine actually reaches before the bosonic rate growth quenches it
     (or the saturation point, where it is colder still).
 
-    The positive side solves its grid and the saturation point as one
-    stack, the negative side its walk in stacks of NEGATIVE_WALK_CHUNK
-    points, then the saturated row alone: the solves a point-by-point search
-    would make. The polish solves one point at a time.
+    Each side solves its saturated row as the last row of its first stack:
+    the positive side its grid, the negative side its walk in stacks of
+    NEGATIVE_WALK_CHUNK points, up to the stack where a point-by-point
+    search would stop. The polish solves one point at a time.
     """
     if Direction(direction) is Direction.POSITIVE:
         return _find_plateau_positive(config)
@@ -336,8 +335,9 @@ def _find_plateau_positive(config):
                         int(math.log(PLATEAU_GRID_CAP / PLATEAU_GRID_START)
                             / math.log(PLATEAU_GRID_RATIO)) + 1)
     # the saturation point rides along as the stack's last row
-    *values, saturation = [_t1_of(outcome) for outcome in _solve_hot_grid(
-        config, grid.tolist() + [BOSONIC_SATURATION_TEMPERATURE])]
+    *values, saturation = [_t1_of(outcome) for outcome in _solve_stack(
+        [sector_coefficients(config, grid.tolist() + [BOSONIC_SATURATION_TEMPERATURE])],
+        config.gaps[0])]
     values = [_coldness(t1) for t1 in values]
     k = int(np.argmin(values))
     descending = k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step
@@ -378,15 +378,21 @@ def _negative_walk(config: FridgeConfig):
 
 def _find_plateau_negative(config):
     # The walk is solved in stacks of NEGATIVE_WALK_CHUNK points until a
-    # stack's rows meet the stop rule. The rule reads the outcomes in walk
-    # order, so a failed row is raised only if the walk reaches it.
-    walk = _negative_walk(config)
-    config = config.with_hot_reservoir(HOT_BATHS[Direction.NEGATIVE].window_edge)
+    # stack's rows meet the stop rule, the saturated row riding as the last
+    # row of the first. The rule reads the outcomes in walk order, so a
+    # failed row is raised only if the walk reaches it, and the saturated
+    # row's failure only once the walk has stopped.
+    walk, (window_edge, saturated) = _negative_walk(config), HOT_BATHS[Direction.NEGATIVE]
+    config, e1 = config.with_hot_reservoir(window_edge), config.gaps[0]
+    *first, saturation = _solve_stack(
+        [sector_coefficients(config, walk[:NEGATIVE_WALK_CHUNK]),
+         sector_coefficients(config.with_hot_reservoir(saturated))], e1)
 
     def walked():
-        for start in range(0, len(walk), NEGATIVE_WALK_CHUNK):
+        yield from zip(walk, first)
+        for start in range(NEGATIVE_WALK_CHUNK, len(walk), NEGATIVE_WALK_CHUNK):
             chunk = walk[start:start + NEGATIVE_WALK_CHUNK]
-            yield from zip(chunk, _solve_hot_grid(config, chunk))
+            yield from zip(chunk, _solve_stack([sector_coefficients(config, chunk)], e1))
 
     previous, flattened = None, False
     for detected_at, outcome in walked():
@@ -398,7 +404,7 @@ def _find_plateau_negative(config):
     # The saturated occupation is the representable limit of T_h -> 0-, so it
     # is the plateau value whether or not the walk flattened before the floor
     # (in the deep-cooling regime T1 keeps tracking n3 all the way down).
-    saturation = best_case_t1(config, Direction.NEGATIVE)
+    saturation = _t1_of(saturation)
     return PlateauResult(
         plateau_t1=saturation,
         plateau_detected_at=float(detected_at),
@@ -479,10 +485,9 @@ def insulation_limit(config: FridgeConfig,
     if any(b >= a for a, b in zip(sequence, sequence[1:])):
         raise AnalysisError("gamma1 sequence must be strictly decreasing")
     analytic = _virtual_temperature(config, config.reservoirs[2])
-    coefficients, errors = zip(*[sector_coefficients(config.with_gamma1(g)) for g in sequence])
-    solved = solve_coefficients(np.concatenate(coefficients), [e for row in errors for e in row])
     used, values = [], []
-    for gamma1, outcome in zip(sequence, _qubit1_rows(solved, config.gaps[0])):
+    for gamma1, outcome in zip(sequence, _solve_stack(
+            [sector_coefficients(config.with_gamma1(g)) for g in sequence], config.gaps[0])):
         if isinstance(outcome, SteadyStateError):
             break
         values.append(_t1_of(outcome))

@@ -91,15 +91,6 @@ class RunManifest:
             "tolerances": dict(_TOLERANCES),
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            command=d["command"],
-            config=FridgeConfig.from_dict(d["config"]),
-            options=dict(d.get("options", {})),
-            output_path=d.get("output_path", ""),
-        )
-
 
 def _format_value(value):
     """Shortest round-trip decimal; sentinels by name; missing or non-finite
@@ -154,10 +145,10 @@ def _load_config(path):
     if not isinstance(document, dict):
         raise ConfigError(f"{path} holds no JSON object")
     if "config" in document and "command" in document:
-        if not isinstance(document.get("options", {}), dict):
+        options = document.get("options", {})
+        if not isinstance(options, dict):
             raise ConfigError(f"{path} holds sidecar options that are no JSON object")
-        manifest = RunManifest.from_dict(document)
-        return manifest.config, manifest.options
+        return FridgeConfig.from_dict(document["config"]), dict(options)
     return FridgeConfig.from_dict(document), {}
 
 

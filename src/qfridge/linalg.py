@@ -1,4 +1,5 @@
-"""The tolerances every check is made against, and the matrix input check.
+"""The tolerances every check is made against, and the error of a matrix
+input that is no finite matrix.
 
 The package solves no linear system: its steady states come from a rate
 chain, solved by the Markov chain tree theorem on the four states of one
@@ -6,8 +7,6 @@ parity after the other four are censored (qfridge.steady_state).
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -43,16 +42,5 @@ TOL = Tolerances()
 
 
 class LinalgError(ValueError):
-    """Base class for contract violations in this module."""
-
-
-def as_matrix(a):
-    """Coerce to a 2-D complex array and reject non-finite entries."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise LinalgError(f"expected a matrix, got ndim={m.ndim}")
-    if m.size == 0:
-        raise LinalgError("empty matrix")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise LinalgError("matrix has non-finite entries")
-    return m
+    """A matrix input that is not 2-D, is empty or has entries that are
+    not finite."""

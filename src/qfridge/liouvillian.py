@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import TOL, LinalgError, as_matrix
+from .linalg import TOL, LinalgError
 from .reservoirs import ReservoirSpec, Role, lindblad_rates, log_rate_ratio, thermal_rates
 
 NUM_QUBITS = 3
@@ -227,10 +227,12 @@ def density_matrix_errors(matrices):
     return [failures.get(i) for i in range(len(m))]
 
 
-def sector_state_errors(x):
+def _sector_state_errors(x):
     """{row: error} for the rows of sector coordinates x (N, SECTOR_DIM)
     whose density matrix fails the invariants of density_matrix_errors,
-    checked in closed form without building the matrix.
+    checked in closed form without building the matrix. An infinite
+    population makes numpy report an invalid value under the caller's
+    np.errstate.
 
     The state is Hermitian by construction of the real coordinates. Its
     trace is the sum of the populations. Its eigenvalues are the
@@ -239,13 +241,6 @@ def sector_state_errors(x):
     (p2 + p5)/2 - sqrt(((p2 - p5)/2)^2 + |c|^2), which is at most p2 and p5:
     so the smallest eigenvalue is the smaller of it and every population.
     """
-    with np.errstate(invalid="ignore"):    # a non-finite row, which fails
-        return _sector_state_errors(x)
-
-
-def _sector_state_errors(x):
-    """sector_state_errors under the caller's np.errstate, in which an
-    infinite population makes numpy report an invalid value."""
     populations = x[:, :DIM]
     low, high = x[:, SECTOR_PAIR[0]], x[:, SECTOR_PAIR[1]]
     pair_smallest = (low + high) / 2.0 - np.hypot((low - high) / 2.0,
@@ -291,31 +286,14 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = np.asarray(self.matrix, dtype=complex)
+        if m.ndim != 2 or m.size == 0:
+            raise LinalgError(f"expected a non-empty matrix, got shape {m.shape}")
         if m.shape[0] != m.shape[1]:
             raise DensityMatrixError(f"state must be square, got {m.shape}")
-        error = density_matrix_errors(m[None])[0]
+        with np.errstate(invalid="ignore"):    # inf - inf of an infinite entry
+            error = density_matrix_errors(m[None])[0]
         if error is not None:
             raise error
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    @classmethod
-    def from_pure(cls, amplitudes):
-        v = np.asarray(amplitudes, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def ground_state(cls, dim=DIM):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[0, 0] = 1.0
-        return cls(m)
-
-    @classmethod
-    def maximally_mixed(cls, dim=DIM):
-        return cls(np.eye(dim, dtype=complex) / dim)

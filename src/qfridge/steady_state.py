@@ -32,9 +32,7 @@ from .liouvillian import (
     SECTOR_DIM,
     SECTOR_PAIR,
     DensityMatrixError,
-    FridgeConfig,
     _sector_state_errors,
-    sector_coefficients,
 )
 
 
@@ -51,7 +49,8 @@ class MultiplicityError(SteadyStateError):
 
 @dataclass(frozen=True)
 class SectorSolutions:
-    """Steady states of a stack of machines, row by row (see solve_sectors)."""
+    """Steady states of a stack of coefficient rows, row by row (see
+    solve_coefficients)."""
 
     coordinates: np.ndarray  # (N, SECTOR_DIM), validated where errors[i] is None
     residuals: np.ndarray    # (N,) balance defects, NaN where the solve failed
@@ -238,7 +237,7 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
 
     Each row is checked on its own, in this order: the error its rates
     raised (errors, as sector_coefficients gives them), a unique steady
-    state, the state invariants (in closed form, sector_state_errors) and
+    state, the state invariants (in closed form, _sector_state_errors) and
     the balance defect max |pi Q| of its chain over max(1, its largest
     rate), <= TOL.steady_residual_direct. A row that fails one carries that
     exception in errors.
@@ -338,11 +337,3 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
                 f"steady-state residual {residuals[i]:.3e} exceeds "
                 f"{TOL.steady_residual_direct:.0e} for solver direct")
     return SectorSolutions(coordinates=x, residuals=residuals, errors=errors)
-
-
-def solve_sectors(config: FridgeConfig, hot_temperatures=None) -> SectorSolutions:
-    """Steady states of config with its hot bath at each of hot_temperatures
-    (default: its own hot bath; see sector_coefficients), as one stacked
-    solve. A row whose rates raise carries that error (see
-    solve_coefficients)."""
-    return solve_coefficients(*sector_coefficients(config, hot_temperatures))

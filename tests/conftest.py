@@ -9,8 +9,7 @@ from qfridge import (
     Statistics,
     default_config,
 )
-from qfridge.steady_state import solve_sectors
-from tests.oracles import sector_states
+from tests.oracles import sector_states, solve_sectors
 
 
 def random_valid_config(rng, resonant=False):
@@ -63,23 +62,26 @@ def exact_rates(spec, gap, gamma, mpmath):
     """(down, up) = gamma (1 +/- n), gamma n as mpmath numbers, with n the
     pinned occupation or the occupation at the bath's temperature, formed
     at the working precision from the bath's numbers, not from any float
-    rate. Both are 0 at gamma = 0."""
+    rate. A thermal fermionic bath's 1 - n is 1 / (exp(-E/T) + 1), so no
+    digit cancels however close n is to 1. Both are 0 at gamma = 0."""
     if gamma == 0.0:
         return mpmath.mpf(0), mpmath.mpf(0)
-    n = spec.occupation_override
+    n, x = spec.occupation_override, mpmath.mpf(gap) / mpmath.mpf(spec.temperature)
+    if n is None and spec.statistics is Statistics.FERMIONIC:
+        return mpmath.mpf(gamma) / (mpmath.exp(-x) + 1), mpmath.mpf(gamma) / (mpmath.exp(x) + 1)
     if n is not None:
         n = mpmath.mpf(n)
-    elif spec.statistics is Statistics.BOSONIC:
-        n = 1 / mpmath.expm1(mpmath.mpf(gap) / mpmath.mpf(spec.temperature))
     else:
-        n = 1 / (mpmath.exp(mpmath.mpf(gap) / mpmath.mpf(spec.temperature)) + 1)
+        n = 1 / mpmath.expm1(x)
     sign = 1 if spec.statistics is Statistics.BOSONIC else -1
     return mpmath.mpf(gamma) * (1 + sign * n), mpmath.mpf(gamma) * n
 
 
 def exact_qubit1_populations(config, dps=60):
     """(p_ground, p_excited) of qubit 1 in the steady state, solved in mpmath
-    at `dps` digits from rates formed at that precision (exact_rates).
+    from rates formed at `dps` digits (exact_rates), at `dps` digits more
+    than the decimal exponent span of the nonzero rates: a solve at `dps`
+    alone loses every digit of a population that span below the others.
 
     Independent of qfridge's generators and rates: it applies the Lindblad
     equation term by term to each population and to rho[2, 5] and
@@ -90,6 +92,12 @@ def exact_qubit1_populations(config, dps=60):
     mpmath = pytest.importorskip("mpmath")
 
     with mpmath.workdps(dps):
+        rates = [exact_rates(spec, gap, gamma, mpmath)
+                 for spec, gap, gamma in zip(config.reservoirs, config.gaps, config.gammas)]
+        exponents = [int(mpmath.floor(mpmath.log10(rate))) for pair in rates for rate in pair
+                     if rate]
+        span = max(exponents) - min(exponents) if exponents else 0
+    with mpmath.workdps(dps + span):
         zero, one = mpmath.mpf(0), mpmath.mpf(1)
 
         def lift(single, k):
@@ -105,9 +113,7 @@ def exact_qubit1_populations(config, dps=60):
         exchange = lift(lower, 0).dot(lift(lower.T, 1)).dot(lift(lower, 2))
         hamiltonian = hamiltonian + mpmath.mpf(config.coupling) * (exchange + exchange.T)
         jumps = []
-        for k, (spec, gap, gamma) in enumerate(
-                zip(config.reservoirs, config.gaps, config.gammas)):
-            down, up = exact_rates(spec, gap, gamma, mpmath)
+        for k, (down, up) in enumerate(rates):
             jumps += [(down, lift(lower, k)), (up, lift(lower.T, k))]
 
         def lindblad(rho):

@@ -1,21 +1,26 @@
 """Test oracles: the 10x10 generator of the invariant sector, the full 64x64
 Lindblad generator, its steady state by a constrained solve and by RK4
-propagation, and the partial-trace readout of an 8x8 state.
+propagation, and the partial-trace readout of an 8x8 state. Besides them,
+the helpers only the tests use: the matrix input check, the pure, ground
+and maximally mixed states, and solve_sectors.
 
 None of this is on qfridge's production path, which solves the 8-state rate
 chain the sector reduces to once its coherence is eliminated
-(qfridge.steady_state.solve_sectors). Here the sector generator is built term
-by term from the sector coefficients, and the 64x64 generator is assembled by
-Kronecker products from the Hamiltonians and the collapse operators and
-solved by a constrained solve of its own, so a fault in the production
-chain, its rates, its censoring or its closed-class count shows up as a
-disagreement. From qfridge these oracles take the configuration, the rates,
-the tolerances, the DensityMatrix checks, the readout record and the
-exception types; they take no solve code.
+(qfridge.steady_state.solve_coefficients). Here the sector generator is
+built term by term from the sector coefficients, and the 64x64 generator is
+assembled by Kronecker products from the Hamiltonians and the collapse
+operators and solved by a constrained solve of its own, so a fault in the
+production chain, its rates, its censoring or its closed-class count shows
+up as a disagreement. From qfridge these oracles take the configuration,
+the rates, the tolerances, the DensityMatrix checks, the readout record and
+the exception types; they take no solve code.
 
-The one exception is the cooling threshold by bisection, which checks the
-closed form of qfridge.analysis.cooling_threshold against the production
-solves it replaced: it bisects on the sign of analysis.best_case_t1 - T_c.
+Two helpers call the production solve on purpose. solve_sectors is
+solve_coefficients(*sector_coefficients(...)), the stacked solve of one
+machine's hot baths that the tests read rows of. The cooling threshold by
+bisection checks the closed form of qfridge.analysis.cooling_threshold
+against the production solves it replaced: it bisects on the sign of
+analysis.best_case_t1 - T_c.
 
 Basis conventions are qfridge.liouvillian's:
 
@@ -32,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from qfridge.analysis import BracketError, ThresholdMode, best_case_t1
-from qfridge.linalg import TOL, LinalgError, as_matrix
+from qfridge.linalg import TOL, LinalgError
 from qfridge.liouvillian import (
     DIM,
     NUM_QUBITS,
@@ -45,7 +50,7 @@ from qfridge.liouvillian import (
     sector_coefficients,
 )
 from qfridge.reservoirs import ReservoirSpec, Statistics, lindblad_rates, occupation
-from qfridge.steady_state import MultiplicityError, SteadyStateError
+from qfridge.steady_state import MultiplicityError, SteadyStateError, solve_coefficients
 from qfridge.thermometry import (
     QubitReadout,
     ThermometryError,
@@ -67,9 +72,37 @@ def dagger(a):
     return a.conj().T
 
 
+def as_matrix(a):
+    """Coerce to a 2-D complex array and reject non-finite entries."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2:
+        raise LinalgError(f"expected a matrix, got ndim={m.ndim}")
+    if m.size == 0:
+        raise LinalgError("empty matrix")
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise LinalgError("matrix has non-finite entries")
+    return m
+
+
 def kron(a, b):
     """Kronecker product, entry ((i*rb + k), (j*cb + l)) = a[i, j] * b[k, l]."""
     return np.kron(as_matrix(a), as_matrix(b))
+
+
+def pure_state(amplitudes) -> DensityMatrix:
+    v = np.asarray(amplitudes, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return DensityMatrix(np.outer(v, v.conj()))
+
+
+def ground_state(dim=DIM) -> DensityMatrix:
+    m = np.zeros((dim, dim), dtype=complex)
+    m[0, 0] = 1.0
+    return DensityMatrix(m)
+
+
+def maximally_mixed(dim=DIM) -> DensityMatrix:
+    return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
 # --- the 64x64 generator -------------------------------------------------
@@ -233,6 +266,14 @@ def _sector_embedding():
 
 
 _SECTOR_EMBEDDING = _sector_embedding()
+
+
+def solve_sectors(config: FridgeConfig, hot_temperatures=None):
+    """Steady states of config with its hot bath at each of hot_temperatures
+    (default: its own hot bath; see sector_coefficients), as one stacked
+    solve: solve_coefficients' SectorSolutions, a row whose rates raise
+    carrying that error."""
+    return solve_coefficients(*sector_coefficients(config, hot_temperatures))
 
 
 def sector_states(x):
@@ -447,7 +488,7 @@ def steady_state_by_propagation(liouvillian: Liouvillian,
     if t_final < 0.0:
         raise PropagationError(f"t_final must be >= 0, got {t_final}")
     if rho0 is None:
-        rho0 = DensityMatrix.ground_state(liouvillian.dim)
+        rho0 = ground_state(liouvillian.dim)
     generator = liouvillian.matrix
     h = default_time_step(liouvillian)
     hl = h * generator
@@ -481,8 +522,8 @@ def reduced_qubit_state(state: DensityMatrix, qubit_index: int) -> np.ndarray:
     """Partial trace down to one qubit (2x2), qubit 1 being the MSB factor."""
     if qubit_index not in (1, 2, 3):
         raise ThermometryError(f"qubit index must be 1..3, got {qubit_index}")
-    if state.dim != 8:
-        raise ThermometryError(f"expected a three-qubit state, got dim {state.dim}")
+    if state.matrix.shape[0] != 8:
+        raise ThermometryError(f"expected a three-qubit state, got dim {state.matrix.shape[0]}")
     tensor = state.matrix.reshape(2, 2, 2, 2, 2, 2)
     axes = [0, 1, 2]
     axes.remove(qubit_index - 1)

@@ -301,31 +301,32 @@ def test_a_failing_walk_row_counts_only_if_the_walk_reaches_it(
 
 def test_the_negative_walk_is_solved_only_up_to_the_stack_where_it_stops(monkeypatch):
     # With E3 = 1e-300 the walk has 2,420 points to its floor, and it
-    # flattens at its second: one stack of NEGATIVE_WALK_CHUNK points is
-    # solved, not the whole walk, and then the saturation point on its own.
-    # The reference machine's 14 points stay one stack, and a deep-cooling
-    # walk of 21 points (E3 = 0.5) that never flattens takes two stacks and
-    # finds what the serial search finds.
+    # flattens at its second: one stack of NEGATIVE_WALK_CHUNK points and
+    # the saturation point, its last row, is solved, not the whole walk. The
+    # reference machine's 14 points and its saturation point are one stack,
+    # whose last row is the plateau best_case_t1 solves alone, and a
+    # deep-cooling walk of 21 points (E3 = 0.5) that never flattens takes
+    # two stacks and finds what the serial search finds.
     stacks = []
-    solve = analysis.solve_sectors
+    solve = analysis.solve_coefficients
 
-    def counted(config, hot_temperatures=None):
-        solved = solve(config, hot_temperatures)
-        stacks.append(len(solved.errors))
-        return solved
+    def counted(coefficients, errors=None):
+        stacks.append(len(coefficients))
+        return solve(coefficients, errors)
 
-    monkeypatch.setattr(analysis, "solve_sectors", counted)
+    monkeypatch.setattr(analysis, "solve_coefficients", counted)
     tiny = default_config(gaps=(1.0, 1.0 + 1e-300, 1e-300))
     assert len(_negative_walk(tiny)) == 2420
     assert find_plateau(tiny, Direction.NEGATIVE).walk_flattened
-    assert stacks == [analysis.NEGATIVE_WALK_CHUNK, 1]
+    assert stacks == [analysis.NEGATIVE_WALK_CHUNK + 1]
     stacks.clear()
-    find_plateau(default_config(), Direction.NEGATIVE)
-    assert stacks == [14, 1]
+    reference = find_plateau(default_config(), Direction.NEGATIVE)
+    assert stacks == [15]
+    assert best_case_t1(default_config(), Direction.NEGATIVE) == reference.plateau_t1
     deep = default_config(tc=0.005, gaps=(1.0, 1.5, 0.5))
     stacks.clear()
     plateau = find_plateau(deep, Direction.NEGATIVE)
-    assert stacks == [analysis.NEGATIVE_WALK_CHUNK, 21 - analysis.NEGATIVE_WALK_CHUNK, 1]
+    assert stacks == [analysis.NEGATIVE_WALK_CHUNK + 1, 21 - analysis.NEGATIVE_WALK_CHUNK]
     assert not plateau.walk_flattened
     assert plateau == _serial_plateau(deep, Direction.NEGATIVE)
 

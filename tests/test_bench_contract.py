@@ -76,6 +76,7 @@ sys.path[:0] = [{src!r}, {bench!r}]
 import numpy as np
 import workloads
 from qfridge import analysis, default_config, steady_state
+from qfridge.liouvillian import sector_coefficients
 calls = []
 wide_law = steady_state._wide_law
 
@@ -91,7 +92,7 @@ for _ in range({machines}):
     workloads._attempt(analysis.sweep_hot_temperature, config, grid)
 traffic = list(calls)
 # the hook counts: a row whose kappa overflows is solved wide
-steady_state.solve_sectors(default_config(coupling=1e160))
+steady_state.solve_coefficients(*sector_coefficients(default_config(coupling=1e160)))
 print(json.dumps({{"traffic": traffic, "control": calls[len(traffic):]}}))
 """
 

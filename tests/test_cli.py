@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from qfridge import steady_state
 from qfridge.analysis import Direction, SweepRecord, ThresholdMode, best_case_t1, find_plateau
-from qfridge.cli import RunManifest, build_parser, main
+from qfridge.cli import RunManifest, _load_config, _write_sidecar, build_parser, main
 from qfridge.linalg import TOL, LinalgError
 from qfridge.liouvillian import DensityMatrixError, FridgeConfig, default_config
+from tests.oracles import solve_sectors
 
 
 @pytest.fixture
@@ -435,7 +436,7 @@ def test_a_solved_state_that_fails_its_check_fails_its_row(config_path, tmp_path
     not_finite = LinalgError("matrix has non-finite entries")
     monkeypatch.setattr(steady_state, "_sector_state_errors",
                         lambda x: dict(enumerate([invalid, not_finite][:len(x)])))
-    errors = steady_state.solve_sectors(default_config(), [2.0, 5.0]).errors
+    errors = solve_sectors(default_config(), [2.0, 5.0]).errors
     assert type(errors[0]) is steady_state.SteadyStateError and errors[0].__cause__ is invalid
     assert str(errors[0]) == ("direct solve produced an invalid state: "
                               "state is not positive semidefinite")
@@ -464,7 +465,7 @@ def test_the_benchmark_commands_solve_no_row_wide(config_path, tmp_path, monkeyp
                  "--gamma1", "1e-1,1e-2,1e-3,1e-4"]) == 0
     assert calls == []
     # the hook counts: a row whose kappa overflows is solved wide
-    steady_state.solve_sectors(default_config(coupling=1e160))
+    solve_sectors(default_config(coupling=1e160))
     assert calls == [1]
 
 
@@ -614,9 +615,11 @@ def test_reproduce_all_writes_a_sidecar_per_csv(tmp_path, capsys):
         assert sidecar["output_path"] == path.name
 
 
-def test_manifest_round_trip():
+def test_manifest_round_trip(tmp_path):
+    # A written sidecar read back by --config gives the run's config and
+    # options.
     manifest = RunManifest(command="sweep-th", config=default_config(),
                            options={"th_values": "1,2,3", "parallel": 2},
-                           output_path="out.csv")
-    again = RunManifest.from_dict(manifest.to_dict())
-    assert again == manifest
+                           output_path=str(tmp_path / "out.csv"))
+    sidecar = _write_sidecar(manifest.output_path, manifest)
+    assert _load_config(sidecar) == (manifest.config, manifest.options)

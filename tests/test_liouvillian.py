@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qfridge import DensityMatrix, FridgeConfig, ReservoirSpec, default_config
+from qfridge.linalg import LinalgError
 from qfridge.liouvillian import ConfigError, DensityMatrixError
 from qfridge.reservoirs import Statistics, lindblad_rates
 from tests.conftest import random_valid_config
@@ -11,7 +12,9 @@ from tests.oracles import (
     build_liouvillian,
     embed,
     free_hamiltonian,
+    ground_state,
     interaction_hamiltonian,
+    maximally_mixed,
     max_abs,
     qubit_liouvillian,
     thermal_product,
@@ -192,5 +195,11 @@ def test_density_matrix_validation():
     skew[0, 1] = 1e-3
     with pytest.raises(DensityMatrixError):
         DensityMatrix(skew)                               # not Hermitian
-    DensityMatrix.ground_state()
-    DensityMatrix.maximally_mixed()
+    ground_state()
+    maximally_mixed()
+    # not a matrix, empty, or not finite (inf - inf warns nowhere)
+    for matrix in (np.ones(4), np.zeros((0, 0)), np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0])):
+        with pytest.raises(LinalgError):
+            DensityMatrix(matrix)
+    with pytest.raises(LinalgError, match="matrix has non-finite entries"):
+        DensityMatrix(np.diag([np.inf, 0.0]))

@@ -35,17 +35,18 @@ from qfridge import (
     Statistics,
     default_config,
 )
-from qfridge.analysis import (_qubit1_rows, _solve_hot_grid, solve_for_readout,
-                              sweep_hot_temperature)
+from qfridge import analysis
+from qfridge.analysis import (HOT_BATHS, Direction, _negative_walk, _solve_stack,
+                              solve_for_readout, sweep_hot_temperature)
 from qfridge.linalg import TOL, LinalgError
 from qfridge.liouvillian import (
     DIM,
     SECTOR_DIM,
     SECTOR_PAIR,
     DensityMatrixError,
+    _sector_state_errors,
     density_matrix_errors,
     sector_coefficients,
-    sector_state_errors,
 )
 from qfridge import steady_state
 from qfridge.reservoirs import ReservoirError, occupation
@@ -55,7 +56,6 @@ from qfridge.steady_state import (
     _ORDER,
     _tree_weights,
     solve_coefficients,
-    solve_sectors,
 )
 from qfridge.thermometry import TemperatureSentinel
 from tests.conftest import exact_qubit1_populations, random_valid_config, sector_solution
@@ -65,6 +65,7 @@ from tests.oracles import (
     sector_generator,
     sector_states,
     solve_direct,
+    solve_sectors,
     thermal_product,
 )
 
@@ -176,8 +177,18 @@ def test_chain_solution_is_stationary_under_the_sector_generator(config):
     assert np.max(np.abs(sector @ solved.coordinates[0])) <= 1e-14 * scale
 
 
+# Rates 282 decades apart: a 60-digit mpmath solve finds no pivot, so
+# exact_qubit1_populations adds that span to its digits.
+_FAR_APART_RATES = FridgeConfig(
+    gaps=(1.0, 2.0, 1.0), gammas=(0.0, 1.0, 1.0), coupling=1.0,
+    reservoirs=(ReservoirSpec(Statistics.BOSONIC, 1.0, Role.COLD),
+                ReservoirSpec(Statistics.FERMIONIC, -0.003077, Role.ROOM),
+                ReservoirSpec(Statistics.FERMIONIC, -0.001538, Role.HOT)))
+
+
 @PROPERTY_SETTINGS
 @given(machines())
+@example(_FAR_APART_RATES)
 def test_sector_solve_matches_full_solve(config):
     try:
         state, residual = sector_solution(config)
@@ -193,9 +204,10 @@ def test_sector_solve_matches_full_solve(config):
         # A rate far below the others (a fermionic bath at |E/T| = 650 has
         # one of 5e-283) leaves the 64x64 system singular to working
         # precision, though the chain has one closed class: qubit 1 is
-        # checked against an 800-digit solve instead.
+        # checked against an mpmath solve instead, whose digits span the
+        # rates.
         readout = read_qubit(state, 1, config.gaps[0])
-        exact = exact_qubit1_populations(config, dps=800)
+        exact = exact_qubit1_populations(config)
         assert (readout.p_ground, readout.p_excited) == pytest.approx(
             [float(p) for p in exact], rel=1e-9, abs=0.0)
         return
@@ -273,8 +285,8 @@ def test_closed_form_state_check_is_the_density_matrix_check(rows):
     # DensityMatrix's checks on the embedded 8x8 states, and names the same
     # first failing invariant.
     x = np.array(rows)
-    closed = sector_state_errors(x)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):    # a non-finite row, which fails
+        closed = _sector_state_errors(x)
         full = density_matrix_errors(sector_states(x))
     assert [_invariant(closed.get(k)) for k in range(len(x))] == [
         _invariant(error) for error in full]
@@ -320,21 +332,30 @@ def _status(exc):
     return f"{type(exc).__name__}: {exc}"
 
 
-def _stack(config, hots):
-    """The coefficient rows and errors of config under each of the hot baths
-    hots, in their order, as one stack: the rows of their own configs
-    concatenated, the path insulation_limit takes, so that a pinned bath is
+def _parts(config, hots):
+    """The sector_coefficients of config under each of the hot baths hots, in
+    their order: the rows of their own configs, so that a pinned bath is
     stacked as a thermal one is."""
-    coefficients, errors = zip(*[sector_coefficients(config.with_hot_reservoir(hot))
-                                 for hot in hots])
+    return [sector_coefficients(config.with_hot_reservoir(hot)) for hot in hots]
+
+
+def _stack(config, hots):
+    """The coefficient rows and errors of _parts as one stack."""
+    coefficients, errors = zip(*_parts(config, hots))
     return np.concatenate(coefficients), [error for row in errors for error in row]
 
 
 def _stacked(config, hots):
-    """The stack of _stack solved, and qubit 1's rows of it as
-    _solve_hot_grid reads them."""
-    solved = solve_coefficients(*_stack(config, hots))
-    return solved, _qubit1_rows(solved, config.gaps[0])
+    """The stack of _stack solved, and qubit 1's rows of the same parts as
+    _solve_stack reads them."""
+    return (solve_coefficients(*_stack(config, hots)),
+            _solve_stack(_parts(config, hots), config.gaps[0]))
+
+
+def _swept(config, temperatures):
+    """Qubit 1's rows of config with its hot bath at each of temperatures,
+    as a sweep solves them."""
+    return _solve_stack([sector_coefficients(config, temperatures)], config.gaps[0])
 
 
 @st.composite
@@ -357,7 +378,7 @@ def test_stacked_solve_matches_one_at_a_time(case):
     config, hots = case
     solved, read = _stacked(config, hots)
     thermal = [hot for hot in hots if hot.occupation_override is None]
-    swept = dict(zip(thermal, _solve_hot_grid(config, [hot.temperature for hot in thermal])))
+    swept = dict(zip(thermal, _swept(config, [hot.temperature for hot in thermal])))
     for hot, residual, error, outcome in zip(hots, solved.residuals.tolist(), solved.errors,
                                              read):
         try:
@@ -402,7 +423,7 @@ def test_one_row_stack_is_the_single_solve(case):
 
 
 def test_an_empty_stack_solves_to_nothing(reference_config):
-    assert _solve_hot_grid(reference_config, []) == []
+    assert _swept(reference_config, []) == []
     solved = solve_sectors(reference_config, [])
     assert solved.coordinates.shape == (0, SECTOR_DIM)
     assert solved.errors == []
@@ -502,18 +523,19 @@ def test_rates_whose_halves_sum_past_the_largest_float_solve():
 
 
 def test_the_state_check_alone_fails_rows_without_warnings():
-    # sector_state_errors outside a solve: a NaN row is not finite, a
+    # _sector_state_errors outside a solve: a NaN row is not finite, a
     # negative population (trace kept) fails positivity, and an infinite
     # pair population, whose pair eigenvalue is inf - inf, is not finite.
-    # None of them raises a RuntimeWarning.
+    # With numpy's invalid values ignored, as a solve ignores them, none of
+    # them raises a RuntimeWarning.
     x = np.repeat(solve_sectors(default_config()).coordinates, 4, axis=0)
     x[1] = np.nan
     x[2, 1] += x[2, 0] + 0.25
     x[2, 0] = -0.25
     x[3, SECTOR_PAIR[0]] = np.inf
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
         warnings.simplefilter("error")
-        errors = sector_state_errors(x)
+        errors = _sector_state_errors(x)
     assert sorted(errors) == [1, 2, 3]
     assert type(errors[1]) is LinalgError and type(errors[3]) is LinalgError
     assert type(errors[2]) is DensityMatrixError
@@ -798,7 +820,7 @@ def test_rows_straddling_the_exp_cutoff_agree(config, statistics, sign):
     e3 = config.gaps[2]
     temperatures = [sign * e3 / x for x in (700.0 * (1.0 - 1e-14), 700.0 * (1.0 + 1e-14))]
     config = config.with_hot_reservoir(ReservoirSpec(statistics, temperatures[0], Role.HOT))
-    below, above = _solve_hot_grid(config, temperatures)
+    below, above = _swept(config, temperatures)
     if isinstance(below, Exception):
         assert _status(above) == _status(below)
         return
@@ -1086,14 +1108,17 @@ def test_an_overflowing_odd_step_is_solved_exactly(monkeypatch):
     assert (readout.p_ground, readout.p_excited) == (float(p_ground), float(p_excited))
 
 
-def test_a_row_solves_bit_for_bit_whatever_the_stack_size(rng):
+def test_a_row_solves_bit_for_bit_whatever_the_stack_size(rng, monkeypatch):
     # A stack's reductions run over axes whose order does not depend on its
     # size, so every row of stacks of 1, 2, 9, 64 and 1000 rows has the
     # coordinates, residual and error type of its one-row solve, bit for
     # bit. The rows are README's extreme rows, one row of each kind the
     # wide-range solve takes (h overflows, kappa overflows the float chain,
     # MultiplicityError, an odd step's inflow overflows, an odd state is
-    # absorbing) and random machines.
+    # absorbing) and random machines. So is every row of the mixed stack
+    # that analysis._solve_stack makes of the searches' parts: the hot grids
+    # of two machines (one with a T_h no bosonic bath can have), the pinned
+    # saturated negative row and gamma_1 rows, a free qubit 1 among them.
     extreme = [default_config(th=1e308),
                default_config(gammas=(1e-150,) * 3, coupling=1e-150),
                default_config(tc=0.01, th=-0.1, hot_statistics="fermionic"),
@@ -1112,3 +1137,24 @@ def test_a_row_solves_bit_for_bit_whatever_the_stack_size(rng):
             assert solved.coordinates[i].tobytes() == alone[i].coordinates[0].tobytes()
             assert solved.residuals[i].tobytes() == alone[i].residuals[0].tobytes()
             assert type(solved.errors[i]) is type(alone[i].errors[0])
+    reference = default_config()
+    deep = default_config(tc=0.005, gaps=(1.0, 1.5, 0.5), hot_statistics="fermionic")
+    parts = [sector_coefficients(reference, [1.0, 10.0, -1.0, 1e308]),
+             sector_coefficients(deep, _negative_walk(deep)),
+             sector_coefficients(deep.with_hot_reservoir(HOT_BATHS[Direction.NEGATIVE].saturated)),
+             *[sector_coefficients(reference.with_gamma1(g)) for g in (1e-1, 1e-4, 0.0)],
+             sector_coefficients(default_config(gammas=(0.0, 1.0, 1.0), coupling=0.0))]
+    stacks = []
+    monkeypatch.setattr(analysis, "solve_coefficients",
+                        lambda *args: stacks.append(solve_coefficients(*args)) or stacks[-1])
+    _solve_stack(parts, 1.0)
+    solved, = stacks
+    alone = [solve_coefficients(coefficients[i:i + 1], errors[i:i + 1])
+             for coefficients, errors in parts for i in range(len(errors))]
+    assert len(solved.errors) == len(alone) == 30
+    assert [type(error).__name__ for error in solved.errors if error] == [
+        "ReservoirError", "MultiplicityError"]
+    for i, single in enumerate(alone):
+        assert solved.coordinates[i].tobytes() == single.coordinates[0].tobytes()
+        assert solved.residuals[i].tobytes() == single.residuals[0].tobytes()
+        assert type(solved.errors[i]) is type(single.errors[0])

@@ -10,7 +10,10 @@ from tests.oracles import (
     Solver,
     SteadyStateResult,
     build_liouvillian,
+    ground_state,
+    maximally_mixed,
     propagate,
+    pure_state,
     read_qubit,
     solve_direct,
     steady_state_by_propagation,
@@ -109,14 +112,14 @@ def test_result_residual_contract(reference_config):
 
 def test_propagate_zero_time_is_identity(reference_config):
     liouvillian = build_liouvillian(reference_config)
-    rho0 = DensityMatrix.maximally_mixed()
+    rho0 = maximally_mixed()
     assert propagate(liouvillian, rho0, 0.0) is rho0
 
 
 def test_propagate_rejects_unstable_step(reference_config):
     liouvillian = build_liouvillian(reference_config)
     with pytest.raises(PropagationError):
-        propagate(liouvillian, DensityMatrix.ground_state(), 1.0, dt=10.0)
+        propagate(liouvillian, ground_state(), 1.0, dt=10.0)
 
 
 def test_propagation_preserves_hermiticity(rng):
@@ -134,7 +137,7 @@ def test_closed_system_preserves_purity(rng):
     config = default_config(gammas=(0.0, 0.0, 0.0))
     liouvillian = build_liouvillian(config)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    rho0 = DensityMatrix.from_pure(psi)
+    rho0 = pure_state(psi)
     rho_t = propagate(liouvillian, rho0, 10.0, stop_when_stationary=False)
     purity = np.trace(rho_t.matrix @ rho_t.matrix).real
     assert purity == pytest.approx(1.0, abs=1e-8)
@@ -144,7 +147,7 @@ def test_propagation_matches_direct_solve(reference_config):
     liouvillian = build_liouvillian(reference_config)
     direct = solve_direct(liouvillian)
     # t_final = 50 / min(gamma) with unit rates
-    oracle = propagate(liouvillian, DensityMatrix.ground_state(), 50.0)
+    oracle = propagate(liouvillian, ground_state(), 50.0)
     assert trace_distance(direct.state, oracle) <= 1e-6
 
 
@@ -159,7 +162,7 @@ def test_propagation_route_on_random_configs(rng):
 
 
 def test_trace_distance_basics():
-    a = DensityMatrix.ground_state(2)
+    a = ground_state(2)
     b = DensityMatrix(np.diag([0.0, 1.0]).astype(complex))
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-14)
     assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
@@ -168,16 +171,16 @@ def test_trace_distance_basics():
 def test_trace_distance_of_sigma_x_eigenstates():
     # |+><+| - |-><-| is sigma_x, eigenvalues -1 and 1; |g><g| - |+><+| has
     # only off-diagonal weight left after the diagonal cancels, +-1/sqrt(2).
-    plus = DensityMatrix.from_pure([1.0, 1.0])
-    minus = DensityMatrix.from_pure([1.0, -1.0])
+    plus = pure_state([1.0, 1.0])
+    minus = pure_state([1.0, -1.0])
     assert trace_distance(plus, minus) == pytest.approx(1.0, abs=1e-12)
-    assert trace_distance(DensityMatrix.ground_state(2), plus) == pytest.approx(
+    assert trace_distance(ground_state(2), plus) == pytest.approx(
         np.sqrt(0.5), abs=1e-12)
 
 
 def test_trace_distance_of_a_pure_state_from_the_maximally_mixed(rng):
     # |psi><psi| - I/8 has eigenvalues 7/8 once and -1/8 seven times.
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    pure = DensityMatrix.from_pure(psi)
-    assert trace_distance(pure, DensityMatrix.maximally_mixed(8)) == pytest.approx(
+    pure = pure_state(psi)
+    assert trace_distance(pure, maximally_mixed(8)) == pytest.approx(
         7.0 / 8.0, abs=1e-12)

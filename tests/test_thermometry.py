@@ -24,6 +24,8 @@ from qfridge.thermometry import (
 from tests.oracles import (
     build_liouvillian,
     coherence_is_negligible,
+    maximally_mixed,
+    pure_state,
     read_qubit,
     reduced_qubit_state,
     solve_direct,
@@ -49,7 +51,7 @@ def test_reduce_product_state(rng):
 
 
 def test_reduce_maximally_mixed():
-    state = DensityMatrix.maximally_mixed()
+    state = maximally_mixed()
     for k in (1, 2, 3):
         np.testing.assert_allclose(reduced_qubit_state(state, k),
                                    np.eye(2) / 2.0, atol=1e-14)
@@ -60,7 +62,7 @@ def test_reduce_w_like_state():
     # worked out by hand from the three basis indices 4, 2 and 1.
     amplitudes = np.zeros(8, dtype=complex)
     amplitudes[4] = amplitudes[2] = amplitudes[1] = 1.0 / math.sqrt(3.0)
-    state = DensityMatrix.from_pure(amplitudes)
+    state = pure_state(amplitudes)
     for k in (1, 2, 3):
         reduced = reduced_qubit_state(state, k)
         assert reduced[0, 0].real == pytest.approx(2.0 / 3.0, rel=1e-12)
@@ -69,7 +71,7 @@ def test_reduce_w_like_state():
 
 def test_reduce_validates_index():
     with pytest.raises(ThermometryError):
-        reduced_qubit_state(DensityMatrix.maximally_mixed(), 4)
+        reduced_qubit_state(maximally_mixed(), 4)
 
 
 def test_effective_temperature_unit_case():
