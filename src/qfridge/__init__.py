@@ -15,7 +15,7 @@ from .analysis import (
     solve_for_readout,
     sweep_hot_temperature,
 )
-from .liouvillian import DensityMatrix, FridgeConfig, default_config
+from .liouvillian import FridgeConfig, default_config
 from .reservoirs import (
     ReservoirSpec,
     Role,

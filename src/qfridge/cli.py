@@ -52,7 +52,7 @@ from .analysis import (
     sweep_hot_temperature,
     sweep_record,
 )
-from .linalg import TOL, LinalgError
+from .linalg import TOL
 from .liouvillian import ConfigError, FridgeConfig, default_config
 from .reservoirs import ReservoirError
 from .steady_state import SteadyStateError
@@ -415,7 +415,7 @@ def main(argv=None):
         if isinstance(exc, BracketError):
             return _fail(exc, EXIT_NONCONVERGENCE)
         return _fail(exc, EXIT_CONFIG)
-    except (SteadyStateError, LinalgError) as exc:
+    except SteadyStateError as exc:
         return _fail(exc, EXIT_SOLVER)
 
 

@@ -1,5 +1,5 @@
-"""The tolerances every check is made against, and the error of a matrix
-input that is no finite matrix.
+"""The tolerances every check is made against, and the error DensityMatrix
+raises for an input that is no finite matrix.
 
 The package solves no linear system: its steady states come from a rate
 chain, solved by the Markov chain tree theorem on the four states of one
@@ -42,5 +42,5 @@ TOL = Tolerances()
 
 
 class LinalgError(ValueError):
-    """A matrix input that is not 2-D, is empty or has entries that are
-    not finite."""
+    """A DensityMatrix input that is not 2-D, is empty or has entries that
+    are not finite."""

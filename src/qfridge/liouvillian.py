@@ -19,7 +19,9 @@ coherence decays to zero. So the steady state lives in this 10-dimensional
 sector, fixed by the six rates, g and the detuning: sector_coefficients
 gives them for a stack of machines at once, and qfridge.steady_state solves
 the sector from them. Its generator and the full 64x64 generator are test
-oracles (tests/oracles.py).
+oracles (tests/oracles.py). DensityMatrix, the checked 8x8 state, serves
+the tests alone too: no package function builds one, and it stays here
+because the benchmark's tracer looks it up in this module.
 """
 
 import json
@@ -215,55 +217,20 @@ def density_matrix_errors(matrices):
     misses its TOL bound."""
     m = np.asarray(matrices, dtype=complex)
     adjoint = m.conj().transpose(0, 2, 1)
-    # An entry that is not finite makes its row's Hermiticity defect inf or NaN.
-    hermiticity = np.abs(m - adjoint).max(axis=(1, 2))
+    # An entry that is not finite makes its row's Hermiticity defect inf or
+    # NaN, an infinite one through inf - inf.
+    with np.errstate(invalid="ignore"):
+        hermiticity = np.abs(m - adjoint).max(axis=(1, 2))
+        symmetric = (m + adjoint) / 2.0
+        trace_error = np.abs(m.trace(axis1=1, axis2=2) - 1.0)
     finite = np.isfinite(hermiticity)
-    symmetric = (m + adjoint) / 2.0
     if not finite.all():
         symmetric[~finite] = np.eye(m.shape[-1])
     smallest = np.linalg.eigvalsh(symmetric)[:, 0]
-    trace_error = np.abs(m.trace(axis1=1, axis2=2) - 1.0)
-    failures = _state_errors(finite, hermiticity, trace_error, smallest)
-    return [failures.get(i) for i in range(len(m))]
-
-
-def _sector_state_errors(x):
-    """{row: error} for the rows of sector coordinates x (N, SECTOR_DIM)
-    whose density matrix fails the invariants of density_matrix_errors,
-    checked in closed form without building the matrix. An infinite
-    population makes numpy report an invalid value under the caller's
-    np.errstate.
-
-    The state is Hermitian by construction of the real coordinates. Its
-    trace is the sum of the populations. Its eigenvalues are the
-    populations outside SECTOR_PAIR and the two of the pair's 2x2 block
-    [[p2, c], [conj(c), p5]], the smaller being
-    (p2 + p5)/2 - sqrt(((p2 - p5)/2)^2 + |c|^2), which is at most p2 and p5:
-    so the smallest eigenvalue is the smaller of it and every population.
-    """
-    populations = x[:, :DIM]
-    low, high = x[:, SECTOR_PAIR[0]], x[:, SECTOR_PAIR[1]]
-    pair_smallest = (low + high) / 2.0 - np.hypot((low - high) / 2.0,
-                                                  np.hypot(x[:, DIM], x[:, DIM + 1]))
-    trace_error = np.abs(np.add.reduce(populations, axis=1) - 1.0)
-    smallest = np.minimum(np.minimum.reduce(populations, axis=1), pair_smallest)
-    if np.logical_and.reduce((trace_error <= TOL.density_trace)
-                             & (smallest >= TOL.density_min_eigenvalue)):
-        return {}
-    return _state_errors(np.isfinite(x).all(axis=1), np.zeros(len(x)), trace_error, smallest)
-
-
-def _state_errors(finite, hermiticity, trace_error, smallest):
-    """{row: error} for the rows that miss an invariant: LinalgError for
-    non-finite entries, else DensityMatrixError for the first of
-    Hermiticity, unit trace and the smallest eigenvalue that misses its TOL
-    bound."""
     passed = (finite & (hermiticity <= TOL.density_hermiticity)
               & (trace_error <= TOL.density_trace)
               & (smallest >= TOL.density_min_eigenvalue))
-    if passed.all():
-        return {}
-    errors = {}
+    errors = [None] * len(m)
     for i in np.flatnonzero(~passed).tolist():
         if not finite[i]:
             errors[i] = LinalgError("matrix has non-finite entries")
@@ -291,8 +258,7 @@ class DensityMatrix:
             raise LinalgError(f"expected a non-empty matrix, got shape {m.shape}")
         if m.shape[0] != m.shape[1]:
             raise DensityMatrixError(f"state must be square, got {m.shape}")
-        with np.errstate(invalid="ignore"):    # inf - inf of an infinite entry
-            error = density_matrix_errors(m[None])[0]
+        error = density_matrix_errors(m[None])[0]
         if error is not None:
             raise error
         m.setflags(write=False)

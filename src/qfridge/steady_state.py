@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import TOL
-from .liouvillian import (
-    DIM,
-    NUM_QUBITS,
-    SECTOR_DIM,
-    SECTOR_PAIR,
-    DensityMatrixError,
-    _sector_state_errors,
-)
+from .liouvillian import DIM, NUM_QUBITS, SECTOR_DIM, SECTOR_PAIR
 
 
 class SteadyStateError(RuntimeError):
@@ -52,7 +45,7 @@ class SectorSolutions:
     """Steady states of a stack of coefficient rows, row by row (see
     solve_coefficients)."""
 
-    coordinates: np.ndarray  # (N, SECTOR_DIM), validated where errors[i] is None
+    coordinates: np.ndarray  # (N, SECTOR_DIM), the steady state where errors[i] is None
     residuals: np.ndarray    # (N,) balance defects, NaN where the solve failed
     errors: list             # per row, None or the exception its solve raised
 
@@ -237,10 +230,17 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
 
     Each row is checked on its own, in this order: the error its rates
     raised (errors, as sector_coefficients gives them), a unique steady
-    state, the state invariants (in closed form, _sector_state_errors) and
-    the balance defect max |pi Q| of its chain over max(1, its largest
-    rate), <= TOL.steady_residual_direct. A row that fails one carries that
-    exception in errors.
+    state and the balance defect max |pi Q| of its chain over max(1, its
+    largest rate), <= TOL.steady_residual_direct, which a NaN defect fails
+    too. A row that fails one carries that exception in errors.
+
+    A solved row's state is a density matrix without a check of its own.
+    Both laws sum products and quotients of rates with no subtraction, so
+    every population is >= 0, and dividing the law by its sum makes the
+    trace 1 to rounding. The coherence is the exact steady state's, whose
+    |c|^2 <= p2 p5; in floats the pair block's smaller eigenvalue keeps to
+    the absolute bound TOL.density_min_eigenvalue, as |c|^2 may pass p2 p5
+    by rounding where p2 or p5 is subnormal.
     """
     rates = coefficients[:, :2 * NUM_QUBITS]
     coupling, detuning = coefficients[:, -2], coefficients[:, -1]
@@ -323,13 +323,6 @@ def solve_coefficients(coefficients, errors=None) -> SectorSolutions:
             exchange[strong] = (-outflow / (2.0 * half_gamma * g_h))[strong]
         x[:, DIM] = -exchange * delta_h
         x[:, DIM + 1] = exchange * gamma_h
-        invalid = _sector_state_errors(x)
-    for i, exc in invalid.items():
-        if isinstance(exc, DensityMatrixError):
-            # a solved state that fails its check is the solve's failure
-            cause, exc = exc, SteadyStateError(f"direct solve produced an invalid state: {exc}")
-            exc.__cause__ = cause
-        errors[i] = errors[i] or exc
     passed = residuals <= TOL.steady_residual_direct
     if not np.logical_and.reduce(passed):
         for i in np.flatnonzero(~passed).tolist():

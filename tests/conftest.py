@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from qfridge import (
-    DensityMatrix,
     FridgeConfig,
     ReservoirSpec,
     Role,
     Statistics,
     default_config,
 )
+from qfridge.liouvillian import DensityMatrix
 from tests.oracles import sector_states, solve_sectors
 
 

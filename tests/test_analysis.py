@@ -656,5 +656,16 @@ def test_solve_for_readout_consistency(reference_config):
     assert readout.effective_temperature == pytest.approx(0.94860, abs=1e-4)
 
 
-def test_saturation_deficit_is_resolvable():
+def test_saturation_deficit_is_resolvable(reference_config):
+    # The deficit sets the negative walk's floor and the plateau-mode
+    # threshold, not the plateau T1: a hot bath pinned at exactly n3 = 1
+    # solves too, to the saturated row's T1 within 4 ulp and its residual.
     assert 1.0 - FERMIONIC_SATURATION_DEFICIT < 1.0
+    saturated = HOT_BATHS[Direction.NEGATIVE].saturated
+    full = ReservoirSpec(saturated.statistics, saturated.temperature, Role.HOT,
+                         occupation_override=1.0)
+    residual, readout = solve_for_readout(reference_config.with_hot_reservoir(saturated))
+    pinned_residual, pinned = solve_for_readout(reference_config.with_hot_reservoir(full))
+    assert pinned_residual == residual <= TOL.steady_residual_direct
+    t1 = readout.effective_temperature
+    assert abs(pinned.effective_temperature - t1) <= 4 * math.ulp(t1)

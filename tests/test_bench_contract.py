@@ -164,8 +164,10 @@ def test_a_traced_reproduce_all_times_25_single_solves(tmp_path):
     # reproduce all makes 25: the golden-section polishes of the three
     # positive plateaus and the three negative saturated rows. Stacked
     # solves (sweeps, plateau grids, the negative walk) are not sampled.
+    # No production path builds a DensityMatrix: the tests alone check it.
     spans = _traced(["reproduce", "all", "--out", str(tmp_path)])
     assert spans["analysis.solve_for_readout"] == 25
+    assert spans["liouvillian.density_matrix"] == 0
 
 
 def test_the_sweep_many_machines_solve_no_row_wide():

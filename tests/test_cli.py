@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from qfridge import steady_state
 from qfridge.analysis import Direction, SweepRecord, ThresholdMode, best_case_t1, find_plateau
 from qfridge.cli import RunManifest, _load_config, _write_sidecar, build_parser, main
-from qfridge.linalg import TOL, LinalgError
-from qfridge.liouvillian import DensityMatrixError, FridgeConfig, default_config
+from qfridge.linalg import TOL
+from qfridge.liouvillian import FridgeConfig, default_config
 from tests.oracles import solve_sectors
 
 
@@ -423,24 +423,6 @@ def test_a_residual_that_is_not_finite_fails_its_row(config_path, tmp_path, monk
     for row in read_rows(out)[1:]:
         assert row[3] == ""
         assert row[5].startswith("SteadyStateError: steady-state residual nan exceeds")
-    assert main(["solve", "--config", config_path, "--out", str(tmp_path / "x.csv")]) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "SteadyStateError"
-
-
-def test_a_solved_state_that_fails_its_check_fails_its_row(config_path, tmp_path, monkeypatch,
-                                                           capsys):
-    # A DensityMatrixError of a solved state is the solve's failure, a
-    # SteadyStateError caused by it; a LinalgError (a state that is not
-    # finite) is the row's error as it is.
-    invalid = DensityMatrixError("state is not positive semidefinite")
-    not_finite = LinalgError("matrix has non-finite entries")
-    monkeypatch.setattr(steady_state, "_sector_state_errors",
-                        lambda x: dict(enumerate([invalid, not_finite][:len(x)])))
-    errors = solve_sectors(default_config(), [2.0, 5.0]).errors
-    assert type(errors[0]) is steady_state.SteadyStateError and errors[0].__cause__ is invalid
-    assert str(errors[0]) == ("direct solve produced an invalid state: "
-                              "state is not positive semidefinite")
-    assert errors[1] is not_finite
     assert main(["solve", "--config", config_path, "--out", str(tmp_path / "x.csv")]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "SteadyStateError"
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qfridge import DensityMatrix, FridgeConfig, ReservoirSpec, default_config
+from qfridge import FridgeConfig, ReservoirSpec, default_config
 from qfridge.linalg import LinalgError
-from qfridge.liouvillian import ConfigError, DensityMatrixError
+from qfridge.liouvillian import ConfigError, DensityMatrix, DensityMatrixError
 from qfridge.reservoirs import Statistics, lindblad_rates
 from tests.conftest import random_valid_config
 from tests.oracles import (

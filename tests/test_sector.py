@@ -28,7 +28,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfridge import (
-    DensityMatrix,
     FridgeConfig,
     ReservoirSpec,
     Role,
@@ -43,8 +42,8 @@ from qfridge.liouvillian import (
     DIM,
     SECTOR_DIM,
     SECTOR_PAIR,
+    DensityMatrix,
     DensityMatrixError,
-    _sector_state_errors,
     density_matrix_errors,
     sector_coefficients,
 )
@@ -245,53 +244,6 @@ def test_both_paths_raise_multiplicity_for_a_free_qubit_1(data):
         solve_direct(build_liouvillian(config))
 
 
-@st.composite
-def sector_rows(draw):
-    """Sector coordinates of a solved machine's state, valid or NaN where the
-    solve failed, or that state with one invariant broken well past its TOL
-    bound: a negative population (trace kept), |c|^2 > p2 p5, the trace off
-    by 1e-9, or a non-finite coordinate."""
-    x = solve_sectors(draw(machines())).coordinates[0].copy()
-    defect = draw(st.sampled_from((None, "negative", "coherence", "trace", "non-finite")))
-    if defect == "negative":
-        k, j = draw(st.permutations(range(DIM)))[:2]
-        depth = draw(st.floats(1e-6, 0.5))
-        x[j] += x[k] + depth
-        x[k] = -depth
-    elif defect == "coherence":
-        # |c| such that the pair's smaller eigenvalue is -depth
-        low, high = x[SECTOR_PAIR[0]], x[SECTOR_PAIR[1]]
-        depth = draw(st.floats(1e-6, 0.5))
-        magnitude = math.sqrt(low * high + (low + high) * depth + depth * depth)
-        phase = draw(st.floats(0.0, 2.0 * math.pi))
-        x[DIM:] = magnitude * math.cos(phase), magnitude * math.sin(phase)
-    elif defect == "trace":
-        x[draw(st.integers(0, DIM - 1))] += draw(st.sampled_from((1e-9, -1e-9)))
-    elif defect == "non-finite":
-        x[draw(st.integers(0, SECTOR_DIM - 1))] = draw(
-            st.sampled_from((math.nan, math.inf, -math.inf)))
-    return x
-
-
-def _invariant(error):
-    """Which check an error reports: its type and its message without the number."""
-    return None if error is None else (type(error), str(error).rsplit(" ", 1)[0])
-
-
-@PROPERTY_SETTINGS
-@given(st.lists(sector_rows(), min_size=1, max_size=5))
-def test_closed_form_state_check_is_the_density_matrix_check(rows):
-    # The sector's closed-form check accepts and rejects the same rows as
-    # DensityMatrix's checks on the embedded 8x8 states, and names the same
-    # first failing invariant.
-    x = np.array(rows)
-    with np.errstate(invalid="ignore"):    # a non-finite row, which fails
-        closed = _sector_state_errors(x)
-        full = density_matrix_errors(sector_states(x))
-    assert [_invariant(closed.get(k)) for k in range(len(x))] == [
-        _invariant(error) for error in full]
-
-
 def test_deep_cooled_population_is_resolved():
     # An inverted hot bath at T_h = -0.1 holds qubit 1 near 0.02305, above
     # T_c = 0.02 and 0.01, so p_e1 sits 19 orders below the largest
@@ -330,6 +282,14 @@ def test_a_single_closed_class_leaves_the_other_states_at_zero():
 
 def _status(exc):
     return f"{type(exc).__name__}: {exc}"
+
+
+def _assert_density_matrices(solved):
+    """Every row of solved that has no error is finite and passes the 8x8
+    eigenvalue check of DensityMatrix, with its TOL bounds."""
+    x = solved.coordinates[[error is None for error in solved.errors]]
+    assert np.isfinite(x).all()
+    assert density_matrix_errors(sector_states(x)) == [None] * len(x)
 
 
 def _parts(config, hots):
@@ -377,6 +337,7 @@ def test_stacked_solve_matches_one_at_a_time(case):
     # stacked under config, the path of a sweep.
     config, hots = case
     solved, read = _stacked(config, hots)
+    _assert_density_matrices(solved)
     thermal = [hot for hot in hots if hot.occupation_override is None]
     swept = dict(zip(thermal, _swept(config, [hot.temperature for hot in thermal])))
     for hot, residual, error, outcome in zip(hots, solved.residuals.tolist(), solved.errors,
@@ -523,20 +484,20 @@ def test_rates_whose_halves_sum_past_the_largest_float_solve():
 
 
 def test_the_state_check_alone_fails_rows_without_warnings():
-    # _sector_state_errors outside a solve: a NaN row is not finite, a
-    # negative population (trace kept) fails positivity, and an infinite
-    # pair population, whose pair eigenvalue is inf - inf, is not finite.
-    # With numpy's invalid values ignored, as a solve ignores them, none of
-    # them raises a RuntimeWarning.
+    # density_matrix_errors on embedded sector states: a NaN state is not
+    # finite, a negative population (trace kept) fails positivity, and an
+    # infinite pair population, whose Hermiticity defect is inf - inf, is
+    # not finite. None of them raises a RuntimeWarning.
     x = np.repeat(solve_sectors(default_config()).coordinates, 4, axis=0)
-    x[1] = np.nan
     x[2, 1] += x[2, 0] + 0.25
     x[2, 0] = -0.25
-    x[3, SECTOR_PAIR[0]] = np.inf
-    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+    states = sector_states(x)
+    states[1] = np.nan
+    states[3, SECTOR_PAIR[0], SECTOR_PAIR[0]] = np.inf
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        errors = _sector_state_errors(x)
-    assert sorted(errors) == [1, 2, 3]
+        errors = density_matrix_errors(states)
+    assert errors[0] is None
     assert type(errors[1]) is LinalgError and type(errors[3]) is LinalgError
     assert type(errors[2]) is DensityMatrixError
     assert str(errors[2]).startswith("state is not positive semidefinite")
@@ -982,14 +943,16 @@ def test_coefficient_rows_solve_to_the_exact_law(row):
     # the law is a normal float and exactly 0 wherever the chain makes it 0,
     # or MultiplicityError when the chain has two or more closed classes,
     # also where the exact exchange rate kappa lies outside the normal
-    # floats. Each example failed before _wide_law and its kappa:
+    # floats. A solved row is a density matrix (_assert_density_matrices),
+    # by construction of the solve, not by a check in it. Each example
+    # failed before _wide_law and its kappa:
     # - all mass on the odd state |e g g>, whose only exit has rate 2.4e-110:
     #   its inflow overflows. GTH elimination of the chain gave NaN;
     # - the law is all on |g e g>, but the weight of the even state that
     #   feeds it, 1e-378 of the others, underflowed: the main path put all
     #   the mass on |g g g>;
-    # - kappa is 3e300, but 2 g^2 / h overflows (LinalgError);
-    # - kappa is 1.3e320, beyond the floats (LinalgError);
+    # - kappa is 3e300, but 2 g^2 / h overflows: the state was not finite;
+    # - kappa is 1.3e320, beyond the floats: the state was not finite;
     # - kappa is 2e-324 and rounds to 0, which leaves qubit 1 free
     #   (MultiplicityError);
     # - kappa is 1.4e-435 and rounds to 0: |e g g>, 3.1e-250 of the law,
@@ -997,7 +960,8 @@ def test_coefficient_rows_solve_to_the_exact_law(row):
     # - (Gamma/2) / h is subnormal (2.0e-4 off), then 0 (MultiplicityError);
     # - g/h is 3e81 and p2 - p5 cancels, so that the coherence made the
     #   state fail its eigenvalue check;
-    # - Gamma, the sum of three rates of 1e308, overflows (LinalgError);
+    # - Gamma, the sum of three rates of 1e308, overflows: the state was not
+    #   finite;
     # - the float law holds, but the float chain's balance defect overflows:
     #   without the wide chain's defect the row fails its residual check.
     solved = solve_coefficients(np.array([row]))
@@ -1008,6 +972,7 @@ def test_coefficient_rows_solve_to_the_exact_law(row):
         assert isinstance(solved.errors[0], MultiplicityError)
         return
     assert solved.errors == [None]
+    _assert_density_matrices(solved)
     law = solved.coordinates[0, :DIM]
     np.testing.assert_allclose(law, [float(w / total) for w in exact],
                                rtol=1e-13, atol=np.finfo(float).tiny)
@@ -1119,6 +1084,7 @@ def test_a_row_solves_bit_for_bit_whatever_the_stack_size(rng, monkeypatch):
     # that analysis._solve_stack makes of the searches' parts: the hot grids
     # of two machines (one with a T_h no bosonic bath can have), the pinned
     # saturated negative row and gamma_1 rows, a free qubit 1 among them.
+    # Every row of them solved without error is a density matrix.
     extreme = [default_config(th=1e308),
                default_config(gammas=(1e-150,) * 3, coupling=1e-150),
                default_config(tc=0.01, th=-0.1, hot_statistics="fermionic"),
@@ -1133,6 +1099,7 @@ def test_a_row_solves_bit_for_bit_whatever_the_stack_size(rng, monkeypatch):
     alone = [solve_coefficients(rows[i:i + 1]) for i in range(len(rows))]
     for size in (1, 2, 9, 64, 1000):
         solved = solve_coefficients(rows[:size])
+        _assert_density_matrices(solved)
         for i in range(size):
             assert solved.coordinates[i].tobytes() == alone[i].coordinates[0].tobytes()
             assert solved.residuals[i].tobytes() == alone[i].residuals[0].tobytes()
@@ -1149,6 +1116,7 @@ def test_a_row_solves_bit_for_bit_whatever_the_stack_size(rng, monkeypatch):
                         lambda *args: stacks.append(solve_coefficients(*args)) or stacks[-1])
     _solve_stack(parts, 1.0)
     solved, = stacks
+    _assert_density_matrices(solved)
     alone = [solve_coefficients(coefficients[i:i + 1], errors[i:i + 1])
              for coefficients, errors in parts for i in range(len(errors))]
     assert len(solved.errors) == len(alone) == 30

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qfridge import DensityMatrix, default_config, solve_for_readout
+from qfridge import default_config, solve_for_readout
+from qfridge.liouvillian import DensityMatrix
 from qfridge.steady_state import MultiplicityError, SteadyStateError
 from tests.conftest import random_valid_config
 from tests.oracles import (

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qfridge import (
-    DensityMatrix,
     FridgeConfig,
     ReservoirSpec,
     default_config,
@@ -13,7 +12,7 @@ from qfridge import (
     insulation_limit,
 )
 from qfridge.analysis import BracketError
-from qfridge.liouvillian import ConfigError
+from qfridge.liouvillian import ConfigError, DensityMatrix
 from qfridge.reservoirs import ReservoirError, Role, Statistics
 from qfridge.thermometry import (
     TemperatureSentinel,
