@@ -73,9 +73,10 @@ class BracketError(AnalysisError):
 # to 0 on the way: the down-rate gamma e/(1 + e), e = exp(-|L3|), of a
 # thermal bath stays positive until |L3| = E3/|T_h| passes about 745.
 FERMIONIC_SATURATION_DEFICIT = 1e-15
-# Bosonic stand-in for "infinitely hot". The limit mostly re-thermalizes the
-# target qubit (see module docstring), so it is the plateau only where it is
-# colder than the grid's minimum, as at the plateau-mode threshold.
+# Bosonic stand-in for "infinitely hot", the positive plateau grid's hot end.
+# The limit mostly re-thermalizes the target qubit (see module docstring), so
+# it is the plateau only where T1 still falls there, as at the plateau-mode
+# threshold.
 BOSONIC_SATURATION_TEMPERATURE = 1e6
 
 POSITIVE_WINDOW_EDGE = 10.0     # reference sweep window is T_h in [1, 10]
@@ -111,14 +112,14 @@ HOT_BATHS = {
 
 # Targets for the bundled reproduction scenarios: lowest cooled-qubit
 # temperatures at the reference operating point (gaps (1, 5, 4), unit rates,
-# room bath at 2) for cold-bath temperatures 1, 1.5 and 2.
+# room bath at 2), in the order calibrate reports them: direction, then T_c.
 REFERENCE_PLATEAUS = {
-    (1.0, Direction.POSITIVE): 0.9486,
-    (1.5, Direction.POSITIVE): 1.4054,
-    (2.0, Direction.POSITIVE): 1.867,
     (1.0, Direction.NEGATIVE): 0.7805,
     (1.5, Direction.NEGATIVE): 1.1615,
     (2.0, Direction.NEGATIVE): 1.5568,
+    (1.0, Direction.POSITIVE): 0.9486,
+    (1.5, Direction.POSITIVE): 1.4054,
+    (2.0, Direction.POSITIVE): 1.867,
 }
 REFERENCE_THRESHOLDS = {Direction.POSITIVE: 0.48, Direction.NEGATIVE: 0.0275}
 # Coupling recovered by calibrate_coupling against REFERENCE_PLATEAUS
@@ -160,9 +161,10 @@ class PlateauResult:
     plateau_t1: float
     plateau_detected_at: float
     tolerance_used: float
-    saturation_t1: float      # diagnostic: T1 with the hot occupation pinned
-    walk_flattened: bool = True   # False in the deep-cooling regime, where T1
-    # keeps tracking the occupation all the way to the representable floor
+    saturation_t1: float      # diagnostic: T1 at the saturated hot bath
+    walk_flattened: bool = True   # False where the saturated row is all the
+    # search found: a negative walk that never flattened (deep cooling, T1
+    # tracks n3 to the floor), or a positive best point at the saturated row
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,7 @@ class CalibrationResult:
             f"{'within' if self.within_tolerance else 'EXCEEDS'} "
             f"{TOL.calibration_relative:.0%} tolerance)"
         ]
-        for (tc, direction), (value, target, err) in sorted(
-                self.achieved.items(), key=lambda kv: (kv[0][1].value, kv[0][0])):
+        for (tc, direction), (value, target, err) in self.achieved.items():
             lines.append(
                 f"  tc={tc:<4} {direction.value:<8} plateau={value:.6f} "
                 f"target={target:.4f} rel.err={err:.2e}"
@@ -310,10 +311,10 @@ def find_plateau(config: FridgeConfig, direction: Direction) -> PlateauResult:
     differ by less than TOL.plateau_step, cross-checked against the exactly
     saturated occupation (which is returned as the plateau, being the limit).
 
-    Positive side: scan of a geometric T_h grid followed by a golden-section
-    polish of the minimum, so the reported value is the lowest temperature
-    the machine actually reaches before the bosonic rate growth quenches it
-    (or the saturation point, where it is colder still).
+    Positive side: scan of a geometric T_h grid ending at the saturated bath,
+    then a golden-section polish between the coldest point's neighbours; the
+    point is kept where it is at least as cold. Either way plateau_t1 is the
+    T1 the machine reaches at plateau_detected_at.
 
     Each side solves its saturated row as the last row of its first stack:
     the positive side its grid, the negative side its walk in stacks of
@@ -333,31 +334,22 @@ def _find_plateau_positive(config):
 
     grid = np.geomspace(PLATEAU_GRID_START, PLATEAU_GRID_CAP,
                         int(math.log(PLATEAU_GRID_CAP / PLATEAU_GRID_START)
-                            / math.log(PLATEAU_GRID_RATIO)) + 1)
-    # the saturation point rides along as the stack's last row
-    *values, saturation = [_t1_of(outcome) for outcome in _solve_stack(
-        [sector_coefficients(config, grid.tolist() + [BOSONIC_SATURATION_TEMPERATURE])],
-        config.gaps[0])]
-    values = [_coldness(t1) for t1 in values]
+                            / math.log(PLATEAU_GRID_RATIO)) + 1).tolist()
+    grid.append(BOSONIC_SATURATION_TEMPERATURE)
+    t1s = [_t1_of(outcome) for outcome in _solve_stack([sector_coefficients(config, grid)],
+                                                        config.gaps[0])]
+    values = [_coldness(t1) for t1 in t1s]
     k = int(np.argmin(values))
-    descending = k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step
-    if descending:
-        # Still descending at the cap: no interior minimum; T1 creeps down
-        # toward an infimum it only attains in the hot limit.
-        th_best, t1_best = BOSONIC_SATURATION_TEMPERATURE, values[-1]
-    else:
-        th_best, t1_best = _polish_minimum(t1_at, grid[max(k - 1, 0)],
-                                           grid[min(k + 1, len(grid) - 1)], TOL.plateau_step)
-        if values[k] < t1_best:
-            th_best, t1_best = float(grid[k]), values[k]
-    if _coldness(saturation) < t1_best:    # the best representable value
-        th_best, t1_best = BOSONIC_SATURATION_TEMPERATURE, saturation
+    th_best, t1_best = _polish_minimum(t1_at, grid[max(k - 1, 0)],
+                                       grid[min(k + 1, len(grid) - 1)], TOL.plateau_step)
+    if values[k] <= t1_best:
+        th_best, t1_best = grid[k], values[k]
     return PlateauResult(
         plateau_t1=t1_best,
-        plateau_detected_at=float(th_best),
+        plateau_detected_at=th_best,
         tolerance_used=TOL.plateau_step,
-        saturation_t1=saturation,
-        walk_flattened=not descending,
+        saturation_t1=t1s[-1],
+        walk_flattened=th_best != BOSONIC_SATURATION_TEMPERATURE,
     )
 
 

@@ -56,7 +56,7 @@ from .linalg import TOL
 from .liouvillian import ConfigError, FridgeConfig, default_config
 from .reservoirs import ReservoirError
 from .steady_state import SteadyStateError
-from .thermometry import TemperatureSentinel, ThermometryError
+from .thermometry import TemperatureSentinel
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -234,8 +234,7 @@ def _cmd_insulation(config, options):
 def _cmd_calibrate(config, options):
     result = calibrate_coupling(config, search_grid=_parse_float_list(options["g_grid"]))
     rows = [(direction.value, tc, value, target, err)
-            for (tc, direction), (value, target, err) in sorted(
-                result.achieved.items(), key=lambda kv: (kv[0][1].value, kv[0][0]))]
+            for (tc, direction), (value, target, err) in result.achieved.items()]
     for line in result.report_lines():
         print(line)
     return ("direction", "tc", "plateau_t1", "target_t1", "relative_error"), rows, {
@@ -246,28 +245,22 @@ def _cmd_calibrate(config, options):
     }, EXIT_OK if result.within_tolerance else EXIT_NONCONVERGENCE
 
 
-def _reproduce_sweep_figure(name, th_grid, hot_statistics, out_dir):
-    runs = []
-    for tc in REPRODUCE_TCS:
-        config = default_config(tc=tc, coupling=CALIBRATED_COUPLING,
-                                hot_statistics=hot_statistics)
-        records = sweep_hot_temperature(config, th_grid)
-        manifest = RunManifest(
-            command="sweep-th", config=config,
-            options={"th_values": ",".join(repr(v) for v in th_grid)},
-            output_path=os.path.join(out_dir, f"{name}_tc{tc:g}.csv"),
-        )
-        runs.append((manifest, SweepRecord._fields, records, None))
-    return runs
-
-
 def _cmd_reproduce(scenario, out_dir):
-    """The scenario's runs, each (manifest, columns, rows, sidecar result)."""
+    """The scenario's runs, each (manifest, columns, rows, sidecar result).
+    A figure sweep is the sweep-th run its sidecar records."""
     runs = []
-    if scenario in ("fig2", "all"):
-        runs += _reproduce_sweep_figure("fig2", FIG2_TH_GRID, "bosonic", out_dir)
-    if scenario in ("fig3", "all"):
-        runs += _reproduce_sweep_figure("fig3", FIG3_TH_GRID, "fermionic", out_dir)
+    for name, th_grid, hot_statistics in (("fig2", FIG2_TH_GRID, "bosonic"),
+                                          ("fig3", FIG3_TH_GRID, "fermionic")):
+        if scenario not in (name, "all"):
+            continue
+        options = {"th_values": ",".join(repr(v) for v in th_grid)}
+        for tc in REPRODUCE_TCS:
+            config = default_config(tc=tc, coupling=CALIBRATED_COUPLING,
+                                    hot_statistics=hot_statistics)
+            columns, rows, result, _ = _cmd_sweep(config, options)
+            runs.append((RunManifest("sweep-th", config, options,
+                                     os.path.join(out_dir, f"{name}_tc{tc:g}.csv")),
+                         columns, rows, result))
     if scenario in ("fig4", "all"):
         table_a, table_b = [], []
         for tc in REPRODUCE_TCS:
@@ -410,8 +403,8 @@ def main(argv=None):
         if args.command == "reproduce":
             print(*(manifest.output_path for manifest, *_ in runs), sep="\n")
         return code
-    except (ConfigError, ReservoirError, ThermometryError, AnalysisError,
-            OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ConfigError, ReservoirError, AnalysisError, OSError,
+            json.JSONDecodeError) as exc:
         if isinstance(exc, BracketError):
             return _fail(exc, EXIT_NONCONVERGENCE)
         return _fail(exc, EXIT_CONFIG)

@@ -85,9 +85,3 @@ class QubitReadout:
     p_ground: float
     p_excited: float
     effective_temperature: object   # float or TemperatureSentinel
-
-    def __post_init__(self):
-        if abs(self.p_ground + self.p_excited - 1.0) > TOL.population_sum:
-            raise ThermometryError(
-                f"populations do not sum to 1: {self.p_ground} + {self.p_excited}"
-            )

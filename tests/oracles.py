@@ -1,6 +1,7 @@
 """Test oracles: the 10x10 generator of the invariant sector, the full 64x64
 Lindblad generator, its steady state by a constrained solve and by RK4
-propagation, and the partial-trace readout of an 8x8 state. Besides them,
+propagation, qubit 1's excited population in closed form, and the
+partial-trace readout of an 8x8 state. Besides them,
 the helpers only the tests use: the matrix input check, the pure, ground
 and maximally mixed states, and solve_sectors.
 
@@ -30,6 +31,7 @@ Basis conventions are qfridge.liouvillian's:
   * vectorization is column-stacking, vec(A rho B) = (B^T kron A) vec(rho).
 """
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -312,6 +314,48 @@ def thermal_product(config: FridgeConfig) -> DensityMatrix:
     for spec, gap in zip(config.reservoirs, config.gaps):
         m = kron(m, thermal_qubit(spec, gap).matrix)
     return DensityMatrix(m)
+
+
+def closed_form_excited_population(config: FridgeConfig) -> float:
+    """Qubit 1's excited population p_e1 at the steady state, in closed form,
+    from config's sector coefficient row; no solve and no mpmath.
+
+    The populations are the law of three independent qubit chains plus the
+    exchange edge |g e g> <-> |e g e> (states 2 and 5) of rate
+    kappa = Gamma (g/h)^2, as in solve_coefficients. With qubit k's
+    Gamma_k = down_k + up_k and law pi_k = (down_k, up_k) / Gamma_k, the
+    uncoupled chain's deviation matrix is the sum over nonempty qubit sets S
+    of P_S / sum_{k in S} Gamma_k, P_S the tensor product of I - 1 pi_k for
+    k in S and 1 pi_k otherwise. The exchange carries the flux
+
+        F = kappa (pi5 - pi2) / (1 + kappa d),
+        d = sum_S (P_S[5, 5] + P_S[2, 2] - P_S[5, 2] - P_S[2, 5]) / sum_{k in S} Gamma_k,
+
+    pi2 and pi5 being the product laws of the two states, and of the sets S
+    only {1} moves qubit 1: p_e1 = pi_e1 - F / Gamma_1. The last step
+    subtracts, so this keeps small relative error only where p_e1 is not far
+    below pi_e1; every Gamma_k must be positive.
+    """
+    coefficients, (error,) = sector_coefficients(config)
+    if error is not None:
+        raise error
+    *rates, coupling, detuning = coefficients[0].tolist()
+    pairs = list(zip(rates[0::2], rates[1::2]))
+    gammas = [down + up for down, up in pairs]
+    laws = [(down / total, up / total) for (down, up), total in zip(pairs, gammas)]
+    kappa = sum(gammas) * (coupling / math.hypot(sum(gammas) / 2.0, detuning)) ** 2
+    five, two = (1, 0, 1), (0, 1, 0)     # |e g e> and |g e g>, qubit by qubit
+
+    def entry(subset, x, y):             # P_S[x, y]
+        return math.prod((a == b) - law[b] if k in subset else law[b]
+                         for k, (law, a, b) in enumerate(zip(laws, x, y)))
+
+    d = sum((entry(s, five, five) + entry(s, two, two) - entry(s, five, two)
+             - entry(s, two, five)) / sum(gammas[k] for k in s)
+            for size in (1, 2, 3) for s in itertools.combinations(range(3), size))
+    pi5, pi2 = entry((), five, five), entry((), two, two)    # P_{} = 1 pi
+    flux = kappa * (pi5 - pi2) / (1.0 + kappa * d)
+    return laws[0][1] - flux / gammas[0]
 
 
 # --- steady states of the 64x64 generator -----------------------------------

@@ -133,10 +133,10 @@ def _serial_t1(config, hot):
 
 def _serial_plateau(config, direction):
     """find_plateau one solve per point: the negative walk stepped one T_h
-    at a time until it flattens, the positive grid point by point, and the
-    saturation point solved on its own after them. On the positive side the
-    saturation point is the plateau wherever it is colder than the grid's
-    best."""
+    at a time until it flattens and the saturation point solved on its own
+    after it; the positive grid, the saturated bath its hot end, point by
+    point, then the polish between the coldest point's neighbours, whose
+    result the point keeps where it is at least as cold."""
     if direction is Direction.NEGATIVE:
         floor = _negative_walk_floor(config)
         th = analysis.NEGATIVE_WALK_START
@@ -157,25 +157,20 @@ def _serial_plateau(config, direction):
     grid = np.geomspace(analysis.PLATEAU_GRID_START, analysis.PLATEAU_GRID_CAP,
                         int(math.log(analysis.PLATEAU_GRID_CAP / analysis.PLATEAU_GRID_START)
                             / math.log(analysis.PLATEAU_GRID_RATIO)) + 1).tolist()
+    grid.append(analysis.BOSONIC_SATURATION_TEMPERATURE)
     def ranked(t1):   # an inverted qubit is hotter than any positive T1
         return math.inf if t1 < 0.0 else t1
 
-    values = [ranked(_serial_t1(config, ReservoirSpec(Statistics.BOSONIC, th, Role.HOT)))
-              for th in grid]
-    saturation = _serial_t1(config, HOT_BATHS[direction].saturated)
+    t1s = [_serial_t1(config, ReservoirSpec(Statistics.BOSONIC, th, Role.HOT)) for th in grid]
+    values = [ranked(t1) for t1 in t1s]
     k = int(np.argmin(values))
-    if k == len(grid) - 1 and values[-2] - values[-1] >= TOL.plateau_step:
-        return PlateauResult(min(values[-1], ranked(saturation)),
-                             analysis.BOSONIC_SATURATION_TEMPERATURE, TOL.plateau_step,
-                             saturation, False)
     th_best, t1_best = analysis._polish_minimum(
         lambda th: ranked(_serial_t1(config, ReservoirSpec(Statistics.BOSONIC, th, Role.HOT))),
         grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)], TOL.plateau_step)
-    if values[k] < t1_best:
+    if values[k] <= t1_best:
         th_best, t1_best = grid[k], values[k]
-    if ranked(saturation) < t1_best:
-        th_best, t1_best = analysis.BOSONIC_SATURATION_TEMPERATURE, saturation
-    return PlateauResult(t1_best, th_best, TOL.plateau_step, saturation)
+    return PlateauResult(t1_best, th_best, TOL.plateau_step, t1s[-1],
+                         th_best != analysis.BOSONIC_SATURATION_TEMPERATURE)
 
 
 def _outcome(search, *args):
@@ -224,6 +219,45 @@ def test_stacked_plateau_search_is_the_serial_search(config, direction):
     # side.
     assert _outcome(find_plateau, config, direction) == _outcome(
         _serial_plateau, config, direction)
+
+
+def _positive_plateau_pair(config):
+    """The positive plateau and T1 solved alone at its plateau_detected_at,
+    ranked as the search ranks it."""
+    plateau = find_plateau(config, Direction.POSITIVE)
+    at = config.with_hot_reservoir(HOT_BATHS[Direction.POSITIVE].window_edge)
+    t1 = _serial_t1(at, ReservoirSpec(Statistics.BOSONIC, plateau.plateau_detected_at,
+                                      Role.HOT))
+    return plateau, analysis._coldness(t1)
+
+
+def test_a_positive_plateau_still_falling_at_the_grid_cap_is_reached_where_reported():
+    # This machine still cools at the grid cap T_h = 1e4 and reaches its
+    # minimum at T_h ~ 15,464. The plateau was the cap's T1, 0.74175, reported
+    # at T_h = 1e6, where T1 is 0.90516; the saturated bath as the grid's hot
+    # end brackets the minimum between the cap and itself.
+    plateau, t1 = _positive_plateau_pair(default_config(gammas=(1.0, 1.0, 0.005),
+                                                        coupling=20.0))
+    assert plateau.plateau_t1.hex() == t1.hex()
+    assert plateau.plateau_t1 <= 0.74047
+    assert 1e4 < plateau.plateau_detected_at < analysis.BOSONIC_SATURATION_TEMPERATURE
+    assert plateau.saturation_t1 == pytest.approx(0.905165, abs=1e-6)
+    assert plateau.walk_flattened
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(plateau_machines())
+@example(default_config())
+@example(default_config(tc=0.005))
+@example(default_config(gammas=(0.0, 1.0, 1.0)))
+def test_the_positive_plateau_is_the_t1_at_its_hot_temperature(config):
+    # Wherever the search does not fail, plateau_t1 is the T1 the machine
+    # reaches at plateau_detected_at, bit for bit.
+    try:
+        plateau, t1 = _positive_plateau_pair(config)
+    except SteadyStateError:
+        return
+    assert plateau.plateau_t1.hex() == t1.hex()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -356,6 +390,7 @@ def test_the_positive_plateau_reaches_its_threshold(reference_config):
     plateau = find_plateau(at_threshold, Direction.POSITIVE)
     assert plateau.plateau_detected_at == analysis.BOSONIC_SATURATION_TEMPERATURE
     assert plateau.plateau_t1 == plateau.saturation_t1
+    assert not plateau.walk_flattened
 
 
 def test_negative_threshold_plateau_mode(reference_config):
@@ -603,6 +638,12 @@ def test_insulation_limit_validates_sequence(reference_config):
         insulation_limit(reference_config, (1e-2, 1e-1))
     with pytest.raises(AnalysisError):
         insulation_limit(reference_config, (1e-2, -1e-3))
+
+
+@pytest.mark.parametrize("search_grid", [(), (0.0,), (1.0, -0.5)])
+def test_calibration_rejects_a_grid_that_is_not_positive(reference_config, search_grid):
+    with pytest.raises(AnalysisError, match="search grid must be positive"):
+        calibrate_coupling(reference_config, search_grid=search_grid)
 
 
 def test_calibration_single_candidate(reference_config):

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfridge import steady_state
-from qfridge.analysis import Direction, SweepRecord, ThresholdMode, best_case_t1, find_plateau
-from qfridge.cli import RunManifest, _load_config, _write_sidecar, build_parser, main
+from qfridge.analysis import (DEFAULT_COUPLING_GRID, DEFAULT_GAMMA1_SEQUENCE, Direction,
+                              SweepRecord, ThresholdMode, best_case_t1, find_plateau)
+from qfridge.cli import (OPTIONS, RunManifest, _load_config, _parse_float_list, _write_sidecar,
+                         build_parser, main)
 from qfridge.linalg import TOL
 from qfridge.liouvillian import FridgeConfig, default_config
 from tests.oracles import solve_sectors
@@ -111,6 +113,13 @@ def test_one_parser_serves_every_command_of_a_process(config_path, tmp_path):
                        "sweep": {"th_values": "2,6", "th_spacing": "linear"},
                        "again": {"direction": "positive"}}
     assert build_parser() is build_parser()
+
+
+def test_the_library_defaults_are_the_option_defaults():
+    # insulation_limit and calibrate_coupling restate the defaults of
+    # --gamma1 and --g-grid as tuples; the CLI reads the OPTIONS strings.
+    for name, default in (("gamma1", DEFAULT_GAMMA1_SEQUENCE), ("g_grid", DEFAULT_COUPLING_GRID)):
+        assert tuple(_parse_float_list(OPTIONS[name].default)) == default
 
 
 def test_sidecar_recording_parallel_still_reproduces(config_path, tmp_path):
@@ -215,14 +224,25 @@ MALFORMED_INPUTS = [
     pytest.param(dict(RunManifest(command="sweep-th", config=default_config(), options={},
                                   output_path="x.csv").to_dict(), options=[1]),
                  "ConfigError", id="sidecar-options-list"),
+    pytest.param(RunManifest(command="sweep-th", config=default_config(), options={},
+                             output_path="x.csv").to_dict(),
+                 "ConfigError", id="sidecar-no-sweep-grid"),
+    pytest.param([default_config().to_dict()], "ConfigError", id="document-list"),
+    pytest.param(_edited_config(lambda d: d.pop("coupling")), "ConfigError",
+                 id="coupling-missing"),
+    pytest.param(_edited_config(lambda d: d["reservoirs"][1].pop("temperature")),
+                 "ConfigError", id="reservoir-temperature-missing"),
+    pytest.param(_edited_config(lambda d: d["reservoirs"].__setitem__(2, 10.0)),
+                 "ConfigError", id="reservoir-number"),
     pytest.param(None, "IsADirectoryError", id="config-is-a-directory"),
 ]
 
 
 @pytest.mark.parametrize("document, error", MALFORMED_INPUTS)
 def test_malformed_input_exits_2_with_an_error_line(document, error, tmp_path, capsys):
-    # Each input once escaped main as a raw TypeError, ValueError or
-    # IsADirectoryError traceback.
+    # Each input is refused with exit code 2 and one error line; many once
+    # escaped main as a raw TypeError, ValueError or IsADirectoryError
+    # traceback.
     path = tmp_path
     if document is not None:
         path = tmp_path / "config.json"
@@ -238,6 +258,8 @@ def test_malformed_input_exits_2_with_an_error_line(document, error, tmp_path, c
 ROUND_TRIPS = [
     pytest.param(["sweep-th", "--th-start", "1", "--th-stop", "100", "--th-points", "4",
                   "--th-spacing", "log"], [], None, id="sweep-log"),
+    pytest.param(["sweep-th", "--th-start", "3", "--th-stop", "100", "--th-points", "1"],
+                 [], None, id="sweep-one-point"),
     pytest.param(["plateau", "--direction", "negative"], [], None, id="plateau-negative"),
     pytest.param(["threshold", "--direction", "positive", "--threshold-mode", "grid-edge"],
                  [], None, id="threshold-grid-edge"),

@@ -44,6 +44,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         FridgeConfig(gaps=good.gaps, gammas=good.gammas,
                      reservoirs=good.reservoirs, coupling=-0.5)
+    with pytest.raises(ConfigError, match="ReservoirSpec"):
+        FridgeConfig(gaps=good.gaps, gammas=good.gammas,
+                     reservoirs=(*good.reservoirs[:2], good.reservoirs[2].to_dict()),
+                     coupling=1.0)
     # the decoupled machine is a valid reference point
     FridgeConfig(gaps=good.gaps, gammas=good.gammas,
                  reservoirs=good.reservoirs, coupling=0.0)

@@ -172,6 +172,9 @@ def test_rates_of_a_tiny_ratio_keep_their_relative_precision():
 def test_rates_reject_negative_gamma():
     with pytest.raises(ReservoirError):
         lindblad_rates(bosonic(1.0), 1.0, -0.5)
+    # nor is a bosonic down-rate past the largest float a rate
+    with pytest.raises(ReservoirError, match="gamma_down must be finite"):
+        bath_rates(Statistics.BOSONIC, 1e300, -1e-10)
 
 
 def test_fermionic_symmetry_n_plus_n_mirror():
@@ -237,6 +240,9 @@ def test_temperature_domain_errors():
         temperature_from_occupation("fermionic", 1.0, 1.0)
     with pytest.raises(ReservoirError):
         temperature_from_occupation("bosonic", 1.0, 0.0)
+    for gap in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ReservoirError, match="gap"):
+            temperature_from_occupation("bosonic", gap, 0.5)
 
 
 def test_saturated_reservoir_pins_occupation():

@@ -60,6 +60,7 @@ from qfridge.thermometry import TemperatureSentinel
 from tests.conftest import exact_qubit1_populations, random_valid_config, sector_solution
 from tests.oracles import (
     build_liouvillian,
+    closed_form_excited_population,
     read_qubit,
     sector_generator,
     sector_states,
@@ -242,6 +243,43 @@ def test_both_paths_raise_multiplicity_for_a_free_qubit_1(data):
         sector_solution(config)
     with pytest.raises(MultiplicityError):
         solve_direct(build_liouvillian(config))
+
+
+_LOG_RATE = st.floats(-1.5, 1.5).map(lambda exponent: 10.0 ** exponent)
+
+
+@st.composite
+def ordinary_machines(draw):
+    """Resonant or detuned machines, every bath at |E/T| in [0.1, 3] (the
+    cold bath at T > 0, the others of either statistics and sign), gammas
+    and coupling within 10^(+-1.5): every rate within about 10^(+-3), and
+    qubit 1 never cooled far below its bath's law."""
+    e1 = draw(st.floats(0.5, 2.0))
+    e3 = draw(st.floats(0.5, 4.0))
+    e2 = e1 + e3 + draw(st.sampled_from((0.0, 0.0, -0.4, 0.4)))
+    kinds = ((Statistics.BOSONIC, 1.0), (Statistics.FERMIONIC, 1.0),
+             (Statistics.FERMIONIC, -1.0))
+
+    def bath(role, gap, choices):
+        statistics, sign = draw(st.sampled_from(choices))
+        return ReservoirSpec(statistics, sign * gap / draw(st.floats(0.1, 3.0)), role)
+
+    return FridgeConfig(gaps=(e1, e2, e3), gammas=tuple(draw(_LOG_RATE) for _ in range(3)),
+                        reservoirs=(bath(Role.COLD, e1, kinds[:2]), bath(Role.ROOM, e2, kinds),
+                                    bath(Role.HOT, e3, kinds)),
+                        coupling=draw(_LOG_RATE))
+
+
+@PROPERTY_SETTINGS
+@given(ordinary_machines())
+@example(default_config())
+@example(default_config(gaps=(1.0, 5.0, 3.6), th=-0.5, hot_statistics="fermionic"))
+def test_qubit_1_is_the_closed_form_on_ordinary_machines(config):
+    # The closed form uses no solve; it subtracts, so the extreme rows are
+    # checked against mpmath instead (exact_qubit1_populations).
+    _, readout = solve_for_readout(config)
+    assert closed_form_excited_population(config) == pytest.approx(
+        readout.p_excited, rel=1e-13, abs=0.0)
 
 
 def test_deep_cooled_population_is_resolved():

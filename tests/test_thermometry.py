@@ -86,6 +86,15 @@ def test_effective_temperature_sentinels():
     assert effective_temperature(0.0, 1.0) is TemperatureSentinel.ZERO_FROM_BELOW
 
 
+@pytest.mark.parametrize("p_ground, gap", [
+    (-0.1, 1.0), (1.5, 1.0), (math.nan, 1.0),
+    (0.7, 0.0), (0.7, -1.0), (0.7, math.inf), (0.7, math.nan),
+])
+def test_effective_temperature_rejects_its_domain(p_ground, gap):
+    with pytest.raises(ThermometryError):
+        effective_temperature(p_ground, gap)
+
+
 def test_effective_temperature_sign_convention():
     assert effective_temperature(0.8, 1.0) > 0.0
     assert effective_temperature(0.2, 1.0) < 0.0   # population inverted
